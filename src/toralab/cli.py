@@ -27,7 +27,7 @@ from .errors import (ConvergenceFailure, GapTooSmall, IncomparableManifests,
                      ToralabError, TruncationInsufficient,
                      VerificationInconclusive)
 from .torusfn import GridFunction, TrigPoly, estimate_holder, \
-    finite_difference_ratio
+    finite_difference_ratio, uniform_grid
 
 SCENARIOS = ("classify", "conjugate", "counterexample", "linearized", "kam",
              "lyapunov", "cocycle", "regularity")
@@ -236,10 +236,7 @@ def run_counterexample(manifest, outdir):
         "fd_scales": scales, "fd_ratios": ratios,
     }
     n_psi = params.get("psi_grid", 256)
-    grid = np.stack(np.meshgrid(np.arange(n_psi) / n_psi,
-                                np.arange(n_psi) / n_psi,
-                                indexing="ij"), axis=-1)
-    psi_vals = ce.psi(grid.reshape(-1, 2)).reshape(n_psi, n_psi)
+    psi_vals = ce.psi(uniform_grid(2, n_psi)).reshape(n_psi, n_psi)
     os.makedirs(outdir, exist_ok=True)
     from .torusfn import save_grid
     save_grid(GridFunction(np.round(psi_vals, 14)[..., None]),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (GapTooSmall, LostOrthogonality, SingularGenerator)
 from .maps import PerturbedMap, PeriodicOrbit, verify_anosov
-from .torusfn import TrigPoly, estimate_holder
+from .torusfn import TrigPoly, estimate_holder, uniform_grid
 
 
 class CocycleSpec:
@@ -68,9 +68,8 @@ class CocycleSpec:
         return np.einsum("ia,...ij,jb->...ab", self.basis, jac, self.basis)
 
     def invertibility_report(self, grid_n=24):
-        axes = [np.arange(grid_n) / grid_n] * self.f.dim
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        dets = np.linalg.det(self.generator(pts.reshape(-1, self.f.dim)))
+        pts = uniform_grid(self.f.dim, grid_n)
+        dets = np.linalg.det(self.generator(pts))
         return float(np.min(np.abs(dets)))
 
 
@@ -344,8 +343,7 @@ def fiber_bunching_check(spec: CocycleSpec, beta=1.0, theta=None, grid_n=16,
             anosov_report = verify_anosov(spec.f)
         theta = anosov_report.theta
     d = spec.f.dim
-    axes = [np.arange(grid_n) / grid_n] * d
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = uniform_grid(d, grid_n)
     a = spec.generator(pts)
     na = np.linalg.norm(a, ord=2, axis=(-2, -1))
     nai = np.linalg.norm(np.linalg.inv(a), ord=2, axis=(-2, -1))

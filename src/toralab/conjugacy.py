@@ -27,12 +27,8 @@ from .errors import (NewtonDivergence, NoContraction, OrderViolation,
                      ToleranceNotReached)
 from .maps import PerturbedMap, fixed_point_near_zero, periodic_points
 from .spectral import IntegerAutomorphism, lyapunov_splitting
-from .torusfn import (GridFunction, TrigPoly, estimate_holder, sobolev_norm)
-
-
-def _uniform_grid(d, n):
-    axes = [np.arange(n) / n] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+from .torusfn import (GridFunction, TrigPoly, estimate_holder, sobolev_norm,
+                      uniform_grid)
 
 
 @dataclass
@@ -155,7 +151,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
                          "the orbit form always starts from h = 0")
 
     d = f.dim
-    grid = _uniform_grid(d, grid_n)
+    grid = uniform_grid(d, grid_n)
     w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
     au = np.linalg.inv(sd.restricted_unstable())
     als = sd.restricted_stable()
@@ -212,7 +208,8 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
         rows = [[f.base.rows()[i][j] - (1 if i == j else 0)
                  for j in range(d)] for i in range(d)]
         q = exactalg.solve_fraction(rows, [int(x) for x in k_int])
-        shift = np.array([float(x) for x in q])
+        # q is only defined mod Z^d; an integer part adds (L - I) q to h
+        shift = np.array([float(x - round(x)) for x in q])
         if np.max(np.abs(shift)) > 0:
             h_vals = h_vals - shift
             evaluator = _OrbitSeries(f, n_terms, shift=shift)
@@ -274,7 +271,7 @@ def _solve_interpolated(f, tol, grid_n, max_sweeps, seed, residual_samples,
     fixed point carries the grid's aliasing error)."""
     sd = f.spec
     d = f.dim
-    grid = _uniform_grid(d, grid_n)
+    grid = uniform_grid(d, grid_n)
     w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
     au = np.linalg.inv(sd.restricted_unstable())
     als = sd.restricted_stable()
@@ -395,7 +392,7 @@ def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
         raise NewtonDivergence("inverse iteration stalled", points=x)
 
     d = result.f.dim
-    grid = _uniform_grid(d, grid_n)
+    grid = uniform_grid(d, grid_n)
     inv_pts = evaluator(grid)
     comp = inv_pts + result.evaluate_h(inv_pts) - grid
     comp -= np.round(comp)

@@ -104,6 +104,35 @@ def inverse_unimodular(a):
     return out
 
 
+def column_reduce(rows, d):
+    """Unimodular U and rank r with (n @ U)[j] = 0 for j >= r, every row n.
+
+    Integer column operations (Euclid on the trailing entries of each
+    row in turn) applied to the identity; r is the rank of the lattice
+    the rows span.  Stops as soon as r = d.
+    """
+    u = identity(d)
+    r = 0
+    for n in rows:
+        if r == d:
+            break
+        v = [sum(n[i] * u[i][j] for i in range(d)) for j in range(d)]
+        while any(v[r + 1:]):
+            p = min((j for j in range(r, d) if v[j]), key=lambda j: abs(v[j]))
+            v[r], v[p] = v[p], v[r]
+            for row in u:
+                row[r], row[p] = row[p], row[r]
+            for j in range(r + 1, d):
+                q = v[j] // v[r]
+                if q:
+                    v[j] -= q * v[r]
+                    for row in u:
+                        row[j] -= q * row[r]
+        if v[r]:
+            r += 1
+    return u, r
+
+
 def charpoly(m):
     """Characteristic polynomial det(xI - M), exact, low-to-high coefficients.
 

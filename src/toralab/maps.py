@@ -18,7 +18,7 @@ from . import exactalg
 from .errors import (NewtonDivergence, NotHyperbolic,
                      VerificationInconclusive)
 from .spectral import IntegerAutomorphism, lyapunov_splitting
-from .torusfn import TrigPoly, c0_norm
+from .torusfn import TrigPoly, c0_norm, uniform_grid
 
 
 @dataclass
@@ -103,6 +103,12 @@ class PerturbedMap:
                 break
             step = np.linalg.solve(self.jacobian(x), res[..., None])[..., 0]
             x = (x - step) % 1.0
+        else:
+            res = self.apply_lift(x) - y
+            res = np.max(np.abs(res - np.round(res)))
+            if res > 1e-8:
+                raise NewtonDivergence(
+                    f"torus inverse stalled (residual {res:.2e})", points=x)
         return x % 1.0
 
     def inverse_map(self):
@@ -128,7 +134,7 @@ class PerturbedMap:
             np.zeros(0)
         dr_upper = float(np.sum(2 * np.pi * fl * norms))
         dr_lip = float(np.sum((2 * np.pi * fl) ** 2 * norms))
-        grid = _uniform_grid(self.dim, 16 if self.dim <= 2 else 6)
+        grid = uniform_grid(self.dim, 16 if self.dim <= 2 else 6)
         dr_grid = float(np.max(np.linalg.norm(
             self.disp.eval_jacobian(grid).real, ord=2, axis=(-2, -1)))) \
             if len(freqs) else 0.0
@@ -210,11 +216,6 @@ def build(base, displacement, warn=True):
     return PerturbedMap(base, displacement, warn=warn)
 
 
-def _uniform_grid(d, n):
-    axes = [np.arange(n) / n] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 # ---------------------------------------------------------------------------
 # Cone-field verification
 # ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ def verify_anosov(f: PerturbedMap, grid_n=24, aperture=0.25):
     cell = np.sqrt(d) / (2 * grid_n)
     slack = kappa * f.smallness.dr_lipschitz * cell
 
-    pts = _uniform_grid(d, grid_n)
+    pts = uniform_grid(d, grid_n)
     jac = f.jacobian(pts)                      # (P, d, d)
     jt = np.einsum("ij,pjk,kl->pil", t, jac, t_inv)
     jti = np.linalg.inv(jt)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exactalg
 from .errors import UnreliableFit
 
 TWO_PI = 2.0 * np.pi
@@ -325,10 +326,36 @@ class TrigPoly:
         return GridFunction(vals, interpolation="trig")
 
 
+def uniform_grid(d, n):
+    """The N^d points k/N of the uniform grid, as a flat (N^d, d) array."""
+    axes = [np.arange(n) / n] * d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
 def grid_sup(tp, grid_n=64):
-    vals = tp.to_grid(grid_n, allow_alias=2 * tp.support_radius >= grid_n)
-    return np.max(np.abs(vals.values.real)) if tp.is_real(1e-9) else \
-        np.max(np.abs(vals.values))
+    """max over the grid k/N of |f(k/N)| (of the real part if f is real).
+
+    The grid is taken on the rank r of the lattice spanned by the
+    frequencies, not on all d axes.  exactalg.column_reduce gives a
+    unimodular U with every frequency of g(x) = f(Ux) in Z^r x 0.  Since
+    k -> Uk permutes (Z/N)^d, the values f(k/N) and g(j/N) are the same
+    multiset, and g depends on j_1..j_r only; aliased sampling is exact at
+    grid points, so the sup is that of an r-dimensional N^r grid.  When
+    r = d the full d-dimensional grid is used unchanged.
+    """
+    d, m = tp.dim_domain, tp.dim_range
+    u, r = exactalg.column_reduce(sorted(tp.coeffs), d)
+    if r == d:
+        vals = tp.to_grid(grid_n, allow_alias=2 * tp.support_radius >= grid_n)
+        vals = vals.values
+    elif r == 0:
+        vals = tp[(0,) * d][None, :]
+    else:
+        g = tp.compose_affine(u)
+        low = TrigPoly(r, m, {n[:r]: c for n, c in g.coeffs.items()})
+        vals = low.to_grid(grid_n, allow_alias=True).values
+    return np.max(np.abs(vals.real)) if tp.is_real(1e-9) else \
+        np.max(np.abs(vals))
 
 
 @dataclass
@@ -372,19 +399,6 @@ class GridFunction:
             raise ValueError("grid must be uniform in every axis")
         self.interpolation = interpolation
         self._trig_cache = None
-
-    @classmethod
-    def from_callable(cls, fn, dim_domain, grid_n, interpolation="trig"):
-        axes = [np.arange(grid_n) / grid_n] * dim_domain
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.asarray(fn(mesh.reshape(-1, dim_domain)))
-        m = vals.shape[-1] if vals.ndim > 1 else 1
-        vals = vals.reshape((grid_n,) * dim_domain + (m,))
-        return cls(vals, interpolation=interpolation)
-
-    def grid_points(self):
-        axes = [np.arange(self.grid_n) / self.grid_n] * self.dim_domain
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def to_trig(self, threshold=0.0):
         """Fourier coefficients (divided by N^d); optionally thresholded."""

@@ -24,7 +24,7 @@ from .conjugacy import solve_conjugacy
 from .errors import TruncationInsufficient
 from .maps import PerturbedMap
 from .spectral import lyapunov_splitting
-from .torusfn import GridFunction, TrigPoly
+from .torusfn import GridFunction, TrigPoly, uniform_grid
 
 
 def _mat_vec_int(rows, v):
@@ -348,11 +348,6 @@ class KamStepReport:
         return out
 
 
-def _grid(d, n):
-    axes = [np.arange(n) / n] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 def _map_distances(f, grid_pts):
     disp = f.displacement_at(grid_pts)
     c0 = float(np.max(np.abs(disp)))
@@ -377,7 +372,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     if conj is None:
         conj = solve_conjugacy(f, tol=1e-11, grid_n=grid_n,
                                residual_samples=500, regularity=False)
-    pts = _grid(d, grid_n)
+    pts = uniform_grid(d, grid_n)
     in_c0, in_c1 = _map_distances(f, pts)
 
     h_f = conj.evaluate_h(f.apply(pts))

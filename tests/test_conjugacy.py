@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracle_helpers import shadow_conjugacy
-from toralab import conjugacy, maps, spectral
+from toralab import cli, conjugacy, maps, spectral
 from toralab.errors import OrderViolation
 from toralab.torusfn import TrigPoly, estimate_holder
 
@@ -28,6 +28,27 @@ def test_solver_residual_small_perturbation():
     assert res.h_c0 < 5e-3 and res.h_c0 > 1e-5
     assert res.anchor_residual < 1e-9
     assert res.telemetry["winding_residual"] < 1e-12   # degree one
+
+
+def test_d4_anchor_shift_reduced_mod_lattice():
+    # the d=4 conjugate manifest: (L - I)^-1 k is only defined mod Z^4, and
+    # an unreduced integer part used to put 2.0 into the lift residual
+    params = {"matrix": [[2, 1, 0, 0], [1, 1, 0, 0],
+                         [0, 0, 3, 1], [0, 0, 2, 1]],
+              "eps": 1e-3,
+              "modes": [{"freq": [0, 1, 0, 0], "amplitude": [1.0],
+                         "kind": "sin"},
+                        {"freq": [0, 0, 0, 1], "amplitude": [1.0],
+                         "kind": "sin"},
+                        {"freq": [1, 0, 1, 0], "amplitude": [1.0],
+                         "kind": "cos"}]}
+    f = cli._build_map(params)
+    res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=12,
+                                    residual_samples=2000)
+    assert res.residual_max < 1e-9
+    assert res.h_c0 < 0.01
+    assert np.all(np.abs(res.anchor_shift) <= 0.5)
+    assert res.anchor_residual < 1e-9
 
 
 def test_shadowing_oracle_agreement():

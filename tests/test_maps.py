@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toralab import maps, spectral
-from toralab.errors import VerificationInconclusive
+from toralab.errors import NewtonDivergence, VerificationInconclusive
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -71,6 +71,18 @@ def test_local_inverse_roundtrip_on_grid():
     diff = back - x
     diff -= np.round(diff)
     assert np.max(np.abs(diff)) < 1e-10
+
+
+def test_invert_raises_when_newton_stalls():
+    # R = sin(2 pi (x + y)) (1, -1) is far too large for f to be a
+    # diffeomorphism; torus Newton then stalls at some of the points
+    disp = TrigPoly.sin_mode((1, 1), [1.0, -1.0]) + \
+        TrigPoly.cos_mode((0, 1), [0.0, 1.0])
+    f = maps.PerturbedMap(CAT, disp, check=False)
+    y = np.random.default_rng(0).random((2000, 2))
+    with pytest.raises(NewtonDivergence, match="stalled") as err:
+        f.invert(y)
+    assert err.value.points.shape == y.shape
 
 
 def test_periodic_counts_match_determinant():

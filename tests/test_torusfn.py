@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toralab import exactalg
 from toralab import torusfn as tf
 from toralab.errors import UnreliableFit
 
@@ -137,6 +140,67 @@ def test_c0_bounds_bracket():
     assert b.lower <= eps + 1e-15
     assert abs(b.upper - eps) < 1e-15
     assert b.lower > 0.99 * eps
+
+
+@st.composite
+def sparse_real_polys(draw):
+    """Real TrigPoly on T^d, d in 2..4, with 1-6 modes of |n|_inf <= 3."""
+    d = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 2))
+    tp = tf.TrigPoly(d, m)
+    for _ in range(draw(st.integers(1, 6))):
+        freq = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        amp = draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m))
+        mode = tf.TrigPoly.sin_mode(freq, amp) if draw(st.booleans()) else \
+            tf.TrigPoly.cos_mode(freq, amp)
+        tp = tp + mode
+    return tp
+
+
+def _full_grid_sup(tp, grid_n):
+    vals = tp.to_grid(grid_n, allow_alias=True).values
+    return np.max(np.abs(vals.real)) if tp.is_real(1e-9) else \
+        np.max(np.abs(vals))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sparse_real_polys(), st.integers(4, 10))
+def test_grid_sup_rank_reduction_matches_full_grid(tp, grid_n):
+    # N <= 2 * support_radius (aliased) is drawn as well as exact grids
+    expected = _full_grid_sup(tp, grid_n)
+    assert tf.grid_sup(tp, grid_n) == pytest.approx(expected, rel=1e-13,
+                                                    abs=1e-15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+    min_size=0, max_size=7).map(lambda rows: (d, rows))))
+def test_column_reduce_unimodular_and_rank(case):
+    d, rows = case
+    u, r = exactalg.column_reduce(rows, d)
+    assert exactalg.det_bareiss(u) in (1, -1)
+    assert r == (np.linalg.matrix_rank(np.array(rows, dtype=float))
+                 if rows else 0)
+    for n in rows:
+        assert not any(exactalg.mat_vec(list(zip(*u)), n)[r:])
+
+
+def test_grid_sup_zero_and_constant():
+    assert tf.grid_sup(tf.TrigPoly.zero(4, 4), 64) == 0.0
+    const = tf.TrigPoly.constant_fn(4, [0.5, -2.0])
+    assert tf.grid_sup(const, 64) == 2.0
+
+
+def test_grid_sup_low_rank_d4_map():
+    # orbit's d=4 displacement: frequencies span a rank-3 lattice
+    tp = tf.TrigPoly.sin_mode((0, 1, 0, 0), [1e-3, 0, 0, 0]) + \
+        tf.TrigPoly.sin_mode((0, 0, 0, 1), [1e-3, 0, 0, 0]) + \
+        tf.TrigPoly.cos_mode((1, 0, 1, 0), [1e-3, 0, 0, 0])
+    assert exactalg.column_reduce(sorted(tp.coeffs), 4)[1] == 3
+    assert tf.grid_sup(tp, 16) == pytest.approx(_full_grid_sup(tp, 16),
+                                                rel=1e-13)
+    assert tf.c0_norm(tp, 64).lower == pytest.approx(3e-3, rel=1e-13)
 
 
 def test_separable_eval_matches_direct():
