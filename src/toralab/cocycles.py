@@ -109,6 +109,7 @@ class ExponentReport:
     oscillation: float
     det_consistency: float         # |sum full - (1/n) log|det product||
     full_average: np.ndarray | None = None
+    birkhoff: np.ndarray | None = None   # one long orbit, lyapunov_volume
     reference: np.ndarray | None = None
     max_deviation: float | None = None
     per_sample: np.ndarray | None = field(default=None, repr=False)
@@ -197,8 +198,7 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
         report.compare(reference)
     rng = np.random.default_rng(seed)
     x0 = rng.random((1, d))
-    long_run = _lyapunov_batch(spec, x0, birkhoff_factor * n)
-    report.birkhoff = long_run["exps"][0]
+    report.birkhoff = _lyapunov_batch(spec, x0, birkhoff_factor * n)["exps"][0]
     return report
 
 

@@ -250,10 +250,6 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     return result
 
 
-def _nearest_lattice(x):
-    return np.round(x)
-
-
 def _conjugacy_residual(f, evaluator, points):
     """||L H(x) - H(f~ x)||_inf on the lift, rowwise."""
     lmat = np.array(f.base.rows(), dtype=float)

@@ -21,6 +21,33 @@ from .spectral import IntegerAutomorphism, lyapunov_splitting
 from .torusfn import TrigPoly, c0_norm, uniform_grid
 
 
+def _mod1(x):
+    """x % 1.0, bit for bit, at a fraction of the cost of numpy's fmod-based
+    remainder: x - floor(x) is exact for x >= 0, and for x < 0 both round
+    the same real number x - floor(x)."""
+    return x - np.floor(x)
+
+
+def newton_step(jac, res):
+    """Solve jac @ step = res for a stack of d x d systems.
+
+    jac has shape (..., d, d) and res (..., d).  For d = 2 the step is
+    Cramer's rule in closed form, which avoids a batched LAPACK call per
+    point; other d use np.linalg.solve.  An exactly singular system raises
+    LinAlgError, as np.linalg.solve does.
+    """
+    if jac.shape[-1] != 2:
+        return np.linalg.solve(jac, res[..., None])[..., 0]
+    a, b = jac[..., 0, 0], jac[..., 0, 1]
+    c, e = jac[..., 1, 0], jac[..., 1, 1]
+    det = a * e - b * c
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+    r0, r1 = res[..., 0], res[..., 1]
+    return np.stack(((e * r0 - b * r1) / det, (a * r1 - c * r0) / det),
+                    axis=-1)
+
+
 @dataclass
 class SmallnessReport:
     r_c0: float            # grid sup of |R|
@@ -85,31 +112,29 @@ class PerturbedMap:
             res = self.apply_lift(x) - y
             if np.max(np.abs(res)) < tol:
                 return x
-            step = np.linalg.solve(self.jacobian(x), res[..., None])[..., 0]
-            x = x - step
+            x = x - newton_step(self.jacobian(x), res)
         res = np.max(np.abs(self.apply_lift(x) - y))
-        if res > 1e-8:
+        if not res <= 1e-8:
             raise NewtonDivergence(f"local inverse stalled (residual {res:.2e})")
         return x
 
     def invert(self, y):
         """Torus inverse: the x in [0,1)^d with f(x) = y mod Z^d."""
         y = np.asarray(y, dtype=float)
-        x = (y @ self._mat_inv.T) % 1.0
+        x = _mod1(y @ self._mat_inv.T)
         for _ in range(60):
             res = self.apply_lift(x) - y
             res = res - np.round(res)
             if np.max(np.abs(res)) < 1e-13:
                 break
-            step = np.linalg.solve(self.jacobian(x), res[..., None])[..., 0]
-            x = (x - step) % 1.0
+            x = _mod1(x - newton_step(self.jacobian(x), res))
         else:
             res = self.apply_lift(x) - y
             res = np.max(np.abs(res - np.round(res)))
-            if res > 1e-8:
+            if not res <= 1e-8:
                 raise NewtonDivergence(
                     f"torus inverse stalled (residual {res:.2e})", points=x)
-        return x % 1.0
+        return _mod1(x)
 
     def inverse_map(self):
         return InverseMap(self)
@@ -390,9 +415,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
         res = y - x - kv
         if np.max(np.abs(res)) < newton_tol:
             break
-        jac = prod - np.eye(d)
-        step = np.linalg.solve(jac, res[..., None])[..., 0]
-        x = x - step
+        x = x - newton_step(prod - np.eye(d), res)
         iterations += 1
 
     # final residuals

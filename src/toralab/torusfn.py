@@ -33,15 +33,23 @@ class TrigPoly:
         self.dim_domain = int(dim_domain)
         self.dim_range = int(dim_range)
         self.coeffs = {}
-        self._dense = None
+        self._clear_cache()
         if coeffs:
             for n, c in coeffs.items():
                 self[n] = c
 
+    def _clear_cache(self):
+        # Everything derived from the coefficients; __setitem__ is the only
+        # place they change, so it is the only place these are cleared.
+        self._modes = None
+        self._radius = None
+        self._pairs = None
+        self._dense = None
+
     def __setitem__(self, n, c):
         n = tuple(int(x) for x in n)
         c = np.asarray(c, dtype=complex).reshape(self.dim_range)
-        self._dense = None
+        self._clear_cache()
         if np.any(c != 0):
             self.coeffs[n] = c
         else:
@@ -94,18 +102,89 @@ class TrigPoly:
     @property
     def support_radius(self):
         """Max sup-norm of frequencies in the support."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(x) for x in n) for n in self.coeffs)
+        if self._radius is None:
+            n, _ = self.modes()
+            self._radius = int(np.max(np.abs(n))) if n.size else 0
+        return self._radius
 
     def modes(self):
-        keys = sorted(self.coeffs)
-        if not keys:
-            return (np.zeros((0, self.dim_domain), dtype=np.int64),
-                    np.zeros((0, self.dim_range), dtype=complex))
-        n = np.array(keys, dtype=np.int64)
-        c = np.array([self.coeffs[k] for k in keys], dtype=complex)
-        return n, c
+        """Sorted frequencies (K, d) int64 and coefficients (K, m) complex.
+
+        The arrays are cached and read-only; copy them to modify.
+        """
+        if self._modes is None:
+            keys = sorted(self.coeffs)
+            n = np.array(keys, dtype=np.int64).reshape(len(keys),
+                                                        self.dim_domain)
+            c = np.array([self.coeffs[k] for k in keys],
+                         dtype=complex).reshape(len(keys), self.dim_range)
+            n.setflags(write=False)
+            c.setflags(write=False)
+            self._modes = (n, c)
+        return self._modes
+
+    def _pair_arrays(self):
+        """Coefficients of f on the +-n pairs: (c_0, n, [A; B], [B w; -A w]).
+
+        Each frequency pair +-n is listed once, by its representative n
+        with first nonzero coordinate > 0 (lexicographically n > 0).  With
+        theta = 2 pi <n, x> and w = 2 pi n,
+
+            c_n e^{i theta} + c_{-n} e^{-i theta} = A cos theta + B sin theta,
+            A = c_n + c_{-n},   B = i (c_n - c_{-n}),
+
+        so f = c_0 + [cos Theta | sin Theta] [A; B] over the K pairs, and
+        its Jacobian is [cos Theta | sin Theta] [B w; -A w] (A w stands for
+        A_n (x) w_n, flattened to m * d columns).  When c_{-n} = conj(c_n)
+        exactly and c_0 is real, A, B and c_0 have zero imaginary part and
+        are stored as float64, so a real polynomial is evaluated in real
+        arithmetic.
+        """
+        if self._pairs is None:
+            d, m = self.dim_domain, self.dim_range
+            zero = (0,) * d
+            reps = sorted({n if n > zero else tuple(-x for x in n)
+                           for n in self.coeffs if n != zero})
+            k = len(reps)
+            pos = np.array([self[n] for n in reps]).reshape(k, m)
+            neg = np.array([self[tuple(-x for x in n)] for n in reps]
+                           ).reshape(k, m)
+            a = pos + neg
+            b = 1j * (pos - neg)
+            c0 = self[zero]
+            if not (np.any(a.imag) or np.any(b.imag) or np.any(c0.imag)):
+                a, b, c0 = a.real, b.real, c0.real
+            freqs = np.array(reps, dtype=float).reshape(k, d)
+            w = (TWO_PI * freqs)[:, None, :]
+            jw = np.concatenate([b[:, :, None] * w, -a[:, :, None] * w])
+            self._pairs = (c0, freqs, np.concatenate([a, b]),
+                           jw.reshape(2 * k, m * d))
+        return self._pairs
+
+    def _pair_sum(self, flat, coef, chunk):
+        """[cos Theta | sin Theta] coef at the points flat (Theta = 2 pi x n^T).
+
+        cos and sin fill the rows of a (2K, P) array whose transpose enters
+        the product, because numpy's vectorized loops need contiguous
+        output.  chunk bounds the points times pairs held at once.
+        """
+        freqs = self._pair_arrays()[1]
+        k = len(freqs)
+        out = np.empty((flat.shape[0], coef.shape[1]), dtype=coef.dtype)
+        for sl in _chunks(flat.shape[0], max(1, chunk // max(k, 1))):
+            theta = freqs @ flat[sl].T
+            theta *= TWO_PI
+            trig = np.empty((2 * k, theta.shape[1]))
+            np.cos(theta, out=trig[:k])
+            np.sin(theta, out=trig[k:])
+            np.matmul(trig.T, coef, out=out[sl])
+        return out
+
+    def _box_dense(self):
+        """d = 2 polynomial that fills enough of its frequency box for the
+        separable evaluation to be cheaper than the sparse one."""
+        return self.dim_domain == 2 and \
+            len(self.coeffs) > 12 * (2 * self.support_radius + 1)
 
     def copy(self):
         return TrigPoly(self.dim_domain, self.dim_range,
@@ -186,24 +265,29 @@ class TrigPoly:
         return np.einsum("pbm,pb->pm", tmp, e2)
 
     def eval(self, points, chunk=1 << 22):
-        """Evaluate at points of shape (..., d); returns (..., m) complex."""
+        """Evaluate at points of shape (..., d); returns (..., m).
+
+        The result is float64 when the polynomial is real (c_{-n} =
+        conj(c_n) exactly, as symmetrize_real leaves it) and complex
+        otherwise.  Sparse polynomials are summed over +-n pairs, one cos
+        and one sin per pair and point: f = c_0 + cos(Theta) A +
+        sin(Theta) B with Theta = 2 pi x n^T (see _pair_arrays), as one
+        matrix product over the stacked [cos | sin] columns.
+        Box-dense d = 2 polynomials use separable exponentials.
+        """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
-        n, c = self.modes()
-        n_modes = n.shape[0]
-        if self.dim_domain == 2 and n_modes > 12 * (2 * self.support_radius + 1):
-            # box-dense polynomial: separable exponentials are cheaper
+        shape = pts.shape[:-1] + (self.dim_range,)
+        c0, _, ab, _ = self._pair_arrays()
+        if self._box_dense():
             out = np.empty((flat.shape[0], self.dim_range), dtype=complex)
             for sl in _chunks(flat.shape[0], 1 << 16):
                 out[sl] = self._eval_separable(flat[sl])
-            return out.reshape(pts.shape[:-1] + (self.dim_range,))
-        out = np.zeros((flat.shape[0], self.dim_range), dtype=complex)
-        if n_modes:
-            step = max(1, chunk // n_modes)
-            for sl in _chunks(flat.shape[0], step):
-                phases = flat[sl] @ n.T.astype(float)
-                out[sl] = np.exp((2j * np.pi) * phases) @ c
-        return out.reshape(pts.shape[:-1] + (self.dim_range,))
+            return (out if c0.dtype == complex else out.real).reshape(shape)
+        out = self._pair_sum(flat, ab, chunk)
+        if np.any(c0):
+            out += c0
+        return out.reshape(shape)
 
     def eval_real(self, points):
         return self.eval(points).real
@@ -222,26 +306,23 @@ class TrigPoly:
         return out
 
     def eval_jacobian(self, points):
-        """Jacobian at points: shape (..., m, d)."""
+        """Jacobian at points: shape (..., m, d).
+
+        Float64 for a real polynomial and complex otherwise, as for eval.
+        On the sparse path, differentiating A cos theta + B sin theta gives
+        J = cos(Theta) (B x 2 pi n) - sin(Theta) (A x 2 pi n), one matrix
+        product over the stacked [cos | sin] columns.
+        """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
-        n, c = self.modes()
-        n_modes = n.shape[0]
-        if self.dim_domain == 2 and n_modes > 12 * (2 * self.support_radius + 1):
+        shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)
+        c0, _, _, jw = self._pair_arrays()
+        if self._box_dense():
             out = np.empty((flat.shape[0], self.dim_range, 2), dtype=complex)
             for sl in _chunks(flat.shape[0], 1 << 16):
                 out[sl] = self._jacobian_separable(flat[sl])
-            return out.reshape(pts.shape[:-1] +
-                               (self.dim_range, self.dim_domain))
-        out = np.zeros((flat.shape[0], self.dim_range, self.dim_domain),
-                       dtype=complex)
-        if n_modes:
-            nf = n.astype(float)
-            factor = (2j * np.pi) * nf                      # (K, d)
-            for sl in _chunks(flat.shape[0], max(1, (1 << 21) // max(n_modes, 1))):
-                e = np.exp((2j * np.pi) * (flat[sl] @ nf.T))  # (P, K)
-                out[sl] = np.einsum("pk,km,kd->pmd", e, c, factor)
-        return out.reshape(pts.shape[:-1] + (self.dim_range, self.dim_domain))
+            return (out if c0.dtype == complex else out.real).reshape(shape)
+        return self._pair_sum(flat, jw, 1 << 21).reshape(shape)
 
     # -- calculus ----------------------------------------------------------
 
@@ -291,9 +372,6 @@ class TrigPoly:
         for c in self.coeffs.values():
             total += np.abs(c)
         return float(np.max(total))
-
-    def c0_lower(self, grid_n=64):
-        return float(grid_sup(self, grid_n))
 
     def restrict(self, radius):
         """Drop coefficients outside the sup-norm ball of the given radius."""
@@ -451,9 +529,6 @@ class GridFunction:
             mult = (2j * np.pi) * freqs.reshape(shape)
             out[..., axis] = np.fft.ifftn(coef * mult, axes=tuple(range(d)))
         return out.real if np.isrealobj(self.values) else out
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
 
     def l2_norm(self):
         return float(np.sqrt(np.mean(np.sum(np.abs(self.values) ** 2,

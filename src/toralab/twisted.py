@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exactalg
 from .conjugacy import solve_conjugacy
-from .errors import TruncationInsufficient
+from .errors import ToleranceNotReached, TruncationInsufficient
 from .maps import PerturbedMap
 from .spectral import lyapunov_splitting
 from .torusfn import GridFunction, TrigPoly, uniform_grid
@@ -356,6 +356,25 @@ def _map_distances(f, grid_pts):
     return c0, c1
 
 
+def invert_id_minus(hp, target):
+    """The z with z - h'(z) = target, i.e. (Id - h')^-1, by the fixed-point
+    iteration z <- target + h'(z).
+
+    Returns the iterate whose update falls below 1e-14; raises
+    ToleranceNotReached if no update does within 200 iterations.
+    """
+    z = target.copy()
+    for _ in range(200):
+        z_new = target + hp.eval_real(z)
+        update = np.max(np.abs(z_new - z))
+        if update < 1e-14:
+            return z
+        z = z_new
+    raise ToleranceNotReached(
+        f"(Id - h')^-1 not reached in 200 iterations (last update "
+        f"{update:.2e}, tolerance 1e-14)")
+
+
 def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
              tol=None, drop_tol=1e-17):
     """One improvement step: solve the linearized equation and conjugate.
@@ -392,23 +411,14 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     lin_res = float(np.max(np.abs(hp.eval_real(pts) @ lmat.T - hp_l
                                   - q_tp.eval_real(pts))))
 
-    def fixed_point_hp(target):
-        z = target.copy()
-        for _ in range(200):
-            z_new = target + hp.eval_real(z)
-            if np.max(np.abs(z_new - z)) < 1e-14:
-                break
-            z = z_new
-        return z
-
     # orientation A: f' = H'^-1 o f o H', with H' = Id - h'
     u = pts - hp.eval_real(pts)
     w = f.apply_lift(u)
-    z = fixed_point_hp(w)
+    z = invert_id_minus(hp, w)
     disp_a = z - pts @ lmat.T
 
     # orientation B: f' = H' o f o H'^-1
-    u2 = fixed_point_hp(pts)
+    u2 = invert_id_minus(hp, pts)
     w2 = f.apply_lift(u2)
     z2 = w2 - hp.eval_real(w2)
     disp_b = z2 - pts @ lmat.T

@@ -2,8 +2,8 @@
 
 Deliberately separate algorithms from the ones in the package:
 Kronecker interpolation for factorization, a boundary-value sequence
-solve for orbit shadowing, and random-restart optimization for
-conformal similarity.
+solve for orbit shadowing, random-restart optimization for conformal
+similarity, and the direct complex-exponential sum for trig polynomials.
 """
 
 import itertools
@@ -186,3 +186,28 @@ def brute_force_verdict(m, seed=0):
     if dist > 1e-3:
         return "not_conformal"
     return "indeterminate"
+
+
+# ---------------------------------------------------------------------------
+# Trig polynomials by the direct complex-exponential sum
+# ---------------------------------------------------------------------------
+
+def trig_eval_direct(tp, points):
+    """sum_n c_n exp(2 pi i <n, x>) over every stored mode; (P, m) complex."""
+    pts = np.asarray(points, dtype=float).reshape(-1, tp.dim_domain)
+    out = np.zeros((len(pts), tp.dim_range), dtype=complex)
+    for n, c in tp.coeffs.items():
+        e = np.exp(2j * np.pi * (pts @ np.array(n, dtype=float)))
+        out += e[:, None] * c
+    return out
+
+
+def trig_jacobian_direct(tp, points):
+    """sum_n c_n (2 pi i n) exp(2 pi i <n, x>) per mode; (P, m, d) complex."""
+    pts = np.asarray(points, dtype=float).reshape(-1, tp.dim_domain)
+    out = np.zeros((len(pts), tp.dim_range, tp.dim_domain), dtype=complex)
+    for n, c in tp.coeffs.items():
+        nf = np.array(n, dtype=float)
+        e = np.exp(2j * np.pi * (pts @ nf))
+        out += e[:, None, None] * (c[:, None] * (2j * np.pi * nf)[None, :])
+    return out

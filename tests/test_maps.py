@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toralab import maps, spectral
-from toralab.errors import NewtonDivergence, VerificationInconclusive
+from toralab.errors import (NewtonDivergence, NotHyperbolic,
+                            VerificationInconclusive)
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -71,6 +74,60 @@ def test_local_inverse_roundtrip_on_grid():
     diff = back - x
     diff -= np.round(diff)
     assert np.max(np.abs(diff)) < 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
+    # d = 2 takes the closed-form Newton step, d = 3, 4 np.linalg.solve
+    rng = np.random.default_rng(seed)
+    base = spectral.random_unimodular(d, steps=4 * d, rng=rng, entry_cap=6)
+    try:
+        spectral.lyapunov_splitting(base)
+    except NotHyperbolic:
+        assume(False)
+    disp = TrigPoly.zero(d, d)
+    for _ in range(2):
+        freq = rng.integers(-2, 3, size=d)
+        freq[0] += not freq.any()
+        amp = 1e-4 * rng.uniform(-1, 1, size=d)
+        disp = disp + TrigPoly.sin_mode(freq, amp) + \
+            TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
+    # check=False skips the smallness report, whose 64^d grid sup costs
+    # seconds when the frequencies span all of Z^4
+    f = maps.PerturbedMap(base, disp, check=False)
+    y = rng.random((300, d))
+    x = f.invert(y)
+    assert np.all((x >= 0) & (x < 1))
+    diff = f.apply_lift(x) - y
+    assert np.max(np.abs(diff - np.round(diff))) < 1e-12
+
+
+def test_newton_step_closed_form_matches_solve():
+    rng = np.random.default_rng(5)
+    rot = np.linalg.qr(rng.normal(size=(500, 2, 2)))[0]
+    sv = rng.uniform(0.5, 2.0, size=(500, 2))
+    jac = rot @ (sv[:, :, None] * np.linalg.qr(
+        rng.normal(size=(500, 2, 2)))[0])
+    res = rng.normal(size=(500, 2))
+    want = np.linalg.solve(jac, res[..., None])[..., 0]
+    assert np.max(np.abs(maps.newton_step(jac, res) - want)) < 1e-13
+    jac3 = rng.normal(size=(7, 3, 3)) + 4 * np.eye(3)
+    res3 = rng.normal(size=(7, 3))
+    assert np.array_equal(maps.newton_step(jac3, res3),
+                          np.linalg.solve(jac3, res3[..., None])[..., 0])
+    jac[3] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        maps.newton_step(jac, res)
+
+
+def test_mod1_is_numpy_remainder_bit_for_bit():
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.normal(size=4000) * s
+                        for s in (1e-20, 1e-3, 1.0, 7.0, 1e6)])
+    x = np.concatenate([x, np.round(x), [0.0, -0.0, 1.0, -1.0, -1e-300]])
+    assert np.array_equal((x % 1.0).view(np.int64),
+                          maps._mod1(x).view(np.int64))
 
 
 def test_invert_raises_when_newton_stalls():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_helpers import trig_eval_direct, trig_jacobian_direct
 from toralab import exactalg
 from toralab import torusfn as tf
 from toralab.errors import UnreliableFit
@@ -220,6 +221,88 @@ def test_separable_eval_matches_direct():
     jref = np.einsum("pk,km,kd->pmd", np.exp(2j * np.pi * (pts @ n.T)), c,
                      2j * np.pi * n.astype(float))
     assert np.max(np.abs(jd - jref)) < 1e-8
+
+
+@st.composite
+def sparse_polys(draw):
+    """TrigPoly on T^d, d in 1..4, with 1-8 modes of |n|_inf <= 3: real
+    (symmetrized) or complex, where some modes have no -n partner."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    tp = tf.TrigPoly(d, m)
+    parts = st.floats(-1, 1)
+    for _ in range(draw(st.integers(1, 8))):
+        freq = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        re = draw(st.lists(parts, min_size=m, max_size=m))
+        im = draw(st.lists(parts, min_size=m, max_size=m))
+        tp[freq] = np.array(re) + 1j * np.array(im)
+    return tp.symmetrize_real() if draw(st.booleans()) else tp
+
+
+def _exactly_real(tp):
+    return all(np.array_equal(tp[tuple(-x for x in n)], np.conj(c))
+               for n, c in tp.coeffs.items())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sparse_polys(), st.integers(0, 2 ** 32 - 1))
+def test_pair_eval_matches_exponential_sum(tp, seed):
+    pts = np.random.default_rng(seed).uniform(-2, 2, (37, tp.dim_domain))
+    val, jac = tp.eval(pts), tp.eval_jacobian(pts)
+    real = _exactly_real(tp)
+    assert np.isrealobj(val) == real and np.isrealobj(jac) == real
+    n, c = tp.modes()
+    scale = 1 + float(np.sum(np.abs(c)))
+    jscale = 1 + float(np.sum(2 * np.pi * np.abs(n).max(axis=1)[:, None] *
+                              np.abs(c)))
+    assert np.max(np.abs(val - trig_eval_direct(tp, pts))) < 1e-13 * scale
+    assert np.max(np.abs(jac - trig_jacobian_direct(tp, pts))) < \
+        1e-13 * jscale
+    assert val.shape == (37, tp.dim_range)
+    assert jac.shape == (37, tp.dim_range, tp.dim_domain)
+
+
+def test_eval_dtype_and_shapes():
+    z = tf.TrigPoly.zero(3, 2)
+    pts = np.zeros((4, 5, 3))
+    assert z.eval(pts).shape == (4, 5, 2) and not np.any(z.eval(pts))
+    assert z.eval_jacobian(pts).shape == (4, 5, 2, 3)
+    tp = tf.TrigPoly.constant_fn(2, [1.5, -2.0j])
+    assert np.iscomplexobj(tp.eval(pts[..., :2]))
+    assert np.all(tp.eval(pts[..., :2]) == np.array([1.5, -2.0j]))
+    # a full 13 x 13 box takes the separable path, with the same dtype rule
+    rng = np.random.default_rng(8)
+    box = tf.TrigPoly(2, 2)
+    for i in range(-6, 7):
+        for j in range(-6, 7):
+            box[(i, j)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    x = rng.random((9, 2))
+    for tp in (box, box.symmetrize_real()):
+        real = _exactly_real(tp)
+        assert np.isrealobj(tp.eval(x)) == real
+        assert np.isrealobj(tp.eval_jacobian(x)) == real
+        assert np.max(np.abs(tp.eval(x) - trig_eval_direct(tp, x))) < 1e-10
+
+
+def test_setitem_clears_cached_modes_radius_and_pairs():
+    tp = tf.TrigPoly.sin_mode((0, 1), [1.0, 0.0])
+    pts = np.random.default_rng(3).random((20, 2))
+    assert tp.support_radius == 1 and len(tp.modes()[0]) == 2
+    assert np.isrealobj(tp.eval(pts))
+    tp[(3, -2)] = [0.5, 0.25j]          # no (-3, 2) partner: complex now
+    n, c = tp.modes()
+    assert [tuple(k) for k in n] == [(0, -1), (0, 1), (3, -2)]
+    assert np.array_equal(c[2], [0.5, 0.25j])
+    assert tp.support_radius == 3
+    val = tp.eval(pts)
+    assert np.iscomplexobj(val)
+    assert np.max(np.abs(val - trig_eval_direct(tp, pts))) < 1e-14
+    assert np.max(np.abs(tp.eval_jacobian(pts) -
+                         trig_jacobian_direct(tp, pts))) < 1e-12
+    tp[(3, -2)] = [0.0, 0.0]            # removing the mode restores both
+    assert tp.support_radius == 1 and len(tp.modes()[0]) == 2
+    assert np.isrealobj(tp.eval(pts))
+    assert not tp.modes()[1].flags.writeable
 
 
 def test_sobolev_constant():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toralab import maps, spectral, twisted
-from toralab.errors import TruncationInsufficient
+from toralab.errors import ToleranceNotReached, TruncationInsufficient
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -128,3 +128,14 @@ def test_kam_report_recomputed_from_output():
     pts = np.random.default_rng(1).random((500, 2))
     measured = float(np.max(np.abs(f2.displacement_at(pts))))
     assert measured <= rep.output_c0 * (1 + 1e-9)
+
+
+def test_invert_id_minus_solves_and_raises_when_not_contracting():
+    pts = np.random.default_rng(4).random((200, 2))
+    small = TrigPoly.sin_mode((1, 1), [1e-3, -2e-3])
+    z = twisted.invert_id_minus(small, pts)
+    assert np.max(np.abs(z - small.eval_real(z) - pts)) < 1e-13
+    # z <- target + sin(2 pi z_1) e_1 has slope up to 2 pi: no contraction
+    large = TrigPoly.sin_mode((1, 0), [1.0, 0.0])
+    with pytest.raises(ToleranceNotReached, match="200 iterations"):
+        twisted.invert_id_minus(large, pts)
