@@ -27,8 +27,8 @@ from .errors import (NewtonDivergence, NoContraction, OrderViolation,
                      ToleranceNotReached)
 from .maps import PerturbedMap, fixed_point_near_zero, periodic_points
 from .spectral import IntegerAutomorphism, lyapunov_splitting
-from .torusfn import (GridFunction, TrigPoly, estimate_holder, sobolev_norm,
-                      uniform_grid)
+from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
+                      sobolev_norm, uniform_grid)
 
 
 @dataclass
@@ -101,7 +101,7 @@ class _OrbitSeries:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, self.f.dim) % 1.0
+        flat = _mod1(pts.reshape(-1, self.f.dim))
         du = self.du
         acc_u = np.zeros((flat.shape[0], du))
         acc_s = np.zeros((flat.shape[0], self.f.dim - du))
@@ -459,13 +459,13 @@ class SkewSeries:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, 2) % 1.0
+        flat = _mod1(pts.reshape(-1, 2))
         acc = np.zeros(flat.shape[0])
         y = flat
         coef = 1.0 / self.lam
         for _ in range(self.terms):
             acc += coef * self.phi.eval_real(y)[:, 0]
-            y = (y @ self.b_mat.T) % 1.0
+            y = _mod1(y @ self.b_mat.T)
             coef /= self.lam
         return acc.reshape(pts.shape[:-1])
 

@@ -2,8 +2,11 @@
 
 Matrices are lists of lists of Python ints or Fractions.  Used wherever
 floating point would be a liability: determinants of unimodular
-matrices, characteristic polynomials, periodic-point enumeration, and
-the lattice searches behind the weak-irreducibility cross-check.
+matrices, characteristic polynomials, the triangular column form that
+enumerates periodic points, and the lattice searches behind the
+weak-irreducibility cross-check.  Lattice reduction is integral LLL
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+Alg. 2.6.7), which keeps every Gram-Schmidt quantity an integer.
 """
 
 from __future__ import annotations
@@ -109,7 +112,9 @@ def column_reduce(rows, d):
 
     Integer column operations (Euclid on the trailing entries of each
     row in turn) applied to the identity; r is the rank of the lattice
-    the rows span.  Stops as soon as r = d.
+    the rows span.  Stops as soon as r = d.  Later steps touch only
+    columns >= r, where earlier rows are already zero, so for the rows of
+    a nonsingular d x d matrix A the product A U is lower triangular.
     """
     u = identity(d)
     r = 0
@@ -204,47 +209,81 @@ def _gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Lattice reduction (textbook LLL over the integers)
+# Lattice reduction (integral LLL)
 # ---------------------------------------------------------------------------
 
-def lll_reduce(rows, delta=Fraction(3, 4)):
-    """LLL-reduce integer basis rows; returns a new list of rows.
+def _round_div(a, m):
+    """round(a / m) for m > 0, ties to even as round() on a Fraction."""
+    r, rem = divmod(2 * a + m, 2 * m)
+    if rem == 0 and r % 2:
+        r -= 1
+    return r
 
-    Dimensions here are tiny (<= 12), so a recompute-everything
-    Gram-Schmidt over Fractions is fast enough and simple.
+
+def lll_reduce(rows, delta=Fraction(3, 4)):
+    """LLL-reduce a basis of integer rows; returns a new list of rows.
+
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7, after de Weger): with the
+    Gram determinants dd[i] of the first i rows (dd[0] = 1) and
+    lam[k][j] = dd[j+1] mu_kj, every quantity stays an integer and each
+    size reduction or swap updates them in O(n).  Each visit to row k
+    size-reduces it against rows k-1, ..., 0 before the Lovasz test
+    q dd[k+1] dd[k-1] >= p dd[k]^2 - q lam[k][k-1]^2 for delta = p / q.
+    Raises ValueError if the rows are linearly dependent.
     """
     b = [[int(x) for x in r] for r in rows]
     n = len(b)
     if n <= 1:
         return b
+    p, q = delta.numerator, delta.denominator
+    dd = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
 
-    def gram_schmidt():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            s = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    continue
-                mu[i][j] = sum(Fraction(b[i][t]) * star[j][t]
-                               for t in range(len(s))) / norms[j]
-                s = [s[t] - mu[i][j] * star[j][t] for t in range(len(s))]
-            star.append(s)
-            norms.append(sum(x * x for x in s))
-        return mu, norms
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (dd[i + 1] * u - lam[k][i] * lam[j][i]) // dd[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("lll_reduce: rows are linearly dependent")
+            else:
+                dd[k + 1] = u
 
-    k = 1
+    def size_reduce(k, j):
+        if 2 * abs(lam[k][j]) <= dd[j + 1]:
+            return
+        r = _round_div(lam[k][j], dd[j + 1])
+        b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+        lam[k][j] -= r * dd[j + 1]
+        for i in range(j):
+            lam[k][i] -= r * lam[j][i]
+
+    def swap(k, k_max):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        dk = (dd[k - 1] * dd[k + 1] + lk * lk) // dd[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (dd[k + 1] * lam[i][k - 1] - lk * t) // dd[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // dd[k + 1]
+        dd[k] = dk
+
+    gram_schmidt(0)
+    k, k_max = 1, 0
     while k < n:
-        mu, norms = gram_schmidt()
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
-                b[k] = [b[k][t] - r * b[j][t] for t in range(len(b[k]))]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            size_reduce(k, j)
+        if q * dd[k + 1] * dd[k - 1] >= \
+                p * dd[k] ** 2 - q * lam[k][k - 1] ** 2:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
+            swap(k, k_max)
             k = max(k - 1, 1)
     return b

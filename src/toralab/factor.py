@@ -41,12 +41,6 @@ def _pmul(a, b, p):
     return _ptrim(out)
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -373,9 +367,3 @@ def factor_over_q(f, max_degree=MAX_DEGREE):
         for g in factor_squarefree(part):
             out.append((g, mult))
     return sorted(out)
-
-
-def is_irreducible(f):
-    fac = factor_over_q(f)
-    return len(fac) == 1 and fac[0][1] == 1 and \
-        intpoly.degree(fac[0][0]) == intpoly.degree(f)

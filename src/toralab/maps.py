@@ -8,9 +8,9 @@ Lipschitz slack, and exact enumeration of periodic points.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,14 +18,7 @@ from . import exactalg
 from .errors import (NewtonDivergence, NotHyperbolic,
                      VerificationInconclusive)
 from .spectral import IntegerAutomorphism, lyapunov_splitting
-from .torusfn import TrigPoly, c0_norm, uniform_grid
-
-
-def _mod1(x):
-    """x % 1.0, bit for bit, at a fraction of the cost of numpy's fmod-based
-    remainder: x - floor(x) is exact for x >= 0, and for x < 0 both round
-    the same real number x - floor(x)."""
-    return x - np.floor(x)
+from .torusfn import TrigPoly, _mod1, c0_norm, uniform_grid
 
 
 def newton_step(jac, res):
@@ -97,7 +90,7 @@ class PerturbedMap:
         return x @ self._mat.T + self.disp.eval_real(x)
 
     def apply(self, x):
-        return self.apply_lift(x) % 1.0
+        return _mod1(self.apply_lift(x))
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
@@ -357,14 +350,42 @@ class PeriodicSearch:
 MAX_SEARCH_PERIOD = 16
 
 
+def _periodic_seeds(lni, det):
+    """Integer k and seeds x = (L^n - I)^{-1} k in [0,1)^d, k sorted.
+
+    The k are one representative per coset of Z^d / A Z^d, A = L^n - I.
+    column_reduce gives a unimodular U with A U lower triangular (a Hermite
+    form without the reduction of the off-diagonal entries), so the k'
+    with 0 <= k'_i < |(A U)_ii| are a full set of coset representatives
+    (det = |det A| of them).  Each maps exactly to the canonical
+    k = A frac(A^-1 k') = k' - A floor(A^-1 k'), in integers via
+    A^-1 = adj / det.
+    """
+    d = len(lni)
+    adj = [[int(c * det) for c in row]
+           for row in exactalg.inverse_fraction(lni)]
+    tri = exactalg.mat_mul(lni, exactalg.column_reduce(lni, d)[0])
+    found = []
+    for kp in itertools.product(*(range(abs(tri[i][i])) for i in range(d))):
+        y = [sum(a * v for a, v in zip(row, kp)) for row in adj]
+        fl = [v // det for v in y]
+        k = tuple(kp[i] - sum(lni[i][j] * fl[j] for j in range(d))
+                  for i in range(d))
+        found.append((k, [(v - det * f) / det for v, f in zip(y, fl)]))
+    found.sort()
+    return [k for k, _ in found], [x for _, x in found]
+
+
 def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
                     max_iter=60, period_cap=MAX_SEARCH_PERIOD):
     """All period-n points of f, seeded at the periodic points of L.
 
-    Enumerates the integer vectors k with (L^n - I)^{-1} k in [0,1)^d
-    exactly, Newton-solves f~^n(x) = x + k from each seed, deduplicates
-    into orbits with minimal periods, and reports the count against
-    |det(L^n - I)|.
+    The seeds are the |det(L^n - I)| points (L^n - I)^{-1} k in [0,1)^d,
+    k integer, in lexicographic order of k: one k per coset of
+    Z^d / (L^n - I) Z^d, read off a triangular column form of L^n - I
+    (see _periodic_seeds), with no search over a bounding box.  Newton-solves f~^n(x) = x + k from each
+    seed, deduplicates into orbits with minimal periods, and reports the
+    count against |det(L^n - I)|.
     """
     if n > period_cap:
         raise ValueError(f"period {n} exceeds the configured cap "
@@ -375,29 +396,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
     lni = [[ln[i][j] - (1 if i == j else 0) for j in range(d)]
            for i in range(d)]
     expected = abs(exactalg.det_bareiss(lni))
-    lni_inv = exactalg.inverse_fraction(lni)
-
-    # bounding box of (L^n - I) [0,1]^d
-    corners = np.array(np.meshgrid(*[[0, 1]] * d, indexing="ij"),
-                       dtype=float).reshape(d, -1).T
-    image = corners @ np.array(lni, dtype=float).T
-    lo = np.floor(image.min(axis=0)).astype(int)
-    hi = np.ceil(image.max(axis=0)).astype(int)
-    grids = np.meshgrid(*[np.arange(lo[i], hi[i] + 1) for i in range(d)],
-                        indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=-1)
-
-    inv_float = np.array([[float(x) for x in row] for row in lni_inv])
-    seeds_float = ks @ inv_float.T
-    near = np.all((seeds_float > -1e-9) & (seeds_float < 1 + 1e-9), axis=1)
-    seeds = []
-    kept_k = []
-    for k in ks[near]:
-        x = [sum(lni_inv[i][j] * int(k[j]) for j in range(d))
-             for i in range(d)]
-        if all(Fraction(0) <= xi < Fraction(1) for xi in x):
-            seeds.append([float(xi) for xi in x])
-            kept_k.append(tuple(int(v) for v in k))
+    kept_k, seeds = _periodic_seeds(lni, expected)
     if len(seeds) != expected:
         raise ArithmeticError(
             f"seed enumeration found {len(seeds)} != |det| = {expected}")
@@ -430,7 +429,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
         if res[i] > 100 * newton_tol:
             failures += 1
             continue
-        p = x[i] % 1.0
+        p = _mod1(x[i])
         orbit_pts = [p]
         for _ in range(n - 1):
             orbit_pts.append(f.apply(orbit_pts[-1]))
@@ -444,7 +443,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
                     period = m
                     break
         cycle = orbit_pts[:period]
-        key = min(tuple(np.round(q % 1.0, 8) % 1.0) for q in cycle)
+        key = min(tuple(_mod1(np.round(_mod1(q), 8))) for q in cycle)
         if key in orbits:
             continue
         dp = np.eye(d)

@@ -71,9 +71,6 @@ class IntegerAutomorphism:
         rows = exactalg.mat_mul(self.rows(), other.rows())
         return IntegerAutomorphism(tuple(tuple(r) for r in rows))
 
-    def transpose(self):
-        return IntegerAutomorphism(tuple(zip(*self.entries)))
-
 
 def automorphism(rows):
     """Build an IntegerAutomorphism from any nested-iterable of ints."""
@@ -134,12 +131,6 @@ def random_unimodular(d, steps=12, rng=None, entry_cap=30):
 class CharPolyFactorization:
     charpoly: tuple                  # det(xI - M), monic, low-to-high
     factors: tuple                   # ((coeffs,), multiplicity) pairs
-
-    def reconstituted(self):
-        prod = [1]
-        for coeffs, mult in self.factors:
-            prod = intpoly.mul(prod, intpoly.poly_pow(list(coeffs), mult))
-        return prod
 
 
 def char_poly(m):
@@ -203,9 +194,6 @@ class AdaptedNorm:
     sigma: float               # target contraction rate
     n_terms: int
     contraction: float         # certified factor of the restricted map
-
-    def coord_norm(self, coords):
-        return np.linalg.norm(self.chol @ np.asarray(coords, float).T, axis=0)
 
     def vector_norm(self, v):
         coords = self.basis.T @ np.asarray(v, float).T
@@ -281,10 +269,6 @@ class SpectralData:
         coords = vectors @ self.basis_full_inv.T
         du = self.unstable_dim
         return coords[..., :du], coords[..., du:]
-
-    def from_components(self, cu, cs):
-        coords = np.concatenate([cu, cs], axis=-1)
-        return coords @ self.basis_full.T
 
     def adapted_sup(self, vectors):
         """max of unstable/stable adapted norms, per vector."""

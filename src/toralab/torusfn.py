@@ -18,6 +18,13 @@ from .errors import UnreliableFit
 TWO_PI = 2.0 * np.pi
 
 
+def _mod1(x):
+    """x % 1.0, bit for bit, at a fraction of the cost of numpy's fmod-based
+    remainder: x - floor(x) is exact for x >= 0, and for x < 0 both round
+    the same real number x - floor(x)."""
+    return x - np.floor(x)
+
+
 def _chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
@@ -500,7 +507,7 @@ class GridFunction:
             np.isrealobj(self.values) else self._trig_cache.eval(points)
 
     def _eval_linear(self, points):
-        pts = np.asarray(points, dtype=float) % 1.0
+        pts = _mod1(np.asarray(points, dtype=float))
         flat = pts.reshape(-1, self.dim_domain)
         n = self.grid_n
         scaled = flat * n

@@ -24,7 +24,7 @@ from .conjugacy import solve_conjugacy
 from .errors import ToleranceNotReached, TruncationInsufficient
 from .maps import PerturbedMap
 from .spectral import lyapunov_splitting
-from .torusfn import GridFunction, TrigPoly, uniform_grid
+from .torusfn import GridFunction, TrigPoly, _mod1, uniform_grid
 
 
 def _mat_vec_int(rows, v):
@@ -179,6 +179,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     horizon = int(np.log(max(drop_tol, 1e-300) / max(q_scale, 1e-300)) /
                   np.log(max(sigma, 1e-9))) + 1
     values = {}          # freq -> solved coefficient (complex d-vector)
+    ls_norm = {}         # k -> ||L_s^k||_2, the backward stopping probe
     unassigned = set(qmap)
     while unassigned:
         seed = sorted(unassigned)[0]
@@ -240,11 +241,13 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
             back_qs.append(np.asarray(w_inv @ np.asarray(
                 qc if qc is not None else np.zeros(d, dtype=complex)),
                 dtype=complex))
-            if qc is None and len(back_positions) > 3:
+            k = len(back_positions)
+            if qc is None and k > 3:
                 # once past all support, the stable sum only decays
-                probe = np.linalg.norm(
-                    np.linalg.matrix_power(ls, len(back_positions)), 2)
-                if probe * max(q_scale, 0.0) < drop_tol:
+                if k not in ls_norm:
+                    ls_norm[k] = np.linalg.norm(
+                        np.linalg.matrix_power(ls, k), 2)
+                if ls_norm[k] * max(q_scale, 0.0) < drop_tol:
                     break
         positions = back_positions[::-1] + fwd_positions
         qcoords_all = back_qs[::-1] + qs_list
@@ -395,7 +398,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     in_c0, in_c1 = _map_distances(f, pts)
 
     h_f = conj.evaluate_h(f.apply(pts))
-    h_l = conj.evaluate_h((pts @ lmat.T) % 1.0)
+    h_l = conj.evaluate_h(_mod1(pts @ lmat.T))
     q_vals = f.displacement_at(pts) + h_f - h_l
     q_full = GridFunction(q_vals.reshape((grid_n,) * d + (d,))).to_trig(
         threshold=1e-15)
@@ -407,7 +410,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     hp = sol.h
 
     # function-level residual of the linearized equation on the grid
-    hp_l = hp.eval_real((pts @ lmat.T) % 1.0)
+    hp_l = hp.eval_real(_mod1(pts @ lmat.T))
     lin_res = float(np.max(np.abs(hp.eval_real(pts) @ lmat.T - hp_l
                                   - q_tp.eval_real(pts))))
 

@@ -3,7 +3,8 @@
 Deliberately separate algorithms from the ones in the package:
 Kronecker interpolation for factorization, a boundary-value sequence
 solve for orbit shadowing, random-restart optimization for conformal
-similarity, and the direct complex-exponential sum for trig polynomials.
+similarity, the direct complex-exponential sum for trig polynomials, LLL
+over Fractions, and periodic-point seeds from a bounding-box search.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from toralab import intpoly
+from toralab import exactalg, intpoly
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,19 @@ def _conformality_distance(c_flat, m):
                  max(r2, 1e-12))
 
 
+def _conformality_distances(cs, m):
+    """_conformality_distance of each row of cs, as array operations."""
+    k = m.shape[0]
+    c = cs.reshape(-1, k, k)
+    out = np.full(len(c), 1e6)
+    ok = np.abs(np.linalg.det(c)) >= 1e-6
+    x = np.linalg.solve(c[ok], m @ c[ok])
+    r2 = np.abs(np.linalg.det(x)) ** (2.0 / k)
+    gap = np.swapaxes(x, 1, 2) @ x - r2[:, None, None] * np.eye(k)
+    out[ok] = np.linalg.norm(gap, "fro", axis=(1, 2)) / np.maximum(r2, 1e-12)
+    return out
+
+
 def brute_force_conformality(m, restarts=10000, refine_best=6, seed=0):
     """min over conjugators of the distance of C^-1 M C to the conformal
     group, by random restarts plus Nelder-Mead polish of the best few."""
@@ -163,14 +177,11 @@ def brute_force_conformality(m, restarts=10000, refine_best=6, seed=0):
     m = np.asarray(m, dtype=float)
     rng = np.random.default_rng(seed)
     k = m.shape[0]
-    best = []
-    for _ in range(restarts):
-        c = rng.normal(size=k * k)
-        val = _conformality_distance(c, m)
-        best.append((val, c))
-    best.sort(key=lambda t: t[0])
-    out = best[0][0]
-    for val, c in best[:refine_best]:
+    cs = rng.normal(size=(restarts, k * k))
+    vals = _conformality_distances(cs, m)
+    order = np.argsort(vals, kind="stable")
+    out = float(vals[order[0]])
+    for c in cs[order[:refine_best]]:
         res = minimize(_conformality_distance, c, args=(m,),
                        method="Nelder-Mead",
                        options={"maxiter": 2000, "fatol": 1e-14,
@@ -211,3 +222,81 @@ def trig_jacobian_direct(tp, points):
         e = np.exp(2j * np.pi * (pts @ nf))
         out += e[:, None, None] * (c[:, None] * (2j * np.pi * nf)[None, :])
     return out
+
+
+# ---------------------------------------------------------------------------
+# LLL with Gram-Schmidt recomputed over Fractions
+# ---------------------------------------------------------------------------
+
+def lll_reduce_fraction(rows, delta=Fraction(3, 4)):
+    """LLL-reduce integer basis rows, recomputing all of Gram-Schmidt over
+    Fractions after every size reduction (textbook; oracle only)."""
+    b = [[int(x) for x in r] for r in rows]
+    n = len(b)
+    if n <= 1:
+        return b
+
+    def gram_schmidt():
+        star = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            s = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if norms[j] == 0:
+                    continue
+                mu[i][j] = sum(Fraction(b[i][t]) * star[j][t]
+                               for t in range(len(s))) / norms[j]
+                s = [s[t] - mu[i][j] * star[j][t] for t in range(len(s))]
+            star.append(s)
+            norms.append(sum(x * x for x in s))
+        return mu, norms
+
+    k = 1
+    while k < n:
+        mu, norms = gram_schmidt()
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = round(mu[k][j])
+                b[k] = [b[k][t] - r * b[j][t] for t in range(len(b[k]))]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            k = max(k - 1, 1)
+    return b
+
+
+# ---------------------------------------------------------------------------
+# Periodic-point seeds by enumerating a bounding box
+# ---------------------------------------------------------------------------
+
+def periodic_seeds_box(lni):
+    """The integer k with x = A^-1 k in [0,1)^d, A = lni = L^n - I, and
+    their x as floats: every integer point of the bounding box of
+    A [0,1]^d is tested exactly (oracle only).  Memory grows like the box,
+    so a box of more than 2 10^5 points raises ValueError."""
+    d = len(lni)
+    lni_inv = exactalg.inverse_fraction(lni)
+    corners = np.array(np.meshgrid(*[[0, 1]] * d, indexing="ij"),
+                       dtype=float).reshape(d, -1).T
+    image = corners @ np.array(lni, dtype=float).T
+    lo = np.floor(image.min(axis=0)).astype(int)
+    hi = np.ceil(image.max(axis=0)).astype(int)
+    if np.prod((hi - lo + 1).astype(float)) > 2e5:
+        raise ValueError("bounding box too large for the oracle")
+    grids = np.meshgrid(*[np.arange(lo[i], hi[i] + 1) for i in range(d)],
+                        indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=-1)
+    inv_float = np.array([[float(x) for x in row] for row in lni_inv])
+    seeds_float = ks @ inv_float.T
+    near = np.all((seeds_float > -1e-9) & (seeds_float < 1 + 1e-9), axis=1)
+    kept_k, seeds = [], []
+    for k in ks[near]:
+        x = [sum(lni_inv[i][j] * int(k[j]) for j in range(d))
+             for i in range(d)]
+        if all(Fraction(0) <= xi < Fraction(1) for xi in x):
+            kept_k.append(tuple(int(v) for v in k))
+            seeds.append([float(xi) for xi in x])
+    return kept_k, seeds

@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracle_helpers import lll_reduce_fraction
 from toralab import intpoly
 from toralab.exactalg import charpoly, det_bareiss, inverse_unimodular, \
     lll_reduce, minimal_poly_of_vector
@@ -87,3 +92,76 @@ def test_lll_finds_short_vector():
     red = lll_reduce(rows)
     norms = [sum(x * x for x in r) for r in red]
     assert min(norms) <= 10
+
+
+def lattice_candidate_rows(d, m, seed):
+    """Rows (e_j | round(10^10 P e_j)) for a random P with m orthonormal
+    rows in R^d, as spectral._lattice_candidates embeds a projector."""
+    p = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, m)))[0].T
+    return [[int(t == j) for t in range(d)] +
+            [int(round(p[i, j] * 10 ** 10)) for i in range(m)]
+            for j in range(d)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 7).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, d - 1), st.integers(0, 2 ** 32 - 1))))
+def test_lll_matches_fraction_oracle_on_projector_embeddings(case):
+    rows = lattice_candidate_rows(*case)
+    assert lll_reduce(rows) == lll_reduce_fraction(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n + 2, max_size=n + 2),
+    min_size=n, max_size=n)), st.integers(0, 2))
+def test_lll_matches_fraction_oracle_on_small_bases(rows, drop):
+    # small entries make exact half-integer mu common
+    rows = [r[:len(r) - drop] for r in rows]
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+    assume(det_bareiss(gram) != 0)
+    assert lll_reduce(rows) == lll_reduce_fraction(rows)
+
+
+@pytest.mark.parametrize("rows, reduced", [
+    ([[2, 0], [3, 1]], [[-1, 1], [1, 1]]),       # mu = 3/2 rounds to 2
+    ([[2, 0], [-3, 1]], [[1, 1], [1, -1]]),      # mu = -3/2 rounds to -2
+    ([[2, 0], [5, 1]], [[1, 1], [1, -1]]),       # mu = 5/2 rounds to 2
+    ([[2, 0], [1, 3]], [[2, 0], [1, 3]]),        # mu = 1/2 is reduced
+])
+def test_lll_half_integer_ties_round_to_even(rows, reduced):
+    assert lll_reduce(rows) == reduced
+    assert lll_reduce_fraction(rows) == reduced
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]],
+                                  [[1, 0, 0], [0, 1, 0], [1, 1, 0]]])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(ValueError, match="dependent"):
+        lll_reduce(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(2, 12).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, d - 1), st.integers(0, 2 ** 32 - 1))))
+def test_lll_conditions_hold_exactly_up_to_dimension_12(case):
+    d = case[0]
+    rows = lattice_candidate_rows(*case)
+    red = lll_reduce(rows)
+    # same lattice: the identity block records the unimodular transform
+    t = [r[:d] for r in red]
+    assert abs(det_bareiss(t)) == 1
+    assert red == [[sum(t[i][j] * rows[j][c] for j in range(d))
+                    for c in range(len(rows[0]))] for i in range(d)]
+    star, norms = [], []
+    for i, b in enumerate(red):
+        s = [Fraction(x) for x in b]
+        for j in range(i):
+            mu = sum(x * y for x, y in zip(b, star[j])) / norms[j]
+            assert abs(mu) <= Fraction(1, 2)
+            s = [x - mu * y for x, y in zip(s, star[j])]
+            if j == i - 1:
+                assert norms[i - 1] * (Fraction(3, 4) - mu * mu) <= \
+                    sum(x * x for x in s)
+        star.append(s)
+        norms.append(sum(x * x for x in s))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toralab import maps, spectral
+from oracle_helpers import periodic_seeds_box
+from toralab import exactalg, maps, spectral
 from toralab.errors import (NewtonDivergence, NotHyperbolic,
                             VerificationInconclusive)
 from toralab.torusfn import TrigPoly
@@ -152,6 +153,58 @@ def test_periodic_counts_match_determinant():
         assert res.newton_failures == 0
         assert res.newton_iterations <= 10
         assert all(o.residual < 1e-10 for o in res.orbits)
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_periodic_seeds_match_box_and_orbits_partition_by_period(d, n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):         # most draws are not hyperbolic
+        base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                          entry_cap=4)
+        try:
+            spectral.lyapunov_splitting(base)
+            break
+        except NotHyperbolic:
+            pass
+    else:
+        assume(False)
+    fixed = {}                  # q -> |det(L^q - I)|, the points of L^q
+    for q in range(1, n + 1):
+        lq = base.power(q).rows()
+        lni = [[lq[i][j] - (i == j) for j in range(d)] for i in range(d)]
+        fixed[q] = abs(exactalg.det_bareiss(lni))
+    assume(fixed[n] <= 400)
+    try:
+        box = periodic_seeds_box(lni)
+    except ValueError:
+        assume(False)
+    assert maps._periodic_seeds(lni, fixed[n]) == box
+    assert len(box[0]) == fixed[n]
+
+    res = maps.periodic_points(maps.PerturbedMap(base, TrigPoly.zero(d, d)),
+                               n)
+    assert res.newton_failures == 0
+    assert res.point_count == res.expected_count == fixed[n]
+    assert all(n % o.period == 0 for o in res.orbits)
+    for m in range(1, n + 1):
+        if n % m == 0:
+            minimal = sum(_mobius(m // q) * fixed[q]
+                          for q in range(1, m + 1) if m % q == 0)
+            assert sum(o.period for o in res.orbits if o.period == m) \
+                == minimal
 
 
 def test_periodic_minimal_periods():
