@@ -12,9 +12,8 @@ from .spectral import (IntegerAutomorphism, automorphism, block_diagonal,
                        classification_report, factorization,
                        lyapunov_splitting, spectral_data,
                        weakly_irreducible_definitional)
-from .torusfn import (GridFunction, TrigPoly, c0_norm, c1_norm,
-                      estimate_holder, holder_norm, sobolev_norm, transform,
-                      inverse_transform, weierstrass_type)
+from .torusfn import (GridFunction, TrigPoly, c0_norm, estimate_holder,
+                      sobolev_norm, weierstrass_type)
 from .maps import (PerturbedMap, build, fixed_point_near_zero,
                    periodic_data_check, periodic_points, verify_anosov)
 from .conjugacy import (ConjugacyResult, build_counterexample, jacobian_dh,

@@ -9,16 +9,15 @@ L and accumulates the two convergent one-sided sums:
 
 which is the alternating unstable/stable contraction sweep unrolled from
 h_0 = 0; each added term is one sweep, and successive-difference norms,
-contraction factors, and the certified geometric tail are reported.  A
-literal grid-interpolated sweep (mode="interpolated") is kept for
-cross-validation at small resolutions; the orbit form is the default
-because it also gives off-grid evaluation of h at full accuracy, which
-grid interpolation of a merely Holder h cannot.
+contraction factors, and the certified geometric tail are reported.
+The sums are taken pointwise along orbits, so h is evaluated off the grid
+at full accuracy, which grid interpolation of a merely Holder h cannot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class ConjugacyResult:
     anchor_shift: np.ndarray
     anchor_residual: float
     telemetry: dict
-    mode: str
     h_c0: float
     dh_c0: float
     regularity: dict | None = None
@@ -72,7 +70,7 @@ class ConjugacyResult:
             "residual_mean": self.residual_mean,
             "anchor_point": list(map(float, self.anchor_point)),
             "anchor_residual": self.anchor_residual,
-            "h_c0": self.h_c0, "dh_c0": self.dh_c0, "mode": self.mode,
+            "h_c0": self.h_c0, "dh_c0": self.dh_c0, "mode": "orbit",
         }
         if self.regularity is not None:
             out["regularity"] = {
@@ -84,48 +82,61 @@ class ConjugacyResult:
 
 
 class _OrbitSeries:
-    """Pointwise evaluator of the two one-sided sums at a fixed term count."""
+    """The two one-sided sums of h, walked along forward and backward orbits.
 
-    def __init__(self, f, n_terms, shift=None):
+    `terms` is the one walk: the grid solve consumes it until its stopping
+    rule holds, and a call at other points consumes `n_terms` of it.
+    """
+
+    def __init__(self, f):
         self.f = f
         sd = f.spec
         self.w = sd.basis_full
         self.w_inv = sd.basis_full_inv
         self.du = sd.unstable_dim
-        lu = sd.restricted_unstable()
-        ls = sd.restricted_stable()
-        self.au = np.linalg.inv(lu)
-        self.als = ls
-        self.n_terms = n_terms
-        self.shift = np.zeros(f.dim) if shift is None else shift
+        self.au = np.linalg.inv(sd.restricted_unstable())
+        self.als = sd.restricted_stable()
+        self.n_terms = None          # set by the grid solve
+        self.shift = np.zeros(f.dim)  # set by the anchor normalization
+
+    def terms(self, points):
+        """Yield the k-th unstable and stable terms at points, k = 0, 1, ...
+
+        In splitting coordinates: L_u^-(k+1) R^u(f^k x) and
+        L_s^k R^s(f^-(k+1) x).  The orbits advance only when the next term
+        is asked for.
+        """
+        f, du = self.f, self.du
+        y = points
+        z = f.invert(points)
+        mu = self.au.copy()
+        ms = np.eye(f.dim - du)
+        while True:
+            yield ((f.displacement_at(y) @ self.w_inv.T)[:, :du] @ mu.T,
+                   (f.displacement_at(z) @ self.w_inv.T)[:, du:] @ ms.T)
+            y = f.apply(y)
+            z = f.invert(z)
+            mu = self.au @ mu
+            ms = self.als @ ms
+
+    def combine(self, acc_u, acc_s):
+        """h from the accumulated coordinates of its two parts."""
+        return np.concatenate([acc_u, acc_s], axis=1) @ self.w.T - self.shift
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         flat = _mod1(pts.reshape(-1, self.f.dim))
-        du = self.du
-        acc_u = np.zeros((flat.shape[0], du))
-        acc_s = np.zeros((flat.shape[0], self.f.dim - du))
-        y = flat.copy()
-        mu = self.au.copy()
-        for _ in range(self.n_terms):
-            cu = (self.f.displacement_at(y) @ self.w_inv.T)[:, :du]
-            acc_u += cu @ mu.T
-            y = self.f.apply(y)
-            mu = self.au @ mu
-        z = self.f.invert(flat)
-        ms = np.eye(self.f.dim - du)
-        for _ in range(self.n_terms):
-            cs = (self.f.displacement_at(z) @ self.w_inv.T)[:, du:]
-            acc_s -= cs @ ms.T
-            z = self.f.invert(z)
-            ms = self.als @ ms
-        h = np.concatenate([acc_u, acc_s], axis=1) @ self.w.T - self.shift
-        return h.reshape(pts.shape)
+        acc_u = np.zeros((flat.shape[0], self.du))
+        acc_s = np.zeros((flat.shape[0], self.f.dim - self.du))
+        for term_u, term_s in islice(self.terms(flat), self.n_terms):
+            acc_u += term_u
+            acc_s -= term_s
+        return self.combine(acc_u, acc_s).reshape(pts.shape)
 
 
 def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
-                    mode="orbit", seed=0, residual_samples=10000,
-                    initial=None, regularity=False, anchor=True):
+                    seed=0, residual_samples=10000, regularity=False,
+                    anchor=True):
     """Solve L o H = H o f for H = Id + h close to the identity.
 
     Returns a ConjugacyResult whose h is sampled on an N^d grid and whose
@@ -140,39 +151,20 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     if sigma >= 1.0:
         raise NoContraction(f"adapted contraction factor {sigma:.4f} >= 1")
 
-    if mode == "interpolated":
-        return _solve_interpolated(f, tol=tol, grid_n=grid_n,
-                                   max_sweeps=max_terms, seed=seed,
-                                   residual_samples=residual_samples,
-                                   initial=initial, regularity=regularity,
-                                   anchor=anchor)
-    if initial is not None:
-        raise ValueError("initial guesses apply to mode='interpolated'; "
-                         "the orbit form always starts from h = 0")
-
     d = f.dim
     grid = uniform_grid(d, grid_n)
-    w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
-    au = np.linalg.inv(sd.restricted_unstable())
-    als = sd.restricted_stable()
+    du = sd.unstable_dim
     chol_u = sd.unstable_norm.chol
     chol_s = sd.stable_norm.chol
 
+    evaluator = _OrbitSeries(f)
     acc_u = np.zeros((grid.shape[0], du))
     acc_s = np.zeros((grid.shape[0], d - du))
     term_norms_u, term_norms_s = [], []
-    y = grid.copy()
-    z = f.invert(grid)
-    mu = au.copy()
-    ms = np.eye(d - du)
     stop_at = tol * (1.0 - sigma) / (2.0 * max(sigma, 1e-6))
-    n_terms = None
-    for k in range(max_terms):
-        coords_y = f.displacement_at(y) @ w_inv.T
-        term_u = coords_y[:, :du] @ mu.T
+    for k, (term_u, term_s) in enumerate(
+            islice(evaluator.terms(grid), max_terms)):
         acc_u += term_u
-        coords_z = f.displacement_at(z) @ w_inv.T
-        term_s = coords_z[:, du:] @ ms.T
         acc_s -= term_s
         tn_u = float(np.max(np.linalg.norm(term_u @ chol_u.T, axis=1))) \
             if du else 0.0
@@ -181,20 +173,13 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
         term_norms_u.append(tn_u)
         term_norms_s.append(tn_s)
         if max(tn_u, tn_s) < stop_at and k >= 2:
-            n_terms = k + 1
+            evaluator.n_terms = k + 1
             break
-        y = f.apply(y)
-        z = f.invert(z)
-        mu = au @ mu
-        ms = als @ ms
-    if n_terms is None:
+    else:
         raise ToleranceNotReached(
             f"term norms {max(term_norms_u[-1], term_norms_s[-1]):.2e} "
             f"after {max_terms} sweeps (target {stop_at:.2e})")
     tail = max(term_norms_u[-1], term_norms_s[-1]) * sigma / (1.0 - sigma)
-
-    h_vals = np.concatenate([acc_u, acc_s], axis=1) @ w.T
-    evaluator = _OrbitSeries(f, n_terms)
 
     # normalization: H(p) must be the L-fixed point nearest p (usually 0)
     shift = np.zeros(d)
@@ -210,11 +195,10 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
         q = exactalg.solve_fraction(rows, [int(x) for x in k_int])
         # q is only defined mod Z^d; an integer part adds (L - I) q to h
         shift = np.array([float(x - round(x)) for x in q])
-        if np.max(np.abs(shift)) > 0:
-            h_vals = h_vals - shift
-            evaluator = _OrbitSeries(f, n_terms, shift=shift)
+        evaluator.shift = shift
         hp_new = anchor_pt + evaluator(anchor_pt)
         anchor_res = float(np.max(np.abs(hp_new - np.round(hp_new))))
+    h_vals = evaluator.combine(acc_u, acc_s)
 
     rng = np.random.default_rng(seed)
     sample = rng.random((residual_samples, d))
@@ -232,7 +216,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     h_grid = GridFunction(h_vals.reshape((grid_n,) * d + (d,)))
     dh = h_grid.jacobian_grid()
     result = ConjugacyResult(
-        f=f, h_grid=h_grid, grid_n=grid_n, tol=tol, n_terms=n_terms,
+        f=f, h_grid=h_grid, grid_n=grid_n, tol=tol, n_terms=evaluator.n_terms,
         tail_bound=float(tail), contraction_u=float(sigma_u),
         contraction_s=float(sigma_s), residual_max=float(res.max()),
         residual_mean=float(res.mean()), residual_samples=residual_samples,
@@ -242,7 +226,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
                    "term_norms_stable": term_norms_s,
                    "stop_threshold": stop_at,
                    "winding_residual": winding},
-        mode="orbit", h_c0=float(np.max(np.abs(h_vals))),
+        h_c0=float(np.max(np.abs(h_vals))),
         dh_c0=float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1)))),
         _evaluator=evaluator)
     if regularity:
@@ -258,75 +242,6 @@ def _conjugacy_residual(f, evaluator, points):
     fx = f.apply_lift(points)
     rhs = fx + evaluator(fx)
     return np.max(np.abs(lhs - rhs), axis=1)
-
-
-def _solve_interpolated(f, tol, grid_n, max_sweeps, seed, residual_samples,
-                        initial, regularity, anchor, threshold=1e-13):
-    """Literal alternating sweep with h stored on the grid and composed
-    with f by trigonometric interpolation (cross-validation path; the
-    fixed point carries the grid's aliasing error)."""
-    sd = f.spec
-    d = f.dim
-    grid = uniform_grid(d, grid_n)
-    w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
-    au = np.linalg.inv(sd.restricted_unstable())
-    als = sd.restricted_stable()
-    y1 = f.apply(grid)
-    z1 = f.invert(grid)
-    r_grid = f.displacement_at(grid)
-    r_z = f.displacement_at(z1)
-    h_vals = np.zeros((grid.shape[0], d)) if initial is None else \
-        np.asarray(initial.eval_real(grid))
-    sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
-    diffs = []
-    for sweep in range(max_sweeps):
-        tp = GridFunction(h_vals.reshape((grid_n,) * d + (d,))).to_trig(
-            threshold=threshold)
-        h_y = tp.eval_real(y1)
-        cu = ((h_y + r_grid) @ w_inv.T)[:, :du] @ au.T
-        coords = h_vals @ w_inv.T
-        coords[:, :du] = cu
-        h_vals_mid = coords @ w.T
-        tp = GridFunction(h_vals_mid.reshape((grid_n,) * d + (d,))).to_trig(
-            threshold=threshold)
-        h_z = tp.eval_real(z1)
-        cs = (h_z @ w_inv.T)[:, du:] @ als.T - (r_z @ w_inv.T)[:, du:]
-        coords = h_vals_mid @ w_inv.T
-        coords[:, du:] = cs
-        new_vals = coords @ w.T
-        diff = float(np.max(sd.adapted_sup(new_vals - h_vals)))
-        diffs.append(diff)
-        h_vals = new_vals
-        if diff < tol and sweep >= 2:
-            break
-    else:
-        raise ToleranceNotReached(
-            f"sweep differences {diffs[-1]:.2e} after {max_sweeps} sweeps")
-
-    tp_final = GridFunction(h_vals.reshape((grid_n,) * d + (d,))).to_trig(
-        threshold=threshold)
-    evaluator = lambda pts: tp_final.eval_real(pts)
-    rng = np.random.default_rng(seed)
-    sample = rng.random((residual_samples, d))
-    res = _conjugacy_residual(f, evaluator, sample)
-    h_grid = GridFunction(h_vals.reshape((grid_n,) * d + (d,)))
-    dh = h_grid.jacobian_grid()
-    result = ConjugacyResult(
-        f=f, h_grid=h_grid, grid_n=grid_n, tol=tol, n_terms=len(diffs),
-        tail_bound=diffs[-1] * sigma / (1 - sigma),
-        contraction_u=sd.unstable_norm.contraction,
-        contraction_s=sd.stable_norm.contraction,
-        residual_max=float(res.max()), residual_mean=float(res.mean()),
-        residual_samples=residual_samples,
-        anchor_point=np.zeros(d), anchor_shift=np.zeros(d),
-        anchor_residual=0.0,
-        telemetry={"sweep_differences": diffs},
-        mode="interpolated", h_c0=float(np.max(np.abs(h_vals))),
-        dh_c0=float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1)))),
-        _evaluator=evaluator)
-    if regularity:
-        result.regularity = regularity_metrics(result)
-    return result
 
 
 def regularity_metrics(result: ConjugacyResult, pairs=10000, seed=1,
@@ -361,7 +276,6 @@ class InverseConjugacy:
     source: object
     grid_n: int
     composition_residual: float
-    failures: int
     _evaluator: object = field(default=None, repr=False)
 
     def evaluate(self, points):
@@ -372,8 +286,9 @@ def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
     """Pointwise inversion of H = Id + h: solve x + h(x) = y.
 
     Fixed-point iteration x <- y - h(x); converges since ||h|| is small
-    and Lip(h) < 1 for the maps in scope.  Reports the composition
-    residual H o H^-1 - Id on a grid.
+    and Lip(h) < 1 for the maps in scope; a stall raises
+    NewtonDivergence.  Reports the composition residual H o H^-1 - Id on a
+    grid.
     """
     grid_n = grid_n or min(result.grid_n, 64)
 
@@ -394,7 +309,7 @@ def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
     comp -= np.round(comp)
     return InverseConjugacy(source=result, grid_n=grid_n,
                             composition_residual=float(np.max(np.abs(comp))),
-                            failures=0, _evaluator=evaluator)
+                            _evaluator=evaluator)
 
 
 def periodic_covariance(result: ConjugacyResult, search=None, n_max=3):

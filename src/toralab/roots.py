@@ -120,14 +120,3 @@ def certified_roots(coeffs, dps=30, max_iter=400):
                         residuals=[discs[i].radius, discs[j].radius])
 
     return sorted(discs, key=lambda rd: (rd.center.real, rd.center.imag))
-
-
-def roots_with_escalation(coeffs, dps=30, retries=3):
-    """certified_roots with precision escalation (x2 dps per retry)."""
-    last = None
-    for attempt in range(retries + 1):
-        try:
-            return certified_roots(coeffs, dps=dps * (2 ** attempt))
-        except ConvergenceFailure as exc:
-            last = exc
-    raise last

@@ -264,21 +264,6 @@ class SpectralData:
         b = self.stable_basis
         return b.T @ self.automorphism.as_array() @ b
 
-    def components(self, vectors):
-        """Split vectors (…, d) into unstable/stable coordinate components."""
-        coords = vectors @ self.basis_full_inv.T
-        du = self.unstable_dim
-        return coords[..., :du], coords[..., du:]
-
-    def adapted_sup(self, vectors):
-        """max of unstable/stable adapted norms, per vector."""
-        cu, cs = self.components(vectors)
-        nu = np.linalg.norm(cu @ self.unstable_norm.chol.T, axis=-1) \
-            if self.unstable_dim else 0.0
-        ns = np.linalg.norm(cs @ self.stable_norm.chol.T, axis=-1) \
-            if self.stable_dim else 0.0
-        return np.maximum(nu, ns)
-
 
 def _real_poly_from_roots(root_list):
     """Real monic polynomial (float coeffs) with the given root multiset."""

@@ -456,19 +456,6 @@ def c0_norm(fn, grid_n=128):
     return C0Bounds(lower=float(grid_sup(tp, safe_n)), upper=tp.c0_upper())
 
 
-def c1_norm(fn, grid_n=128):
-    """Bracket for ||f||_C0 + max_j ||d_j f||_C0."""
-    tp = fn if isinstance(fn, TrigPoly) else fn.to_trig()
-    base = c0_norm(tp, grid_n)
-    lowers, uppers = [], []
-    for j in range(tp.dim_domain):
-        b = c0_norm(tp.partial(j), grid_n)
-        lowers.append(b.lower)
-        uppers.append(b.upper)
-    return C0Bounds(lower=base.lower + (max(lowers) if lowers else 0.0),
-                    upper=base.upper + (max(uppers) if uppers else 0.0))
-
-
 class GridFunction:
     """Samples of a periodic function at the uniform grid k/N."""
 
@@ -542,16 +529,6 @@ class GridFunction:
                                             axis=-1))))
 
 
-def transform(gf, threshold=0.0):
-    """GridFunction -> TrigPoly (the forward transform of the module)."""
-    return gf.to_trig(threshold=threshold)
-
-
-def inverse_transform(tp, grid_n):
-    """TrigPoly -> GridFunction; exact when 2 * support_radius < N."""
-    return tp.to_grid(grid_n)
-
-
 # ---------------------------------------------------------------------------
 # Regularity estimators
 # ---------------------------------------------------------------------------
@@ -574,8 +551,6 @@ def _as_evaluator(fn):
         return fn.dim_domain, fn.eval_real
     if isinstance(fn, GridFunction):
         return fn.dim_domain, fn.eval
-    if callable(fn):
-        raise TypeError("pass (dim, callable) via estimate_holder_callable")
     raise TypeError(f"cannot evaluate {type(fn)!r}")
 
 
@@ -646,23 +621,6 @@ def finite_difference_ratio(fn, dim, scale, pairs=10000, seed=0):
     if inc.ndim > 1:
         inc = np.max(inc, axis=-1)
     return float(np.max(inc) / scale)
-
-
-def holder_norm(fn, beta, grid_n=128, pairs=10000, seed=0):
-    """Numeric Holder(beta) norm: C0 plus the sup increment quotient."""
-    tp = fn if isinstance(fn, TrigPoly) else fn.to_trig()
-    dim, evaluator = _as_evaluator(tp)
-    rng = np.random.default_rng(seed)
-    base = rng.random((pairs, dim))
-    other = rng.random((pairs, dim))
-    diff = base - other
-    diff -= np.round(diff)  # torus distance representative
-    dist = np.linalg.norm(diff, axis=1)
-    keep = dist > 1e-12
-    f0 = evaluator(base[keep])
-    f1 = evaluator(other[keep])
-    quot = np.max(np.abs(f0 - f1), axis=-1) / dist[keep] ** beta
-    return c0_norm(tp, grid_n).lower + float(np.max(quot))
 
 
 def sobolev_norm(fn, q, grid_n=64):

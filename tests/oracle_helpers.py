@@ -2,7 +2,9 @@
 
 Deliberately separate algorithms from the ones in the package:
 Kronecker interpolation for factorization, a boundary-value sequence
-solve for orbit shadowing, random-restart optimization for conformal
+solve for orbit shadowing, the conjugacy as the fixed point of a sweep on
+grid values composed by trigonometric interpolation, random-restart
+optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
 over Fractions, and periodic-point seeds from a bounding-box search.
 """
@@ -13,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from toralab import exactalg, intpoly
+from toralab.errors import ToleranceNotReached
+from toralab.torusfn import GridFunction, uniform_grid
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,68 @@ def shadow_conjugacy(f, x, window=40):
     a[row:row + d - du, 0:d] = ps
     u = np.linalg.solve(a, rhs)
     return points[m] + u[m * d:(m + 1) * d]
+
+
+# ---------------------------------------------------------------------------
+# The conjugacy by the alternating sweep on grid values
+# ---------------------------------------------------------------------------
+
+def interpolated_conjugacy(f, grid_n, tol, initial=None, max_sweeps=400,
+                           residual_samples=100, seed=0, threshold=1e-13):
+    """h on the N^d grid as the fixed point of the alternating sweep
+
+        h^u <- L_u^-1 (h + R)^u o f,    h^s <- L_s (h^s o f^-1) - R^s o f^-1,
+
+    with h composed with f and f^-1 by trigonometric interpolation of its
+    grid values, started from `initial` (a TrigPoly, or h = 0).  The fixed
+    point carries the grid's aliasing error.  Returns the grid values,
+    shape (N,)*d + (d,), and max |L H(x) - H(f~ x)| over a seeded sample
+    with H interpolated from them.
+    """
+    sd = f.spec
+    d = f.dim
+    shape = (grid_n,) * d + (d,)
+    grid = uniform_grid(d, grid_n)
+    w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
+    au = np.linalg.inv(sd.restricted_unstable())
+    als = sd.restricted_stable()
+    chol_u, chol_s = sd.unstable_norm.chol, sd.stable_norm.chol
+    y1 = f.apply(grid)
+    z1 = f.invert(grid)
+    r_grid = f.displacement_at(grid)
+    r_z = f.displacement_at(z1)
+    h_vals = np.zeros((grid.shape[0], d)) if initial is None else \
+        np.asarray(initial.eval_real(grid))
+    for sweep in range(max_sweeps):
+        tp = GridFunction(h_vals.reshape(shape)).to_trig(threshold=threshold)
+        coords = h_vals @ w_inv.T
+        coords[:, :du] = ((tp.eval_real(y1) + r_grid) @ w_inv.T)[:, :du] @ \
+            au.T
+        h_mid = coords @ w.T
+        tp = GridFunction(h_mid.reshape(shape)).to_trig(threshold=threshold)
+        coords = h_mid @ w_inv.T
+        coords[:, du:] = (tp.eval_real(z1) @ w_inv.T)[:, du:] @ als.T - \
+            (r_z @ w_inv.T)[:, du:]
+        new_vals = coords @ w.T
+        # sup over the grid of the adapted norm of the sweep's step
+        step = (new_vals - h_vals) @ w_inv.T
+        diff = max(float(np.max(np.linalg.norm(step[:, :du] @ chol_u.T,
+                                                axis=1))) if du else 0.0,
+                   float(np.max(np.linalg.norm(step[:, du:] @ chol_s.T,
+                                               axis=1))) if d - du else 0.0)
+        h_vals = new_vals
+        if diff < tol and sweep >= 2:
+            break
+    else:
+        raise ToleranceNotReached(
+            f"sweep differences {diff:.2e} after {max_sweeps} sweeps")
+
+    tp = GridFunction(h_vals.reshape(shape)).to_trig(threshold=threshold)
+    x = np.random.default_rng(seed).random((residual_samples, d))
+    lhs = (x + tp.eval_real(x)) @ f.base.as_array().T
+    fx = f.apply_lift(x)
+    residual = np.max(np.abs(lhs - fx - tp.eval_real(fx)))
+    return h_vals.reshape(shape), float(residual)
 
 
 # ---------------------------------------------------------------------------

