@@ -14,33 +14,25 @@ import numpy as np
 
 from .errors import (GapTooSmall, LostOrthogonality, SingularGenerator)
 from .maps import PerturbedMap, PeriodicOrbit, verify_anosov
-from .torusfn import TrigPoly, estimate_holder, uniform_grid
+from .torusfn import estimate_holder, uniform_grid
 
 
 class CocycleSpec:
     """Generator A: T^d -> GL(m, R) over a base map f.
 
-    kind is one of "constant", "trigpoly", "derivative", "restriction";
-    the restriction uses the orthogonal projection onto one Lyapunov
-    subspace of the base automorphism (exact restriction when f = L).
-    Trig-polynomial and derivative generators are smooth, so the
-    reported Holder exponent of the generator is 1.
+    kind is one of "constant", "derivative", "restriction"; the
+    restriction uses the orthogonal projection onto one Lyapunov subspace
+    of the base automorphism (exact restriction when f = L).  Every kind
+    is smooth, so the reported Holder exponent of the generator is 1.
     """
 
     def __init__(self, base_map: PerturbedMap, kind="derivative",
-                 matrix=None, poly=None, cluster_index=None):
+                 matrix=None, cluster_index=None):
         self.f = base_map
         self.kind = kind
         if kind == "constant":
             self.matrix = np.asarray(matrix, dtype=float)
             self.m = self.matrix.shape[0]
-        elif kind == "trigpoly":
-            if not isinstance(poly, TrigPoly):
-                raise TypeError("poly must be a TrigPoly with m*m components")
-            self.poly = poly
-            self.m = int(round(np.sqrt(poly.dim_range)))
-            if self.m * self.m != poly.dim_range:
-                raise ValueError("poly range must have square length")
         elif kind == "derivative":
             self.m = base_map.dim
         elif kind == "restriction":
@@ -59,9 +51,6 @@ class CocycleSpec:
         if self.kind == "constant":
             return np.broadcast_to(self.matrix,
                                    x.shape[:-1] + self.matrix.shape).copy()
-        if self.kind == "trigpoly":
-            vals = self.poly.eval_real(x)
-            return vals.reshape(x.shape[:-1] + (self.m, self.m))
         if self.kind == "derivative":
             return self.f.jacobian(x)
         jac = self.f.jacobian(x)

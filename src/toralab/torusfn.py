@@ -408,7 +408,7 @@ class TrigPoly:
             idx = tuple(x % grid_n for x in n)
             arr[idx] += c
         vals = np.fft.ifftn(arr, axes=tuple(range(d))) * (grid_n ** d)
-        return GridFunction(vals, interpolation="trig")
+        return GridFunction(vals)
 
 
 def uniform_grid(d, n):
@@ -459,7 +459,7 @@ def c0_norm(fn, grid_n=128):
 class GridFunction:
     """Samples of a periodic function at the uniform grid k/N."""
 
-    def __init__(self, values, interpolation="trig"):
+    def __init__(self, values):
         values = np.asarray(values)
         if values.ndim < 2:
             raise ValueError("expected shape (N, ..., N, m)")
@@ -469,7 +469,6 @@ class GridFunction:
         self.grid_n = values.shape[0]
         if any(s != self.grid_n for s in values.shape[:-1]):
             raise ValueError("grid must be uniform in every axis")
-        self.interpolation = interpolation
         self._trig_cache = None
 
     def to_trig(self, threshold=0.0):
@@ -486,30 +485,11 @@ class GridFunction:
         return out
 
     def eval(self, points):
-        if self.interpolation == "linear":
-            return self._eval_linear(points)
+        """Trigonometric interpolation of the samples at `points`."""
         if self._trig_cache is None:
             self._trig_cache = self.to_trig(threshold=0.0)
         return self._trig_cache.eval(points).real if \
             np.isrealobj(self.values) else self._trig_cache.eval(points)
-
-    def _eval_linear(self, points):
-        pts = _mod1(np.asarray(points, dtype=float))
-        flat = pts.reshape(-1, self.dim_domain)
-        n = self.grid_n
-        scaled = flat * n
-        base = np.floor(scaled).astype(int)
-        frac = scaled - base
-        out = np.zeros((flat.shape[0], self.dim_range))
-        for corner in range(1 << self.dim_domain):
-            weight = np.ones(flat.shape[0])
-            idx = []
-            for axis in range(self.dim_domain):
-                bit = (corner >> axis) & 1
-                weight = weight * (frac[:, axis] if bit else 1 - frac[:, axis])
-                idx.append((base[:, axis] + bit) % n)
-            out += weight[:, None] * self.values[tuple(idx)]
-        return out.reshape(pts.shape[:-1] + (self.dim_range,))
 
     def jacobian_grid(self):
         """Spectral Jacobian at the grid points: shape grid + (m, d)."""
@@ -665,7 +645,7 @@ def save_grid(gf, path, extra_header=None):
     """Text format: one JSON header line, then one sample row per line."""
     import json
     header = {"dim_domain": gf.dim_domain, "dim_range": gf.dim_range,
-              "grid_n": gf.grid_n, "interpolation": gf.interpolation,
+              "grid_n": gf.grid_n, "interpolation": "trig",
               "convention": "samples at k/N, row-major",
               "complex": bool(np.iscomplexobj(gf.values))}
     if extra_header:
@@ -692,8 +672,7 @@ def load_grid(path):
         vals = data[:, 0::2] + 1j * data[:, 1::2]
     else:
         vals = data
-    return GridFunction(vals.reshape((n,) * d + (m,)),
-                        interpolation=header["interpolation"])
+    return GridFunction(vals.reshape((n,) * d + (m,)))
 
 
 def weierstrass_type(alpha, base=3, terms=30):

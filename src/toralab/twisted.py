@@ -5,17 +5,21 @@ n -> L^T n: with c_m the coefficient of h' at m,
 
     L c_m - c_{(L^T)^-1 m} = Q_m.
 
-The zero mode is (L - I)^-1 Q_0.  On each dual orbit the bounded
-solution is the one-sided geometric sum per Lyapunov component of the
-twist: expanding components sum forward in L^-1, contracting components
-backward in L.  Coefficients are tracked along the orbit until they
-decay below a drop tolerance, retained inside the ball |n| <= F, and
-everything dropped is reported with a certified geometric tail.
+The zero mode is (L - I)^-1 Q_0.  The equation is linear, so the
+bounded solution is a superposition: each nonzero mode s of Q spreads
+along its own dual orbit as a one-sided geometric sum per Lyapunov
+component of the twist, forward in L_u^-1 on the expanding side and
+backward in L_s on the contracting side (de la Llave, Marco & Moriyon,
+Ann. of Math. 123, 1986).  All modes step together, each side until its
+matrix power times max|Q_s| falls below a drop tolerance.  Coefficients
+are retained inside the ball |n| <= F, and everything dropped is
+reported with a certified geometric tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +29,6 @@ from .errors import ToleranceNotReached, TruncationInsufficient
 from .maps import PerturbedMap
 from .spectral import lyapunov_splitting
 from .torusfn import GridFunction, TrigPoly, _mod1, uniform_grid
-
-
-def _mat_vec_int(rows, v):
-    return tuple(sum(rows[i][j] * v[j] for j in range(len(v)))
-                 for i in range(len(rows)))
 
 
 def _sup(n):
@@ -58,7 +57,10 @@ class DualOrbitDecomposition:
 
 def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
                              max_walk=2000):
-    """Walk the dual action over the frequency ball; verifies no cycles."""
+    """Walk the dual action over the frequency ball; verifies no cycles.
+
+    A picture of the orbit structure; solve_linearized does not use it.
+    """
     f_prime = extended_radius or 4 * radius
     lt = [list(r) for r in zip(*automorphism.entries)]
     lti = exactalg.inverse_unimodular(lt)
@@ -78,7 +80,7 @@ def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
         if seed in visited:
             continue
         back = []
-        cur = _mat_vec_int(lti, seed)
+        cur = tuple(exactalg.mat_vec(lti, seed))
         steps = 0
         seen_walk = {seed}
         while _sup(cur) <= f_prime:
@@ -87,12 +89,12 @@ def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
                                       "the automorphism is not hyperbolic")
             seen_walk.add(cur)
             back.append(cur)
-            cur = _mat_vec_int(lti, cur)
+            cur = tuple(exactalg.mat_vec(lti, cur))
             steps += 1
             if steps > max_walk:
                 raise ArithmeticError("dual orbit walk exceeded the cap")
         fwd = [seed]
-        cur = _mat_vec_int(lt, seed)
+        cur = tuple(exactalg.mat_vec(lt, seed))
         steps = 0
         while _sup(cur) <= f_prime:
             if cur in seen_walk:
@@ -100,7 +102,7 @@ def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
                                       "the automorphism is not hyperbolic")
             seen_walk.add(cur)
             fwd.append(cur)
-            cur = _mat_vec_int(lt, cur)
+            cur = tuple(exactalg.mat_vec(lt, cur))
             steps += 1
             if steps > max_walk:
                 raise ArithmeticError("dual orbit walk exceeded the cap")
@@ -122,7 +124,6 @@ class LinearizedSolution:
     dropped_beyond_fprime: float
     tail_bound: float          # geometric bound on everything never tracked
     zero_mode_residual: float
-    decomposition: DualOrbitDecomposition = field(repr=False, default=None)
 
     def report(self):
         return {"radius": self.radius,
@@ -131,19 +132,24 @@ class LinearizedSolution:
                 "dropped_beyond_f": self.dropped_beyond_f,
                 "dropped_beyond_fprime": self.dropped_beyond_fprime,
                 "tail_bound": self.tail_bound,
-                "zero_mode_residual": self.zero_mode_residual,
-                "orbit_segments": self.decomposition.segment_count()
-                if self.decomposition else None}
+                "zero_mode_residual": self.zero_mode_residual}
 
 
 def solve_linearized(automorphism, q: TrigPoly, radius=None,
-                     extended_radius=None, drop_tol=1e-17, tol=None,
-                     max_walk=800):
+                     extended_radius=None, drop_tol=1e-17, tol=None):
     """Solve L h' - h' o L = Q coefficientwise along dual orbits.
 
+    The solution is the superposition of one contribution per nonzero
+    mode s of Q, with q^u_s, q^s_s its splitting coordinates: the
+    unstable part L_u^-(k+1) q^u_s lands at (L^T)^k s for k >= 0, the
+    stable part -L_s^(k-1) q^s_s at (L^T)^-k s for k >= 1.  All modes of
+    Q step together as exact integer frequencies; a side stops at the
+    first k whose running power A has ||A||_2 * max|Q_s| < drop_tol.
+
     Q must be a real vector-valued trig polynomial supported in the ball
-    |n| <= radius.  Raises TruncationInsufficient when `tol` is given and
-    the certified tail at the extended radius exceeds it.
+    |n| <= radius, with finite coefficients.  Raises
+    TruncationInsufficient when `tol` is given and the certified tail at
+    the extended radius exceeds it.
     """
     sd = lyapunov_splitting(automorphism)
     d = automorphism.dim
@@ -152,21 +158,20 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     radius = radius or max(q.support_radius, 1)
     if q.support_radius > radius:
         raise ValueError("Q support exceeds the declared radius")
+    if not drop_tol > 0:
+        raise ValueError("drop_tol must be positive")
     f_prime = extended_radius or 4 * radius
 
     lt = [list(r) for r in zip(*automorphism.entries)]
-    lti = exactalg.inverse_unimodular(lt)
-    w, w_inv, du = sd.basis_full, sd.basis_full_inv, sd.unstable_dim
-    lu = sd.restricted_unstable()
-    ls = sd.restricted_stable()
-    au = np.linalg.inv(lu)
-    sig_u = sd.unstable_norm.contraction
-    sig_s = sd.stable_norm.contraction
-    sigma = max(sig_u, sig_s)
+    lti = exactalg.inverse_unimodular(lt)      # L^-T n: the predecessor of n
+    w, du = sd.basis_full, sd.unstable_dim
+    sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
 
     qmap = {n: c for n, c in q.coeffs.items() if any(n)}
-    q_scale = max((float(np.max(np.abs(c))) for c in qmap.values()),
-                  default=0.0)
+    q_arr = np.array(list(qmap.values()), dtype=complex).reshape(-1, d)
+    if not np.all(np.isfinite(q_arr)):
+        raise ValueError("Q has a non-finite coefficient")
+    q_scale = float(np.max(np.abs(q_arr), initial=0.0))
 
     # zero mode
     lmat = automorphism.as_array()
@@ -174,119 +179,43 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     h0 = np.linalg.solve(lmat - np.eye(d), q0)
     zero_res = float(np.max(np.abs((lmat - np.eye(d)) @ h0 - q0)))
 
-    # contributions decay by sigma per orbit step: support further than
-    # `horizon` steps away couples below drop_tol and may split off
-    horizon = int(np.log(max(drop_tol, 1e-300) / max(q_scale, 1e-300)) /
-                  np.log(max(sigma, 1e-9))) + 1
+    # frequencies are the rows n^T of Python-int arrays (no overflow), so
+    # a step of L^T is a right product with L, and of L^-T with L^-1
+    support = np.array(list(qmap), dtype=object).reshape(-1, d)
+    l_int = np.array(automorphism.entries, dtype=object)
+    li_int = np.array(lti, dtype=object).T
+    au = np.linalg.inv(sd.restricted_unstable())
+    q_split = q_arr @ sd.basis_full_inv.T
     values = {}          # freq -> solved coefficient (complex d-vector)
-    ls_norm = {}         # k -> ||L_s^k||_2, the backward stopping probe
-    unassigned = set(qmap)
-    while unassigned:
-        seed = sorted(unassigned)[0]
-        # walk backward to the earliest support within the horizon
-        start = seed
-        cur = seed
-        gap = 0
-        steps = 0
-        while gap < horizon and steps < max_walk:
-            cur = _mat_vec_int(lti, cur)
-            gap += 1
-            steps += 1
-            if cur in qmap and cur in unassigned:
-                start = cur
-                gap = 0
-        # forward pass: walk from `start`, accumulating both components
-        pos = start
-        cu = np.zeros(du, dtype=complex)
-        fwd_positions = [start]
-        fwd_cu = []
-        qs_list = [np.asarray(w_inv @ np.asarray(qmap.get(start,
-                   np.zeros(d, dtype=complex))), dtype=complex)]
-        cu = au @ (qs_list[0][:du] + cu)
-        fwd_cu.append(cu.copy())
-        since_support = 0
-        steps = 0
-        while True:
-            pos = _mat_vec_int(lt, pos)
-            steps += 1
-            if steps > max_walk:
-                break
-            qc = qmap.get(pos)
-            qcoords = np.asarray(w_inv @ np.asarray(
-                qc if qc is not None else np.zeros(d, dtype=complex)),
-                dtype=complex)
-            cu = au @ (qcoords[:du] + cu)
-            fwd_positions.append(pos)
-            fwd_cu.append(cu.copy())
-            qs_list.append(qcoords)
-            if qc is not None and pos in unassigned:
-                since_support = 0
-            else:
-                since_support += 1
-            if since_support > 3 and np.max(np.abs(cu)) < drop_tol:
-                break
-        # backward pass for the stable component along the same stretch,
-        # extended backward until it decays
-        back_positions = []
-        back_qs = []
-        pos = start
-        steps = 0
-        while True:
-            pos = _mat_vec_int(lti, pos)
-            steps += 1
-            if steps > max_walk:
-                break
-            qc = qmap.get(pos)
-            back_positions.append(pos)
-            back_qs.append(np.asarray(w_inv @ np.asarray(
-                qc if qc is not None else np.zeros(d, dtype=complex)),
-                dtype=complex))
-            k = len(back_positions)
-            if qc is None and k > 3:
-                # once past all support, the stable sum only decays
-                if k not in ls_norm:
-                    ls_norm[k] = np.linalg.norm(
-                        np.linalg.matrix_power(ls, k), 2)
-                if ls_norm[k] * max(q_scale, 0.0) < drop_tol:
-                    break
-        positions = back_positions[::-1] + fwd_positions
-        qcoords_all = back_qs[::-1] + qs_list
-        n_pos = len(positions)
-        # stable component spreads backward: c_j = L_s c_{j+1} - q_{j+1}
-        cs = np.zeros((n_pos, d - du), dtype=complex)
-        nxt = np.zeros(d - du, dtype=complex)
-        for j in range(n_pos - 2, -1, -1):
-            nxt = ls @ nxt - qcoords_all[j + 1][du:]
-            cs[j] = nxt
-        # unstable component is zero before `start` (no support earlier)
-        cu_all = np.zeros((n_pos, du), dtype=complex)
-        offset = len(back_positions)
-        for j, c in enumerate(fwd_cu):
-            cu_all[offset + j] = c
-        for j, posn in enumerate(positions):
-            coeff = w @ np.concatenate([cu_all[j], cs[j]])
-            if np.max(np.abs(coeff)) < drop_tol / 10:
-                continue
-            values[posn] = values.get(posn, 0) + coeff
-        for posn in positions:
-            unassigned.discard(posn)
-        unassigned.discard(seed)
+    for freqs, step, factor, power, cols in (
+            (support, l_int, au, au, slice(None, du)),
+            (support @ li_int, li_int, sd.restricted_stable(),
+             -np.eye(d - du), slice(du, None))):
+        while np.linalg.norm(power, 2) * q_scale >= drop_tol:
+            contrib = q_split[:, cols] @ (w[:, cols] @ power).T
+            for n, c in zip(map(tuple, freqs.tolist()), contrib):
+                values[n] = values.get(n, 0) + c
+            freqs = freqs @ step
+            power = factor @ power
+    # sums below drop_tol / 10 are rounding-level and not retained
+    values = {n: c for n, c in values.items()
+              if np.max(np.abs(c)) >= drop_tol / 10}
 
     h = TrigPoly(d, d)
     h[(0,) * d] = h0
     annulus = TrigPoly(d, d)
-    dropped_f = 0.0
-    dropped_fp = 0.0
+    beyond_f, beyond_fp = [], []     # exactly rounded sums: order-free
     for n, c in values.items():
         s = _sup(n)
         if s <= radius:
-            h[n] = h[n] + c
-        elif s <= f_prime:
-            annulus[n] = annulus[n] + c
-            dropped_f += float(np.max(np.abs(c)))
+            h[n] = c
+            continue
+        if s <= f_prime:
+            annulus[n] = c
         else:
-            dropped_f += float(np.max(np.abs(c)))
-            dropped_fp += float(np.max(np.abs(c)))
+            beyond_fp.append(float(np.max(np.abs(c))))
+        beyond_f.append(float(np.max(np.abs(c))))
+    dropped_f, dropped_fp = math.fsum(beyond_f), math.fsum(beyond_fp)
     tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
         sigma ** max(f_prime // max(radius, 1), 1)
     tail_bound = dropped_fp + len(qmap) * drop_tol / max(1 - sigma, 1e-9) \
@@ -306,14 +235,11 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     for n in list(h.coeffs) + list(qmap):
         if not any(n) or _sup(n) > radius:
             continue
-        pred = _mat_vec_int(lti, n)
+        pred = tuple(exactalg.mat_vec(lti, n))
         r = lmat @ coeff_at(n) - coeff_at(pred) - \
             np.asarray(qmap.get(n, np.zeros(d, dtype=complex)))
         res_max = max(res_max, float(np.max(np.abs(r))))
 
-    small = (d <= 2 and radius <= 20) or (d <= 4 and radius <= 6)
-    decomp = dual_orbit_decomposition(automorphism, radius, f_prime) \
-        if small else None
     return LinearizedSolution(h=h.symmetrize_real() if q.is_real() else h,
                               annulus=annulus, radius=radius,
                               extended_radius=f_prime,
@@ -321,8 +247,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
                               dropped_beyond_f=dropped_f,
                               dropped_beyond_fprime=dropped_fp,
                               tail_bound=tail_bound,
-                              zero_mode_residual=zero_res,
-                              decomposition=decomp)
+                              zero_mode_residual=zero_res)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +266,7 @@ class KamStepReport:
     linearized_residual: float
     projection_error_q: float
     projection_error_f: float
-    orientation: str
+    orientation: str               # always "inverse_then_forward"
     improvement: float             # output_c0 / input_c0
     no_improvement: bool
     solver_report: dict
@@ -384,9 +309,9 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
 
     Q = R + (h o f - h o L) is projected to the ball |n| <= radius, the
     linearized equation is solved for h', and f is conjugated by
-    H' = Id - h'.  Both conjugation orientations are computed and the
-    contracting one is reported (the intended one is H'^-1 o f o H',
-    which sends f to L exactly when h' reproduces h).
+    H' = Id - h' to f' = H'^-1 o f o H', which is L exactly when h'
+    reproduces h.  A step that does not bring f closer to L is reported
+    as no_improvement.
     """
     d = f.dim
     el = f.base
@@ -414,24 +339,9 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     lin_res = float(np.max(np.abs(hp.eval_real(pts) @ lmat.T - hp_l
                                   - q_tp.eval_real(pts))))
 
-    # orientation A: f' = H'^-1 o f o H', with H' = Id - h'
-    u = pts - hp.eval_real(pts)
-    w = f.apply_lift(u)
-    z = invert_id_minus(hp, w)
-    disp_a = z - pts @ lmat.T
-
-    # orientation B: f' = H' o f o H'^-1
-    u2 = invert_id_minus(hp, pts)
-    w2 = f.apply_lift(u2)
-    z2 = w2 - hp.eval_real(w2)
-    disp_b = z2 - pts @ lmat.T
-
-    da = float(np.max(np.abs(disp_a)))
-    db = float(np.max(np.abs(disp_b)))
-    if da <= db:
-        disp_vals, orientation = disp_a, "inverse_then_forward"
-    else:
-        disp_vals, orientation = disp_b, "forward_then_inverse"
+    # f' = H'^-1 o f o H', with H' = Id - h'
+    w = f.apply_lift(pts - hp.eval_real(pts))
+    disp_vals = invert_id_minus(hp, w) - pts @ lmat.T
 
     r_full = GridFunction(disp_vals.reshape((grid_n,) * d + (d,))).to_trig(
         threshold=1e-15)
@@ -447,7 +357,8 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
         input_c0=in_c0, input_c1=in_c1, output_c0=out_c0, output_c1=out_c1,
         hprime_c0=hp_c0, hprime_c1=hp_c1, truncation_radius=radius,
         linearized_residual=lin_res, projection_error_q=float(proj_q),
-        projection_error_f=float(proj_f), orientation=orientation,
+        projection_error_f=float(proj_f),
+        orientation="inverse_then_forward",
         improvement=out_c0 / in_c0 if in_c0 > 0 else 0.0,
         no_improvement=bool(out_c0 >= in_c0 > 0),
         solver_report=sol.report())

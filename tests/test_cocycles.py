@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from oracle_helpers import brute_force_verdict
 from toralab import cocycles, conjugacy, maps, spectral
 from toralab.errors import GapTooSmall
 from toralab.torusfn import TrigPoly
@@ -128,26 +127,6 @@ def test_conformality_examples():
         np.array([[2.0, 1.0], [0.0, 2.0]])).verdict == "not_conformal"
     assert cocycles.conformality_check(np.diag([2.0, -2.0])).verdict == \
         "conformal"
-
-
-def test_conformality_agrees_with_brute_force():
-    rng = np.random.default_rng(42)
-    disagreements = 0
-    indeterminate = 0
-    total = 100
-    for i in range(total):
-        m = rng.normal(size=(2, 2)) * 2
-        if abs(np.linalg.det(m)) < 0.05:
-            m += np.eye(2)
-        mine = cocycles.conformality_check(m).verdict
-        oracle = brute_force_verdict(m, seed=i)
-        if "indeterminate" in (mine, oracle):
-            indeterminate += 1
-            continue
-        if mine != oracle:
-            disagreements += 1
-    assert disagreements == 0
-    assert indeterminate <= 2
 
 
 def test_fiber_bunching_cat_derivative():

@@ -369,15 +369,6 @@ def test_holder_strict_raises_on_bad_fit():
     assert not est.reliable
 
 
-def test_grid_linear_interpolation():
-    vals = np.zeros((8, 8, 1))
-    vals[2, 3, 0] = 1.0
-    gf = tf.GridFunction(vals, interpolation="linear")
-    assert abs(gf.eval(np.array([2 / 8, 3 / 8]))[0] - 1.0) < 1e-14
-    mid = gf.eval(np.array([2.5 / 8, 3 / 8]))[0]
-    assert abs(mid - 0.5) < 1e-14
-
-
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     tp = tf.TrigPoly(2, 2)

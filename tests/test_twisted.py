@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toralab import maps, spectral, twisted
-from toralab.errors import ToleranceNotReached, TruncationInsufficient
+from toralab import exactalg, maps, spectral, twisted
+from toralab.errors import (NotHyperbolic, ToleranceNotReached,
+                            TruncationInsufficient)
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
+# Its dual orbits pass |n| ~ 1e38 before the contributions fall below
+# drop_tol: far beyond int64.
+BIG = spectral.automorphism([[1, 2, 2, 1], [2, 1, 0, 0], [1, 3, 3, 1],
+                             [1, 0, 0, 2]])
 
 
 def test_zero_mode_constant():
@@ -72,6 +79,76 @@ def test_solvable_case_recovers_g():
     assert sol.residual_max < 1e-12
     for n in set(list(g.coeffs) + list(sol.h.coeffs)):
         assert np.max(np.abs(g[n] - sol.h[n])) < 1e-12
+
+
+def _solvable_q(base, rng):
+    """A real g with a few modes in |n| <= 2, and Q = L g - g o L."""
+    d = base.dim
+    g = TrigPoly(d, d)
+    for _ in range(3):
+        n = tuple(int(x) for x in rng.integers(-2, 3, size=d))
+        if any(n):
+            g[n] = rng.normal(size=d) + 1j * rng.normal(size=d)
+    g = g.symmetrize_real()
+    return g, g.matrix_apply(base.as_array()) - g.compose_affine(base.rows())
+
+
+def _assert_recovers(base, g, q):
+    sol = twisted.solve_linearized(base, q)
+    assert sol.residual_max < 1e-12
+    for n in set(g.coeffs) | set(sol.h.coeffs):
+        assert np.max(np.abs(g[n] - sol.h[n])) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_solvable_case_recovers_g_over_random_automorphisms(d, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):         # most draws are not hyperbolic
+        base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                          entry_cap=4)
+        try:
+            spectral.lyapunov_splitting(base)
+            break
+        except NotHyperbolic:
+            pass
+    else:
+        assume(False)
+    _assert_recovers(base, *_solvable_q(base, rng))
+
+
+def test_frequencies_beyond_int64_stay_exact():
+    _assert_recovers(BIG, *_solvable_q(BIG, np.random.default_rng(7)))
+    # with F' this large every tracked coefficient lands in the annulus,
+    # at its exact frequency on the dual orbit of +-s
+    s = (0, 1, 0, 0)
+    q = TrigPoly.sin_mode(s, [0.5, 0.1, 0.2, 0.3])
+    sol = twisted.solve_linearized(BIG, q, radius=1, extended_radius=10 ** 60)
+    lt = [list(r) for r in zip(*BIG.rows())]
+    orbit = set()
+    for step in (lt, exactalg.inverse_unimodular(lt)):
+        for cur in (s, tuple(-x for x in s)):
+            for _ in range(200):
+                orbit.add(cur)
+                cur = tuple(exactalg.mat_vec(step, cur))
+    assert set(sol.annulus.coeffs) <= orbit
+    assert max(max(abs(x) for x in n) for n in sol.annulus.coeffs) > 2 ** 63
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_q_raises(bad):
+    q = TrigPoly.sin_mode((0, 1), [0.5, 0.1])
+    q[(1, 1)] = [bad, 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        twisted.solve_linearized(CAT, q, radius=2)
+
+
+@pytest.mark.parametrize("drop_tol", [0.0, -1e-17, np.nan])
+def test_non_positive_drop_tol_raises(drop_tol):
+    # no side of the walk could stop (or, for NaN, start)
+    q = TrigPoly.sin_mode((0, 1), [0.5, 0.1])
+    with pytest.raises(ValueError, match="drop_tol"):
+        twisted.solve_linearized(CAT, q, drop_tol=drop_tol)
 
 
 def test_dual_orbit_partition():
