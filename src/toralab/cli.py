@@ -261,9 +261,11 @@ def run_linearized(manifest, outdir):
     freqs = sorted(sol.h.coeffs)
     out = {"solution": sol.report(),
            "support_size": len(sol.h.coeffs),
+           # + 0.0 turns -0.0 into +0.0: the sign of an exactly zero part
+           # follows the order of the solver's arithmetic, not the solution
            "coefficients": [{"freq": list(nn),
-                             "re": [float(v) for v in sol.h[nn].real],
-                             "im": [float(v) for v in sol.h[nn].imag]}
+                             "re": [float(v) + 0.0 for v in sol.h[nn].real],
+                             "im": [float(v) + 0.0 for v in sol.h[nn].imag]}
                             for nn in freqs]}
     return out, []
 

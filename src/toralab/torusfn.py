@@ -16,6 +16,10 @@ from . import exactalg
 from .errors import UnreliableFit
 
 TWO_PI = 2.0 * np.pi
+# Points times box columns per block of the box-dense evaluation: 4 MB of
+# complex products.  Blocks of 16-32 MB left the orbit benchmark's peak
+# RSS 13-22% higher, and larger blocks are no faster.
+BOX_CHUNK = 1 << 18
 
 
 def _mod1(x):
@@ -253,23 +257,73 @@ class TrigPoly:
     # -- evaluation --------------------------------------------------------
 
     def _dense_2d(self):
-        """Coefficient tensor on the frequency box, for separable eval."""
+        """The coefficient box as matrices for the separable evaluation.
+
+        Returns (value, jac): row a of each matrix holds the box row
+        n_1 = a - F (n_1 = a for a real polynomial, see below), flattened
+        over n_2 = -F..F and the m components, so that one product with
+        the axis-1 table contracts n_1.  value has (2F+1) m columns, the
+        coefficients c_n; jac has (2F+1) m 2 columns, c_n 2 pi i n_1 and
+        c_n 2 pi i n_2.  For a real polynomial (as _pair_arrays decides)
+        c_{-n} = conj(c_n), so the terms with n_1 < 0 are the conjugates
+        of those with n_1 > 0: only the rows n_1 >= 0 are kept, row 0
+        halved, and the sum is taken as 2 Re.
+        """
         if self._dense is None:
-            f = self.support_radius
+            f, m = self.support_radius, self.dim_range
             size = 2 * f + 1
-            tensor = np.zeros((size, size, self.dim_range), dtype=complex)
-            for n, c in self.coeffs.items():
-                tensor[n[0] + f, n[1] + f] = c
-            self._dense = (f, tensor)
+            n, c = self.modes()
+            box = np.zeros((size, size, m), dtype=complex)
+            box[n[:, 0] + f, n[:, 1] + f] = c
+            w = (2j * np.pi) * np.arange(-f, f + 1)
+            jac = np.stack([box * w[:, None, None],
+                            box * w[None, :, None]], axis=-1)
+            if self._pair_arrays()[0].dtype != complex:
+                box, jac = box[f:], jac[f:]
+                box[0] *= 0.5
+                jac[0] *= 0.5
+            self._dense = (box.reshape(len(box), -1),
+                           jac.reshape(len(jac), -1))
         return self._dense
 
-    def _eval_separable(self, flat):
-        f, tensor = self._dense_2d()
-        freqs = np.arange(-f, f + 1, dtype=float)
-        e1 = np.exp((2j * np.pi) * np.outer(flat[:, 0], freqs))
-        e2 = np.exp((2j * np.pi) * np.outer(flat[:, 1], freqs))
-        tmp = np.tensordot(e1, tensor, axes=(1, 0))      # (P, b, m)
-        return np.einsum("pbm,pb->pm", tmp, e2)
+    @staticmethod
+    def _power_table(x, f, k_min):
+        """exp(2 pi i k x) for k = k_min..f (k_min is -f or 0), as a (P, .)
+        view of a row-per-k array.
+
+        One exp per point: row k > 0 is row k - 1 times exp(2 pi i x),
+        a cumulative product taken one contiguous row at a time, and the
+        rows k < 0 are the conjugates.  x is reduced mod 1 first, which
+        is exact and keeps the phase error of the base at one rounding of
+        a number below 2 pi.
+        """
+        out = np.empty((f - k_min + 1, len(x)), dtype=complex)
+        zero = -k_min
+        base = np.exp((2j * np.pi) * _mod1(x))
+        out[zero] = 1.0
+        for k in range(zero + 1, len(out)):
+            np.multiply(out[k - 1], base, out=out[k])
+        if zero:
+            np.conj(out[:zero:-1], out=out[:zero])
+        return out.T
+
+    def _box_sum(self, flat, box):
+        """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] per point,
+        with e_i the power tables of axis i (see _dense_2d for the rows),
+        in blocks of BOX_CHUNK points times box columns.
+        """
+        f = self.support_radius
+        real = self._pair_arrays()[0].dtype != complex
+        size, cols = 2 * f + 1, box.shape[1]
+        out = np.empty((flat.shape[0], cols // size),
+                       dtype=float if real else complex)
+        for sl in _chunks(flat.shape[0], max(1, BOX_CHUNK // cols)):
+            e1 = self._power_table(flat[sl, 0], f, 0 if real else -f)
+            e2 = self._power_table(flat[sl, 1], f, -f)
+            part = (e1 @ box).reshape(len(e1), size, -1)
+            part = np.matmul(e2[:, None, :], part)[:, 0]
+            out[sl] = 2.0 * part.real if real else part
+        return out
 
     def eval(self, points, chunk=1 << 22):
         """Evaluate at points of shape (..., d); returns (..., m).
@@ -280,17 +334,23 @@ class TrigPoly:
         and one sin per pair and point: f = c_0 + cos(Theta) A +
         sin(Theta) B with Theta = 2 pi x n^T (see _pair_arrays), as one
         matrix product over the stacked [cos | sin] columns.
-        Box-dense d = 2 polynomials use separable exponentials.
+
+        Box-dense d = 2 polynomials (support radius F) are separable:
+        f(x) = sum_{n_1} e_1[n_1] sum_{n_2} c_n e_2[n_2] with the power
+        tables e_i[k] = exp(2 pi i k x_i), k = -F..F, built from one exp
+        per point and axis (cumulative products for k > 0, conjugates for
+        k < 0).  One matrix product of e_1 with the coefficient box
+        reshaped to 2F + 1 rows contracts n_1, and a per-point dot with
+        e_2 contracts n_2.  A real polynomial keeps the rows n_1 >= 0 only
+        and is summed as 2 Re.  chunk bounds the points times pairs held
+        at once on the sparse path.
         """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range,)
         c0, _, ab, _ = self._pair_arrays()
         if self._box_dense():
-            out = np.empty((flat.shape[0], self.dim_range), dtype=complex)
-            for sl in _chunks(flat.shape[0], 1 << 16):
-                out[sl] = self._eval_separable(flat[sl])
-            return (out if c0.dtype == complex else out.real).reshape(shape)
+            return self._box_sum(flat, self._dense_2d()[0]).reshape(shape)
         out = self._pair_sum(flat, ab, chunk)
         if np.any(c0):
             out += c0
@@ -299,19 +359,6 @@ class TrigPoly:
     def eval_real(self, points):
         return self.eval(points).real
 
-    def _jacobian_separable(self, flat):
-        f, tensor = self._dense_2d()
-        freqs = np.arange(-f, f + 1, dtype=float)
-        e1 = np.exp((2j * np.pi) * np.outer(flat[:, 0], freqs))
-        e2 = np.exp((2j * np.pi) * np.outer(flat[:, 1], freqs))
-        w = (2j * np.pi) * freqs
-        out = np.empty((flat.shape[0], self.dim_range, 2), dtype=complex)
-        tmp = np.tensordot(e1 * w, tensor, axes=(1, 0))
-        out[..., 0] = np.einsum("pbm,pb->pm", tmp, e2)
-        tmp = np.tensordot(e1, tensor, axes=(1, 0))
-        out[..., 1] = np.einsum("pbm,pb->pm", tmp, e2 * w)
-        return out
-
     def eval_jacobian(self, points):
         """Jacobian at points: shape (..., m, d).
 
@@ -319,17 +366,19 @@ class TrigPoly:
         On the sparse path, differentiating A cos theta + B sin theta gives
         J = cos(Theta) (B x 2 pi n) - sin(Theta) (A x 2 pi n), one matrix
         product over the stacked [cos | sin] columns.
+
+        On the box-dense d = 2 path the same power tables e_1, e_2 as in
+        eval contract a box whose entries are c_n 2 pi i n_1 and
+        c_n 2 pi i n_2 side by side, so both columns of J come from one
+        matrix product and one per-point dot.
         """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)
-        c0, _, _, jw = self._pair_arrays()
         if self._box_dense():
-            out = np.empty((flat.shape[0], self.dim_range, 2), dtype=complex)
-            for sl in _chunks(flat.shape[0], 1 << 16):
-                out[sl] = self._jacobian_separable(flat[sl])
-            return (out if c0.dtype == complex else out.real).reshape(shape)
-        return self._pair_sum(flat, jw, 1 << 21).reshape(shape)
+            return self._box_sum(flat, self._dense_2d()[1]).reshape(shape)
+        return self._pair_sum(flat, self._pair_arrays()[3],
+                              1 << 21).reshape(shape)
 
     # -- calculus ----------------------------------------------------------
 

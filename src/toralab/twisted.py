@@ -186,26 +186,35 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     li_int = np.array(lti, dtype=object).T
     au = np.linalg.inv(sd.restricted_unstable())
     q_split = q_arr @ sd.basis_full_inv.T
-    values = {}          # freq -> solved coefficient (complex d-vector)
+    # each frequency gets a row of acc when it first appears; every step's
+    # (K_q, d) block of contributions is kept with its rows
+    index, rows, blocks = {}, [], [np.zeros((0, d), dtype=complex)]
     for freqs, step, factor, power, cols in (
             (support, l_int, au, au, slice(None, du)),
             (support @ li_int, li_int, sd.restricted_stable(),
              -np.eye(d - du), slice(du, None))):
         while np.linalg.norm(power, 2) * q_scale >= drop_tol:
-            contrib = q_split[:, cols] @ (w[:, cols] @ power).T
-            for n, c in zip(map(tuple, freqs.tolist()), contrib):
-                values[n] = values.get(n, 0) + c
+            blocks.append(q_split[:, cols] @ (w[:, cols] @ power).T)
+            rows += [index.setdefault(n, len(index))
+                     for n in map(tuple, freqs.tolist())]
             freqs = freqs @ step
             power = factor @ power
+    # add.at adds repeated rows one by one in occurrence order (a fancy-
+    # indexed += would keep only the last of them), so every sum is formed
+    # in the same order as a running sum per frequency
+    acc = np.zeros((len(index), d), dtype=complex)
+    np.add.at(acc, rows, np.concatenate(blocks))
+    peak = np.abs(acc).max(axis=1, initial=0.0)
     # sums below drop_tol / 10 are rounding-level and not retained
-    values = {n: c for n, c in values.items()
-              if np.max(np.abs(c)) >= drop_tol / 10}
+    kept = np.flatnonzero(peak >= drop_tol / 10)
+    keys = list(index)
+    values = {keys[i]: acc[i] for i in kept.tolist()}
 
     h = TrigPoly(d, d)
     h[(0,) * d] = h0
     annulus = TrigPoly(d, d)
     beyond_f, beyond_fp = [], []     # exactly rounded sums: order-free
-    for n, c in values.items():
+    for (n, c), top in zip(values.items(), peak[kept].tolist()):
         s = _sup(n)
         if s <= radius:
             h[n] = c
@@ -213,8 +222,8 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
         if s <= f_prime:
             annulus[n] = c
         else:
-            beyond_fp.append(float(np.max(np.abs(c))))
-        beyond_f.append(float(np.max(np.abs(c))))
+            beyond_fp.append(top)
+        beyond_f.append(top)
     dropped_f, dropped_fp = math.fsum(beyond_f), math.fsum(beyond_fp)
     tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
         sigma ** max(f_prime // max(radius, 1), 1)
@@ -335,12 +344,13 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     hp = sol.h
 
     # function-level residual of the linearized equation on the grid
+    hp_pts = hp.eval_real(pts)
     hp_l = hp.eval_real(_mod1(pts @ lmat.T))
-    lin_res = float(np.max(np.abs(hp.eval_real(pts) @ lmat.T - hp_l
+    lin_res = float(np.max(np.abs(hp_pts @ lmat.T - hp_l
                                   - q_tp.eval_real(pts))))
 
     # f' = H'^-1 o f o H', with H' = Id - h'
-    w = f.apply_lift(pts - hp.eval_real(pts))
+    w = f.apply_lift(pts - hp_pts)
     disp_vals = invert_id_minus(hp, w) - pts @ lmat.T
 
     r_full = GridFunction(disp_vals.reshape((grid_n,) * d + (d,))).to_trig(
@@ -350,7 +360,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     f_prime = PerturbedMap(el, r_tp, warn=False)
 
     out_c0, out_c1 = _map_distances(f_prime, pts)
-    hp_c0 = float(np.max(np.abs(hp.eval_real(pts))))
+    hp_c0 = float(np.max(np.abs(hp_pts)))
     hp_c1 = hp_c0 + float(np.max(np.linalg.norm(
         hp.eval_jacobian(pts).real, ord=2, axis=(-2, -1))))
     report = KamStepReport(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import trig_eval_direct, trig_jacobian_direct
@@ -204,25 +204,6 @@ def test_grid_sup_low_rank_d4_map():
     assert tf.c0_norm(tp, 64).lower == pytest.approx(3e-3, rel=1e-13)
 
 
-def test_separable_eval_matches_direct():
-    rng = np.random.default_rng(9)
-    tp = tf.TrigPoly(2, 2)
-    for i in range(-6, 7):
-        for j in range(-6, 7):
-            tp[(i, j)] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    tp = tp.symmetrize_real()
-    pts = rng.random((500, 2))
-    dense = tp.eval(pts)            # triggers the separable path
-    # direct reference
-    n, c = tp.modes()
-    direct = np.exp(2j * np.pi * (pts @ n.T)) @ c
-    assert np.max(np.abs(dense - direct)) < 1e-10
-    jd = tp.eval_jacobian(pts)
-    jref = np.einsum("pk,km,kd->pmd", np.exp(2j * np.pi * (pts @ n.T)), c,
-                     2j * np.pi * n.astype(float))
-    assert np.max(np.abs(jd - jref)) < 1e-8
-
-
 @st.composite
 def sparse_polys(draw):
     """TrigPoly on T^d, d in 1..4, with 1-8 modes of |n|_inf <= 3: real
@@ -244,22 +225,65 @@ def _exactly_real(tp):
                for n, c in tp.coeffs.items())
 
 
+def _l1_scales(tp):
+    """1 + the coefficient l1 sums that bound |f| and |Df|."""
+    n, c = tp.modes()
+    return (1 + float(np.sum(np.abs(c))),
+            1 + float(np.sum(2 * np.pi * np.abs(n).max(axis=1)[:, None] *
+                             np.abs(c))))
+
+
+def _assert_matches_direct(tp, pts):
+    val, jac = tp.eval(pts), tp.eval_jacobian(pts)
+    real = _exactly_real(tp)
+    assert np.isrealobj(val) == real and np.isrealobj(jac) == real
+    scale, jscale = _l1_scales(tp)
+    assert np.max(np.abs(val - trig_eval_direct(tp, pts))) < 1e-13 * scale
+    assert np.max(np.abs(jac - trig_jacobian_direct(tp, pts))) < \
+        1e-13 * jscale
+    assert val.shape == (len(pts), tp.dim_range)
+    assert jac.shape == (len(pts), tp.dim_range, tp.dim_domain)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(sparse_polys(), st.integers(0, 2 ** 32 - 1))
 def test_pair_eval_matches_exponential_sum(tp, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, (37, tp.dim_domain))
-    val, jac = tp.eval(pts), tp.eval_jacobian(pts)
-    real = _exactly_real(tp)
-    assert np.isrealobj(val) == real and np.isrealobj(jac) == real
-    n, c = tp.modes()
-    scale = 1 + float(np.sum(np.abs(c)))
-    jscale = 1 + float(np.sum(2 * np.pi * np.abs(n).max(axis=1)[:, None] *
-                              np.abs(c)))
-    assert np.max(np.abs(val - trig_eval_direct(tp, pts))) < 1e-13 * scale
-    assert np.max(np.abs(jac - trig_jacobian_direct(tp, pts))) < \
-        1e-13 * jscale
-    assert val.shape == (37, tp.dim_range)
-    assert jac.shape == (37, tp.dim_range, tp.dim_domain)
+    _assert_matches_direct(tp, pts)
+
+
+def _box_poly(f, m, count, seed, real):
+    """TrigPoly on T^2 with count random cells of the frequency box
+    |n| <= F filled (and always the cell of (F, 0), so the support radius
+    is F); symmetrized when real."""
+    size = 2 * f + 1
+    rng = np.random.default_rng(seed)
+    cells = np.union1d(rng.choice(size * size, count, replace=False),
+                       [2 * f * size + f])
+    tp = tf.TrigPoly(2, m)
+    for i, j in zip(*np.divmod(cells, size)):
+        tp[(i - f, j - f)] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return tp.symmetrize_real() if real else tp
+
+
+@st.composite
+def box_dense_polys(draw):
+    """F in 6..32, filled above the separable threshold, real or complex."""
+    f = draw(st.integers(6, 32))
+    size = 2 * f + 1
+    return _box_poly(f, draw(st.integers(1, 3)),
+                     draw(st.integers(12 * size + 1, size * size)),
+                     draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(box_dense_polys(), st.integers(0, 2 ** 32 - 1))
+@example(_box_poly(32, 2, 65 * 65, 0, real=True), 1)
+@example(_box_poly(32, 2, 13 * 65, 0, real=False), 2)
+def test_separable_eval_matches_direct(tp, seed):
+    assert tp._box_dense()
+    pts = np.random.default_rng(seed).uniform(-4, 4, (37, 2))
+    _assert_matches_direct(tp, pts)
 
 
 def test_eval_dtype_and_shapes():
@@ -278,10 +302,10 @@ def test_eval_dtype_and_shapes():
             box[(i, j)] = rng.normal(size=2) + 1j * rng.normal(size=2)
     x = rng.random((9, 2))
     for tp in (box, box.symmetrize_real()):
-        real = _exactly_real(tp)
-        assert np.isrealobj(tp.eval(x)) == real
-        assert np.isrealobj(tp.eval_jacobian(x)) == real
-        assert np.max(np.abs(tp.eval(x) - trig_eval_direct(tp, x))) < 1e-10
+        assert tp._box_dense()
+        _assert_matches_direct(tp, x)
+    tp[(6, 6)] = tp[(6, 6)] + 1j        # complex now: the box is rebuilt
+    _assert_matches_direct(tp, x)
 
 
 def test_setitem_clears_cached_modes_radius_and_pairs():

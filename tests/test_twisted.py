@@ -73,12 +73,17 @@ def test_solvable_case_recovers_g():
         if n == (0, 0):
             continue
         g[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    g = g.symmetrize_real()
-    q = g.matrix_apply(CAT.as_array()) - g.compose_affine(CAT.rows())
-    sol = twisted.solve_linearized(CAT, q, radius=8)
-    assert sol.residual_max < 1e-12
-    for n in set(list(g.coeffs) + list(sol.h.coeffs)):
-        assert np.max(np.abs(g[n] - sol.h[n])) < 1e-12
+    # g with modes s and L^T s: Q has three modes on one dual orbit, so
+    # many contributions land on each frequency and must all be summed
+    s = (0, 1)
+    lts = tuple(exactalg.mat_vec([list(r) for r in zip(*CAT.rows())], s))
+    chain = TrigPoly(2, 2, {s: [0.3 + 0.1j, -0.2j], lts: [0.5, 0.4 - 0.1j]})
+    for g in (g.symmetrize_real(), chain.symmetrize_real()):
+        q = g.matrix_apply(CAT.as_array()) - g.compose_affine(CAT.rows())
+        sol = twisted.solve_linearized(CAT, q, radius=8)
+        assert sol.residual_max < 1e-12
+        for n in set(list(g.coeffs) + list(sol.h.coeffs)):
+            assert np.max(np.abs(g[n] - sol.h[n])) < 1e-12
 
 
 def _solvable_q(base, rng):
