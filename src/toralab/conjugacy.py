@@ -9,7 +9,9 @@ L and accumulates the two convergent one-sided sums:
 
 which is the alternating unstable/stable contraction sweep unrolled from
 h_0 = 0; each added term is one sweep, and successive-difference norms,
-contraction factors, and the certified geometric tail are reported.
+contraction factors, and a geometric tail estimate are reported.  The
+estimate is the last term's norm at the grid points times sigma/(1-sigma),
+not a bound computed from the coefficients of R.
 The sums are taken pointwise along orbits, so h is evaluated off the grid
 at full accuracy, which grid interpolation of a merely Holder h cannot.
 """
@@ -32,7 +34,13 @@ from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
 
 @dataclass
 class ConjugacyResult:
-    """H = Id + h with residual certificate and solve telemetry."""
+    """H = Id + h with a residual consistency check and solve telemetry.
+
+    tail_bound is an estimate (see solve_conjugacy).  residual_max and
+    residual_mean check that the series were summed consistently: in the
+    orbit form, L H(x) - H(f x) telescopes to the last terms of the two
+    sums at x, so they do not test h independently.
+    """
 
     f: object
     h_grid: GridFunction
@@ -103,19 +111,24 @@ class _OrbitSeries:
         """Yield the k-th unstable and stable terms at points, k = 0, 1, ...
 
         In splitting coordinates: L_u^-(k+1) R^u(f^k x) and
-        L_s^k R^s(f^-(k+1) x).  The orbits advance only when the next term
-        is asked for.
+        L_s^k R^s(f^-(k+1) x).  R is evaluated once per orbit point: f(y)
+        is formed from R(y), and R at f^-1(z) is read right after the Newton
+        inverse, whose last iterate left its trig table behind (see
+        TrigPoly._pair_table).  Each term advances the forward orbit one
+        step; the backward orbit advances when the next term is asked for.
         """
         f, du = self.f, self.du
         y = points
         z = f.invert(points)
+        r_z = f.displacement_at(z)
         mu = self.au.copy()
         ms = np.eye(f.dim - du)
         while True:
-            yield ((f.displacement_at(y) @ self.w_inv.T)[:, :du] @ mu.T,
-                   (f.displacement_at(z) @ self.w_inv.T)[:, du:] @ ms.T)
-            y = f.apply(y)
+            y, r_y = f.apply_with_displacement(y)
+            yield ((r_y @ self.w_inv.T)[:, :du] @ mu.T,
+                   (r_z @ self.w_inv.T)[:, du:] @ ms.T)
             z = f.invert(z)
+            r_z = f.displacement_at(z)
             mu = self.au @ mu
             ms = self.als @ ms
 
@@ -140,9 +153,13 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     """Solve L o H = H o f for H = Id + h close to the identity.
 
     Returns a ConjugacyResult whose h is sampled on an N^d grid and whose
-    evaluator gives h at arbitrary points with the certified series tail
-    (independent of the grid).  The residual certificate is evaluated on
-    a seeded random point set, not on the solver grid.
+    evaluator gives h at arbitrary points from the same number of series
+    terms.  The tail is estimated as the last term's sup over the grid
+    points times sigma/(1-sigma): an estimate, not a certified bound at
+    arbitrary points.  The residual max |L H(x) - H(f x)| is taken on a
+    seeded random point set, not on the solver grid; it telescopes to the
+    last terms of the two sums, so it is a consistency check of the
+    summation rather than independent evidence for h.
     """
     sd = f.spec
     sigma_u = sd.unstable_norm.contraction

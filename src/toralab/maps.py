@@ -92,6 +92,12 @@ class PerturbedMap:
     def apply(self, x):
         return _mod1(self.apply_lift(x))
 
+    def apply_with_displacement(self, x):
+        """(f(x), R(x)) from one evaluation of R."""
+        x = np.asarray(x, dtype=float)
+        r = self.displacement_at(x)
+        return _mod1(x @ self._mat.T + r), r
+
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         jac = self.disp.eval_jacobian(x).real
@@ -209,6 +215,9 @@ class InverseMap:
 
     def displacement_at(self, y):
         return self.apply_lift(y) - np.asarray(y, float) @ self._mat.T
+
+    def apply_with_displacement(self, y):
+        return self.apply(y), self.displacement_at(y)
 
     def jacobian(self, y):
         x = self.forward.invert_lift(y)

@@ -20,6 +20,10 @@ TWO_PI = 2.0 * np.pi
 # complex products.  Blocks of 16-32 MB left the orbit benchmark's peak
 # RSS 13-22% higher, and larger blocks are no faster.
 BOX_CHUNK = 1 << 18
+# Points times pairs of the largest [cos | sin] table a TrigPoly keeps for
+# its next evaluation (2 MB).  An orbit walk's tables, 10^4 points times a
+# few pairs, fit.
+TABLE_MEMO = 1 << 17
 
 
 def _mod1(x):
@@ -56,6 +60,7 @@ class TrigPoly:
         self._radius = None
         self._pairs = None
         self._dense = None
+        self._table = None
 
     def __setitem__(self, n, c):
         n = tuple(int(x) for x in n)
@@ -172,23 +177,42 @@ class TrigPoly:
                            jw.reshape(2 * k, m * d))
         return self._pairs
 
-    def _pair_sum(self, flat, coef, chunk):
-        """[cos Theta | sin Theta] coef at the points flat (Theta = 2 pi x n^T).
+    def _pair_table(self, pts):
+        """[cos Theta | sin Theta] at the points pts (Theta = 2 pi x n^T).
 
         cos and sin fill the rows of a (2K, P) array whose transpose enters
-        the product, because numpy's vectorized loops need contiguous
-        output.  chunk bounds the points times pairs held at once.
+        the products, because numpy's vectorized loops need contiguous
+        output.  A table of at most TABLE_MEMO points times pairs is kept
+        with the bytes and strides of its points and handed out again for
+        the same points, so it is the table a rebuild would give.  A Newton
+        step takes f and Df at one point set, and an orbit walk reads R at
+        the point the Newton inverse returns: each builds one table, not
+        two.
         """
         freqs = self._pair_arrays()[1]
         k = len(freqs)
+        key = (pts.tobytes(), pts.strides) if k * len(pts) <= TABLE_MEMO \
+            else None
+        if key is not None and self._table is not None and \
+                self._table[0] == key:
+            return self._table[1]
+        theta = freqs @ pts.T
+        theta *= TWO_PI
+        trig = np.empty((2 * k, theta.shape[1]))
+        np.cos(theta, out=trig[:k])
+        np.sin(theta, out=trig[k:])
+        if key is not None:
+            trig.setflags(write=False)
+            self._table = (key, trig)
+        return trig
+
+    def _pair_sum(self, flat, coef, chunk):
+        """[cos Theta | sin Theta] coef at the points flat, in blocks of at
+        most chunk points times pairs."""
+        k = len(self._pair_arrays()[1])
         out = np.empty((flat.shape[0], coef.shape[1]), dtype=coef.dtype)
         for sl in _chunks(flat.shape[0], max(1, chunk // max(k, 1))):
-            theta = freqs @ flat[sl].T
-            theta *= TWO_PI
-            trig = np.empty((2 * k, theta.shape[1]))
-            np.cos(theta, out=trig[:k])
-            np.sin(theta, out=trig[k:])
-            np.matmul(trig.T, coef, out=out[sl])
+            np.matmul(self._pair_table(flat[sl]).T, coef, out=out[sl])
         return out
 
     def _box_dense(self):
@@ -527,10 +551,11 @@ class GridFunction:
         freqs = (np.fft.fftfreq(n) * n).astype(np.int64)
         out = TrigPoly(d, self.dim_range)
         mags = np.max(np.abs(coef), axis=-1)
-        idx = np.argwhere(mags > threshold)
-        for ind in idx:
-            key = tuple(int(freqs[i]) for i in ind)
-            out[key] = coef[tuple(ind)]
+        # all-zero rows are dropped as __setitem__ would drop them; the keys
+        # and values go in in argwhere's (C) order, with no per-key call
+        keep = (mags > threshold) & (mags > 0)
+        keys = map(tuple, freqs[np.argwhere(keep)].tolist())
+        out.coeffs.update(zip(keys, coef[keep].astype(complex, copy=False)))
         return out
 
     def eval(self, points):

@@ -6,15 +6,18 @@ solve for orbit shadowing, the conjugacy as the fixed point of a sweep on
 grid values composed by trigonometric interpolation, random-restart
 optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
-over Fractions, and periodic-point seeds from a bounding-box search.
+over Fractions, periodic-point seeds from a bounding-box search, and the
+conjugacy's orbit walk with every trig table built afresh.
 """
 
+import contextlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from toralab import exactalg, intpoly
+from toralab import exactalg, intpoly, torusfn
 from toralab.errors import ToleranceNotReached
 from toralab.torusfn import GridFunction, uniform_grid
 
@@ -206,6 +209,40 @@ def interpolated_conjugacy(f, grid_n, tol, initial=None, max_sweeps=400,
     fx = f.apply_lift(x)
     residual = np.max(np.abs(lhs - fx - tp.eval_real(fx)))
     return h_vals.reshape(shape), float(residual)
+
+
+# ---------------------------------------------------------------------------
+# The orbit walk with every trig table built afresh
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def table_memo_off():
+    """TrigPoly evaluation with no kept [cos | sin] table: every call builds
+    its own, as each did before tables were kept between calls."""
+    with mock.patch.object(torusfn, "TABLE_MEMO", -1):
+        yield
+
+
+def orbit_terms_reference(f, points):
+    """The terms L_u^-(k+1) R^u(f^k x) and L_s^k R^s(f^-(k+1) x) of the
+    conjugacy's one-sided sums, k = 0, 1, ..., in splitting coordinates,
+    walked with separate displacement_at, apply and invert calls.  Consume
+    it under table_memo_off() to build every trig table anew."""
+    sd = f.spec
+    du, w_inv = sd.unstable_dim, sd.basis_full_inv
+    au = np.linalg.inv(sd.restricted_unstable())
+    als = sd.restricted_stable()
+    y = points
+    z = f.invert(points)
+    mu = au.copy()
+    ms = np.eye(f.dim - du)
+    while True:
+        yield ((f.displacement_at(y) @ w_inv.T)[:, :du] @ mu.T,
+               (f.displacement_at(z) @ w_inv.T)[:, du:] @ ms.T)
+        y = f.apply(y)
+        z = f.invert(z)
+        mu = au @ mu
+        ms = als @ ms
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_helpers import interpolated_conjugacy, shadow_conjugacy
+from oracle_helpers import (interpolated_conjugacy, orbit_terms_reference,
+                            shadow_conjugacy, table_memo_off)
 from toralab import cli, conjugacy, maps, spectral
-from toralab.errors import NewtonDivergence, OrderViolation
+from toralab.errors import NewtonDivergence, NotHyperbolic, OrderViolation
 from toralab.torusfn import TrigPoly, estimate_holder, uniform_grid
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -130,6 +135,70 @@ def test_evaluate_h_on_grid_is_the_solve_grid(make_map, grid_n):
     d = f.dim
     assert np.array_equal(res.evaluate_h(uniform_grid(d, grid_n)),
                           res.h_grid.values.reshape(-1, d))
+
+
+@pytest.mark.parametrize("make_map, grid_n", [
+    (small_map, 32), (lambda: cli._build_map(D4_PARAMS), 12),
+    (lambda: small_map().inverse_map(), 16)],
+    ids=["cat", "conjugate4", "inverse"])
+def test_orbit_walk_matches_fresh_tables(make_map, grid_n):
+    # the walk builds one trig table per orbit point; its terms are those of
+    # the walk that calls displacement_at, apply and invert and builds every
+    # table anew, bit for bit, on f and on f^-1 (which
+    # test_equivariance_inverse_solve solves)
+    f = make_map()
+    grid = uniform_grid(f.dim, grid_n)
+    if f.dim == 2:              # for f, L^-1 of it reduces to (1.0, 2^-59)
+        grid[0] = [0.0, 2.0 ** -60]
+    walk = list(islice(conjugacy._OrbitSeries(f).terms(grid), 20))
+    with table_memo_off():
+        ref = list(islice(orbit_terms_reference(f, grid), 20))
+    for k, ((u, s), (u_ref, s_ref)) in enumerate(zip(walk, ref)):
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref), k
+
+
+def _hyperbolic_perturbation(d, rng, eps=1e-4):
+    """L + R with L drawn by random_unimodular until it is hyperbolic with
+    adapted contraction <= 0.8, and R two sin and cos pairs of size eps."""
+    for _ in range(500):
+        base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                          entry_cap=6)
+        try:
+            sd = spectral.lyapunov_splitting(base)
+        except NotHyperbolic:
+            continue
+        if max(sd.unstable_norm.contraction,
+               sd.stable_norm.contraction) <= 0.8:
+            break
+    else:
+        raise AssertionError("no hyperbolic draw in 500")
+    disp = TrigPoly.zero(d, d)
+    for _ in range(2):
+        freq = rng.integers(-2, 3, size=d)
+        freq[0] += not freq.any()
+        amp = eps * rng.uniform(-1, 1, size=d)
+        disp = disp + TrigPoly.sin_mode(freq, amp) + \
+            TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
+    return maps.PerturbedMap(base, disp, check=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_conjugacy_is_equivariant_and_of_degree_one(d, seed):
+    rng = np.random.default_rng(seed)
+    f = _hyperbolic_perturbation(d, rng)
+    res = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=16 if d == 2 else 6,
+                                    residual_samples=50)
+    x = rng.random((200, d))
+    hx = res.evaluate(x)
+    # degree one: H(x + k) - H(x) = k for k in Z^d.  x + k rounds x, and
+    # the Newton inverses along the two walks stop at 1e-13 residuals, so
+    # the two sides differ by up to about 3e-13
+    k = rng.integers(-3, 4, size=(200, d)).astype(float)
+    assert np.max(np.abs(res.evaluate(x + k) - hx - k)) < res.tol
+    # equivariance: L H(x) = H(f x) mod Z^d, to the solve's tolerance
+    diff = hx @ f.base.as_array().T - res.evaluate(f.apply(x))
+    assert np.max(np.abs(diff - np.round(diff))) < 10 * res.tol
 
 
 def test_solve_inverse_composition():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import periodic_seeds_box
+from oracle_helpers import periodic_seeds_box, table_memo_off
 from toralab import exactalg, maps, spectral
 from toralab.errors import (NewtonDivergence, NotHyperbolic,
                             VerificationInconclusive)
@@ -104,9 +104,15 @@ def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
     f = maps.PerturbedMap(base, disp, check=False)
     y = rng.random((300, d))
     x = f.invert(y)
+    r = f.displacement_at(x)
     assert np.all((x >= 0) & (x < 1))
     diff = f.apply_lift(x) - y
     assert np.max(np.abs(diff - np.round(diff))) < 1e-12
+    # the table each Newton iterate shares between f and Df, and R at the
+    # returned point, change no bit
+    with table_memo_off():
+        assert np.array_equal(x, f.invert(y))
+        assert np.array_equal(r, f.displacement_at(x))
 
 
 def test_newton_step_closed_form_matches_solve():
@@ -134,6 +140,27 @@ def test_mod1_is_numpy_remainder_bit_for_bit():
     x = np.concatenate([x, np.round(x), [0.0, -0.0, 1.0, -1.0, -1e-300]])
     assert np.array_equal((x % 1.0).view(np.int64),
                           maps._mod1(x).view(np.int64))
+
+
+def test_r_after_invert_is_r_at_the_returned_point():
+    # L^-1 y = (-2^-60, 2^-59): the first iterate reduces to (1.0, 2^-59)
+    # and already solves f(x) = y, and only the final reduction maps it to
+    # (0.0, 2^-59), where sin(2 pi x_1) is 0 rather than sin(2 pi) != 0.
+    # The last iterate's table must not serve the returned point.
+    f = maps.build(CAT, TrigPoly.sin_mode((1, 0), [EPS, 0.0]), warn=False)
+    y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]])
+    assert maps._mod1(y @ f._mat_inv.T)[0, 0] == 1.0
+    x = f.invert(y)
+    r = f.displacement_at(x)
+    assert x[0, 0] == 0.0 and r[0, 0] == 0.0
+    with table_memo_off():
+        assert np.array_equal(x, f.invert(y))
+        assert np.array_equal(r, f.displacement_at(x))
+        stale = f.displacement_at(np.array([[1.0, x[0, 1]]]))[0]
+    assert stale[0] != 0.0
+    fx, r_x = f.apply_with_displacement(x)
+    assert np.array_equal(fx, f.apply(x))
+    assert np.array_equal(r_x, r)
 
 
 def test_invert_raises_when_newton_stalls():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import trig_eval_direct, trig_jacobian_direct
+from oracle_helpers import (table_memo_off, trig_eval_direct,
+                            trig_jacobian_direct)
 from toralab import exactalg
 from toralab import torusfn as tf
 from toralab.errors import UnreliableFit
@@ -284,6 +285,87 @@ def test_separable_eval_matches_direct(tp, seed):
     assert tp._box_dense()
     pts = np.random.default_rng(seed).uniform(-4, 4, (37, 2))
     _assert_matches_direct(tp, pts)
+
+
+def _sparse_many(d, radius, count, seed, real):
+    """count random cells of the frequency box |n| <= radius on T^d (d != 2
+    or too sparse for the separable path), symmetrized when real."""
+    rng = np.random.default_rng(seed)
+    size = 2 * radius + 1
+    tp = tf.TrigPoly(d, 2)
+    for cell in rng.choice(size ** d, count, replace=False):
+        freq = np.unravel_index(cell, (size,) * d)
+        tp[np.array(freq) - radius] = rng.normal(size=2) + \
+            1j * rng.normal(size=2)
+    return tp.symmetrize_real() if real else tp
+
+
+@st.composite
+def shared_table_cases(draw):
+    """A sparse (d 1..4) or box-dense (d = 2) polynomial, real or complex,
+    and a point count: one or several."""
+    if draw(st.booleans()):
+        return draw(sparse_polys()), draw(st.sampled_from([1, 2, 37]))
+    return draw(box_dense_polys()), draw(st.sampled_from([1, 5]))
+
+
+# 3000 pairs at 1408 points: the blocks of eval (1398 points) and
+# eval_jacobian (699) end on the same 10 points, a table small enough to
+# keep.  The F = 32 boxes take the separable path, which keeps no table.
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(shared_table_cases(), st.integers(0, 2 ** 32 - 1))
+@example((_sparse_many(3, 12, 3000, 0, real=True), 1408), 1)
+@example((_sparse_many(3, 12, 3000, 1, real=False), 1408), 2)
+@example((_box_poly(32, 2, 65 * 65, 0, real=True), 1400), 3)
+def test_kept_table_changes_no_bit(case, seed):
+    tp, count = case
+    pts = np.random.default_rng(seed).uniform(-2, 2, (count, tp.dim_domain))
+    with table_memo_off():
+        want = tp.eval(pts), tp.eval_jacobian(pts)
+        moved = pts.copy()
+        moved[-1, 0] += 0.5
+        want_moved = tp.eval(moved)
+    # value then Jacobian, Jacobian then value, and the F-ordered points
+    got = [tp.eval(pts), tp.eval_jacobian(pts), tp.eval_jacobian(pts),
+           tp.eval(pts), tp.eval(np.asfortranarray(pts)),
+           tp.eval_jacobian(np.asfortranarray(pts))]
+    for out, ref in zip(got, [want[i] for i in (0, 1, 1, 0, 0, 1)]):
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    # the kept table is keyed by the points' values, not by the array
+    tp.eval(pts)
+    pts[-1, 0] += 0.5
+    assert np.array_equal(tp.eval(pts), want_moved)
+
+
+def test_kept_table_is_dropped_when_a_coefficient_changes():
+    tp = tf.TrigPoly.sin_mode((1, 2), [0.5, -0.25])
+    pts = np.random.default_rng(12).random((50, 2))
+    tp.eval(pts)
+    assert tp._table is not None
+    tp[(3, 0)] = [0.125, 0.0]
+    assert tp._table is None
+    assert np.array_equal(tp.eval(pts), tp.copy().eval(pts))
+
+
+def test_to_trig_matches_per_coefficient_build():
+    # a constant and a sampled cosine: most FFT rows are exactly zero
+    x = np.arange(8) / 8
+    vals = np.empty((8, 8, 2))
+    vals[..., 0] = 1.5
+    vals[..., 1] = np.cos(2 * np.pi * x)[:, None] + 0.25 * x[None, :]
+    gf = tf.GridFunction(vals)
+    coef = np.fft.fftn(vals, axes=(0, 1)) / 64
+    freqs = np.fft.fftfreq(8, 1 / 8).astype(int)
+    for threshold in (0.0, -1.0, 0.05):
+        want = tf.TrigPoly(2, 2)
+        for i, j in np.argwhere(np.max(np.abs(coef), axis=-1) > threshold):
+            want[(freqs[i], freqs[j])] = coef[i, j]
+        got = gf.to_trig(threshold)
+        assert list(got.coeffs) == list(want.coeffs)
+        assert all(np.array_equal(got.coeffs[n], c) and
+                   got.coeffs[n].dtype == complex
+                   for n, c in want.coeffs.items())
+    assert 1 < len(gf.to_trig(-1.0).coeffs) < 64
 
 
 def test_eval_dtype_and_shapes():
