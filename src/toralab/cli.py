@@ -329,6 +329,12 @@ def run_cocycle(manifest, outdir):
     reference = f.spec.exponents
     for n in range(1, n_max + 1):
         search = maps.periodic_points(f, n)
+        if search.newton_failures or \
+                search.point_count != search.expected_count:
+            raise NewtonDivergence(
+                f"periodic search at period {n} found "
+                f"{search.point_count} of {search.expected_count} points "
+                f"({search.newton_failures} Newton failures)")
         for orbit in search.orbits:
             if orbit.period != n:
                 continue

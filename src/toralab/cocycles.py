@@ -64,7 +64,11 @@ class CocycleSpec:
 
 def cocycle_product(spec: CocycleSpec, x, n):
     """Ordered product A(f^{n-1}x) ... A(x); negative n via the inverse
-    of the forward product started at f^n x."""
+    of the forward product started at f^n x.
+
+    For n > 0 the orbit x, f x, ..., f^{n-1} x is walked first, and the
+    product is taken over it by _orbit_product, from one generator call.
+    """
     x = np.asarray(x, dtype=float)
     if n == 0:
         return np.eye(spec.m)
@@ -73,14 +77,29 @@ def cocycle_product(spec: CocycleSpec, x, n):
         for _ in range(-n):
             y = spec.f.invert(y)
         return np.linalg.inv(cocycle_product(spec, y, -n))
+    pts = np.empty((n,) + x.shape)
+    pts[0] = x
+    for k in range(1, n):
+        pts[k] = spec.f.apply(pts[k - 1])
+    return _orbit_product(spec, pts)
+
+
+def _orbit_product(spec, points):
+    """A(p_{n-1}) ... A(p_0) over the orbit points p_k = points[k].
+
+    The generator is evaluated at all n points in one call.  A generator
+    with |det A| < 1e-14 max(||A||_F, 1) at some point raises
+    SingularGenerator naming the first such point.
+    """
+    a = spec.generator(points)
+    small = np.abs(np.linalg.det(a)) < \
+        1e-14 * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    if np.any(small):
+        raise SingularGenerator(
+            f"generator singular near {points[np.argmax(small)]}")
     acc = np.eye(spec.m)
-    y = x.copy()
-    for _ in range(n):
-        a = spec.generator(y)
-        if abs(np.linalg.det(a)) < 1e-14 * max(np.linalg.norm(a), 1.0):
-            raise SingularGenerator(f"generator singular near {y}")
-        acc = a @ acc
-        y = spec.f.apply(y)
+    for ak in a:
+        acc = ak @ acc
     return acc
 
 
@@ -120,12 +139,19 @@ def _qr_positive(mats):
 
 
 MAX_ITER = 10 ** 4
+# Matrix entries of the largest block of generator values _lyapunov_batch
+# holds at once (256 KB): n steps at S points take about n S m^2 / 2^15
+# generator calls, never one (n, S, m, m) stack.  Blocks of 2^17 entries
+# were no faster on the lyapunov scenario and raised its peak RSS by 3 MB.
+LYAPUNOV_BLOCK = 1 << 15
 
 
 def lyapunov_qr(spec: CocycleSpec, x, n, reference=None):
     """Finite-time exponents at one point by QR reorthogonalization."""
     if n > MAX_ITER:
         raise ValueError(f"n exceeds the configured bound {MAX_ITER}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     rep = _lyapunov_batch(spec, np.asarray(x, float)[None, :], n)
     report = ExponentReport(exponents=rep["exps"][0], n=n,
                             oscillation=rep["osc"],
@@ -137,30 +163,48 @@ def lyapunov_qr(spec: CocycleSpec, x, n, reference=None):
 
 
 def _lyapunov_batch(spec, xs, n):
+    """QR exponents over n steps from each of the S points xs (S, d).
+
+    The orbit is walked a block of steps at a time, at most
+    LYAPUNOV_BLOCK matrix entries of generator values per block, and each
+    block's generators come from one call.  The QR steps then run in
+    order; their log |diag R| and log |det A| are summed per block by
+    np.cumsum, one step after the other, onto the sums carried from the
+    blocks before.
+    """
     s_count, m = xs.shape[0], spec.m
     q = np.broadcast_to(np.eye(m), (s_count, m, m)).copy()
-    sums = np.zeros((s_count, m))
-    tail = np.zeros((s_count, m))
-    logdet = np.zeros(s_count)
+    sums = np.zeros((1, s_count, m))
+    tail = np.zeros((1, s_count, m))
+    logdet = np.zeros((1, s_count))
     tail_start = n // 2
+    block = max(1, LYAPUNOV_BLOCK // (s_count * m * m))
     y = xs.copy()
-    for k in range(n):
-        a = spec.generator(y)
-        mats = a @ q
-        q, r = _qr_positive(mats)
-        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise LostOrthogonality(f"degenerate QR frame at step {k}")
-        steps = np.log(diag)
-        sums += steps
-        if k >= tail_start:
-            tail += steps
-        logdet += np.log(np.abs(np.linalg.det(a)))
-        y = spec.f.apply(y)
-    full = np.sort(sums / n, axis=1)
-    refined = np.sort(tail / max(n - tail_start, 1), axis=1)
+    for start in range(0, n, block):
+        count = min(block, n - start)
+        ys = np.empty((count,) + xs.shape)
+        for j in range(count):
+            if start + j:
+                y = spec.f.apply(y)
+            ys[j] = y
+        a = spec.generator(ys)
+        steps = np.empty((count, s_count, m))
+        for j in range(count):
+            q, r = _qr_positive(a[j] @ q)
+            diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+            if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+                raise LostOrthogonality(
+                    f"degenerate QR frame at step {start + j}")
+            steps[j] = np.log(diag)
+        later = steps[max(tail_start - start, 0):]
+        sums = np.cumsum(np.concatenate([sums, steps]), axis=0)[-1:]
+        tail = np.cumsum(np.concatenate([tail, later]), axis=0)[-1:]
+        logdet = np.cumsum(np.concatenate(
+            [logdet, np.log(np.abs(np.linalg.det(a)))]), axis=0)[-1:]
+    full = np.sort(sums[0] / n, axis=1)
+    refined = np.sort(tail[0] / max(n - tail_start, 1), axis=1)
     osc = float(np.max(np.abs(full - refined)))
-    det = np.abs(full.sum(axis=1) - logdet / n)
+    det = np.abs(full.sum(axis=1) - logdet[0] / n)
     return {"exps": refined, "full": full, "osc": osc, "det": det}
 
 
@@ -173,6 +217,9 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
     """
     if n > MAX_ITER:
         raise ValueError(f"n exceeds the configured bound {MAX_ITER}")
+    if n < 1 or birkhoff_factor * n < 1:
+        raise ValueError(f"n and birkhoff_factor * n must be at least 1, "
+                         f"not {n} and {birkhoff_factor * n}")
     d = spec.f.dim
     axes = [np.arange(grid_per_axis) / grid_per_axis +
             0.5 / grid_per_axis] * d
@@ -194,7 +241,7 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
 def exponents_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
                           reference=None):
     """Exact periodic exponents: log-moduli of eig(A_p^n) / n."""
-    prod = cocycle_product(spec, orbit.representative, orbit.period)
+    prod = _orbit_product(spec, orbit.points)
     eig = np.linalg.eigvals(prod)
     exps = np.sort(np.log(np.abs(eig)) / orbit.period)
     logdet = np.log(abs(np.linalg.det(prod))) / orbit.period
@@ -306,8 +353,7 @@ def conformality_check(matrix, tol=1e-8):
 
 def conformality_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
                              tol=1e-8):
-    prod = cocycle_product(spec, orbit.representative, orbit.period)
-    return conformality_check(prod, tol=tol)
+    return conformality_check(_orbit_product(spec, orbit.points), tol=tol)
 
 
 # ---------------------------------------------------------------------------

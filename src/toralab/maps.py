@@ -392,9 +392,18 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
     The seeds are the |det(L^n - I)| points (L^n - I)^{-1} k in [0,1)^d,
     k integer, in lexicographic order of k: one k per coset of
     Z^d / (L^n - I) Z^d, read off a triangular column form of L^n - I
-    (see _periodic_seeds), with no search over a bounding box.  Newton-solves f~^n(x) = x + k from each
-    seed, deduplicates into orbits with minimal periods, and reports the
-    count against |det(L^n - I)|.
+    (see _periodic_seeds), with no search over a bounding box.
+    Newton-solves f~^n(x) = x + k from each seed, deduplicates into orbits
+    with minimal periods, and reports the count against |det(L^n - I)|.
+
+    The orbits of the P converged seeds are recorded together, as one
+    (n, P, d) array of the points f^k(p), k < n, filled by one batched
+    f.apply per step: n P d floats.  Each seed's minimal period is the
+    least divisor m of n with f^m(p) = p to dedupe_tol, and its key the
+    least of its period's points rounded to 8 digits; the first seed of
+    each key, in the order of k, gives the orbit.  D_p f^period is the
+    product of batched Jacobians along the kept orbits, one period at a
+    time.
     """
     if n > period_cap:
         raise ValueError(f"period {n} exceeds the configured cap "
@@ -412,7 +421,6 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
 
     x = np.array(seeds, dtype=float)
     kv = np.array(kept_k, dtype=float)
-    failures = 0
     iterations = 0
     for _ in range(max_iter):
         y = x.copy()
@@ -432,41 +440,41 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
         y = f.apply_lift(y)
     res = np.linalg.norm(y - x - kv, axis=1)
 
-    orbits = {}
-    count = 0
-    for i in range(len(x)):
-        if res[i] > 100 * newton_tol:
-            failures += 1
-            continue
-        p = _mod1(x[i])
-        orbit_pts = [p]
-        for _ in range(n - 1):
-            orbit_pts.append(f.apply(orbit_pts[-1]))
-        # minimal period
-        period = n
-        for m in range(1, n):
-            if n % m == 0:
-                dd = orbit_pts[m] - p
-                dd -= np.round(dd)
-                if np.max(np.abs(dd)) < dedupe_tol:
-                    period = m
-                    break
-        cycle = orbit_pts[:period]
-        key = min(tuple(_mod1(np.round(_mod1(q), 8))) for q in cycle)
-        if key in orbits:
-            continue
-        dp = np.eye(d)
-        q = p.copy()
-        for _ in range(period):
-            dp = f.jacobian(q) @ dp
-            q = f.apply(q)
-        orbits[key] = PeriodicOrbit(period=period,
-                                    points=np.array(cycle),
-                                    residual=float(res[i]),
-                                    k_vector=tuple(int(v) for v in kv[i]),
-                                    deriv_product=dp)
-        count += period
-    return PeriodicSearch(orbits=sorted(orbits.values(),
+    good = np.flatnonzero(res <= 100 * newton_tol)
+    failures = len(x) - len(good)
+    # the orbits of the converged seeds, one batched step at a time
+    pts = np.empty((n, len(good), d))
+    pts[0] = _mod1(x[good])
+    for k in range(1, n):
+        pts[k] = f.apply(pts[k - 1])
+    # minimal periods: the least divisor m of n with f^m(p) = p
+    period = np.full(len(good), n)
+    for m in range(1, n):
+        if n % m == 0:
+            dd = pts[m] - pts[0]
+            dd -= np.round(dd)
+            period[(period == n) &
+                   (np.max(np.abs(dd), axis=1) < dedupe_tol)] = m
+    rounded = _mod1(np.round(_mod1(pts), 8))
+    kept = {}                   # key -> index into good, first in k order
+    for j, per in enumerate(period.tolist()):
+        kept.setdefault(min(map(tuple, rounded[:per, j].tolist())), j)
+    kept = np.array(list(kept.values()), dtype=int)
+    deriv = {}
+    for per in np.unique(period[kept]):
+        sel = kept[period[kept] == per]
+        dp = np.broadcast_to(np.eye(d), (len(sel), d, d))
+        for k in range(per):
+            dp = f.jacobian(pts[k, sel]) @ dp
+        deriv.update(zip(sel.tolist(), dp))
+
+    orbits = [PeriodicOrbit(period=int(period[j]),
+                            points=pts[:period[j], j].copy(),
+                            residual=float(res[good[j]]),
+                            k_vector=tuple(int(v) for v in kv[good[j]]),
+                            deriv_product=deriv[j]) for j in kept.tolist()]
+    count = int(period[kept].sum())
+    return PeriodicSearch(orbits=sorted(orbits,
                                         key=lambda o: tuple(o.points[0])),
                           point_count=count, expected_count=expected,
                           newton_failures=failures, period=n,

@@ -6,8 +6,10 @@ solve for orbit shadowing, the conjugacy as the fixed point of a sweep on
 grid values composed by trigonometric interpolation, random-restart
 optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
-over Fractions, periodic-point seeds from a bounding-box search, and the
-conjugacy's orbit walk with every trig table built afresh.
+over Fractions, periodic-point seeds from a bounding-box search, the
+conjugacy's orbit walk with every trig table built afresh, and periodic
+orbits and QR exponents computed one point and one step at a time (with
+the random perturbed maps their property tests draw).
 """
 
 import contextlib
@@ -17,9 +19,10 @@ from unittest import mock
 
 import numpy as np
 
-from toralab import exactalg, intpoly, torusfn
-from toralab.errors import ToleranceNotReached
-from toralab.torusfn import GridFunction, uniform_grid
+from toralab import cocycles, exactalg, intpoly, maps, spectral, torusfn
+from toralab.errors import (LostOrthogonality, NotHyperbolic,
+                            ToleranceNotReached)
+from toralab.torusfn import GridFunction, TrigPoly, _mod1, uniform_grid
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +406,130 @@ def periodic_seeds_box(lni):
             kept_k.append(tuple(int(v) for v in k))
             seeds.append([float(xi) for xi in x])
     return kept_k, seeds
+
+
+# ---------------------------------------------------------------------------
+# Periodic orbits one seed at a time, QR exponents one step at a time
+# ---------------------------------------------------------------------------
+
+def small_perturbation(d, rng, n=1, max_points=300, eps=1e-3):
+    """L + R with L drawn by random_unimodular until it is hyperbolic with
+    at most max_points points of period n, and R two sin and cos pairs of
+    size eps."""
+    while True:
+        base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                          entry_cap=4)
+        try:
+            spectral.lyapunov_splitting(base)
+        except NotHyperbolic:
+            continue
+        ln = base.power(n).rows()
+        if abs(exactalg.det_bareiss([[ln[i][j] - (i == j) for j in range(d)]
+                                     for i in range(d)])) <= max_points:
+            break
+    disp = TrigPoly.zero(d, d)
+    for _ in range(2):
+        freq = rng.integers(-2, 3, size=d)
+        freq[0] += not freq.any()
+        amp = eps * rng.uniform(-1, 1, size=d)
+        disp = disp + TrigPoly.sin_mode(freq, amp) + \
+            TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
+    return maps.PerturbedMap(base, disp, check=False)
+
+
+def periodic_points_per_seed(f, n, newton_tol=1e-12, dedupe_tol=1e-8,
+                             max_iter=60):
+    """maps.periodic_points with each converged seed's orbit walked by
+    single-point f.apply, its minimal period and dedupe key found by a
+    scan of that orbit, and its D_p f^period by single-point f.jacobian
+    (oracle only)."""
+    d = f.dim
+    ln = f.base.power(n).rows()
+    lni = [[ln[i][j] - (1 if i == j else 0) for j in range(d)]
+           for i in range(d)]
+    expected = abs(exactalg.det_bareiss(lni))
+    kept_k, seeds = maps._periodic_seeds(lni, expected)
+    x = np.array(seeds, dtype=float)
+    kv = np.array(kept_k, dtype=float)
+    failures = 0
+    iterations = 0
+    for _ in range(max_iter):
+        y = x.copy()
+        prod = np.broadcast_to(np.eye(d), (len(x), d, d)).copy()
+        for _step in range(n):
+            prod = f.jacobian(y) @ prod
+            y = f.apply_lift(y)
+        res = y - x - kv
+        if np.max(np.abs(res)) < newton_tol:
+            break
+        x = x - maps.newton_step(prod - np.eye(d), res)
+        iterations += 1
+    y = x.copy()
+    for _step in range(n):
+        y = f.apply_lift(y)
+    res = np.linalg.norm(y - x - kv, axis=1)
+
+    orbits = {}
+    count = 0
+    for i in range(len(x)):
+        if res[i] > 100 * newton_tol:
+            failures += 1
+            continue
+        p = _mod1(x[i])
+        orbit_pts = [p]
+        for _ in range(n - 1):
+            orbit_pts.append(f.apply(orbit_pts[-1]))
+        period = n
+        for m in range(1, n):
+            if n % m == 0:
+                dd = orbit_pts[m] - p
+                dd -= np.round(dd)
+                if np.max(np.abs(dd)) < dedupe_tol:
+                    period = m
+                    break
+        cycle = orbit_pts[:period]
+        key = min(tuple(_mod1(np.round(_mod1(q), 8))) for q in cycle)
+        if key in orbits:
+            continue
+        dp = np.eye(d)
+        q = p.copy()
+        for _ in range(period):
+            dp = f.jacobian(q) @ dp
+            q = f.apply(q)
+        orbits[key] = maps.PeriodicOrbit(
+            period=period, points=np.array(cycle), residual=float(res[i]),
+            k_vector=tuple(int(v) for v in kv[i]), deriv_product=dp)
+        count += period
+    return maps.PeriodicSearch(
+        orbits=sorted(orbits.values(), key=lambda o: tuple(o.points[0])),
+        point_count=count, expected_count=expected,
+        newton_failures=failures, period=n, newton_iterations=iterations)
+
+
+def lyapunov_batch_per_step(spec, xs, n):
+    """cocycles._lyapunov_batch with one generator call, one QR and one
+    running sum per step (oracle only)."""
+    s_count, m = xs.shape[0], spec.m
+    q = np.broadcast_to(np.eye(m), (s_count, m, m)).copy()
+    sums = np.zeros((s_count, m))
+    tail = np.zeros((s_count, m))
+    logdet = np.zeros(s_count)
+    tail_start = n // 2
+    y = xs.copy()
+    for k in range(n):
+        a = spec.generator(y)
+        q, r = cocycles._qr_positive(a @ q)
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+            raise LostOrthogonality(f"degenerate QR frame at step {k}")
+        steps = np.log(diag)
+        sums += steps
+        if k >= tail_start:
+            tail += steps
+        logdet += np.log(np.abs(np.linalg.det(a)))
+        y = spec.f.apply(y)
+    full = np.sort(sums / n, axis=1)
+    refined = np.sort(tail / max(n - tail_start, 1), axis=1)
+    osc = float(np.max(np.abs(full - refined)))
+    det = np.abs(full.sum(axis=1) - logdet / n)
+    return {"exps": refined, "full": full, "osc": osc, "det": det}

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from toralab import cli
+from toralab import cli, maps
 from toralab.errors import IncomparableManifests
 
 
@@ -105,6 +105,47 @@ def test_cocycle_subcommand(tmp_path):
     assert rc == 0
     rec = _read(tmp_path / "cocycle_result.json")
     assert rec["results"]["fiber_bunching"]["bunched"] is False
+
+
+def _cocycle_manifest(tmp_path, eps, periods):
+    manifest = {"scenario": "cocycle", "seed": 0,
+                "params": {"matrix": [[2, 1], [1, 1]], "eps": eps,
+                           "modes": [{"freq": [0, 1], "amplitude": [1.0, 0.0],
+                                      "kind": "sin"}],
+                           "periods": periods}}
+    path = tmp_path / "co.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def test_cocycle_exits_3_when_newton_fails(tmp_path, capsys):
+    # at eps = 0.3 two of the 16 period-3 seeds do not converge
+    rc = cli.main(["cocycle", "--manifest",
+                   _cocycle_manifest(tmp_path, 0.3, 3),
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert "period 3 found 16 of 16 points (2 Newton failures)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "cocycle_result.json").exists()
+
+
+def test_cocycle_exits_3_on_a_short_search(tmp_path, capsys, monkeypatch):
+    search = maps.periodic_points
+
+    def short(f, n, **kw):
+        res = search(f, n, **kw)
+        if n == 2:
+            res.point_count -= res.orbits.pop().period
+        return res
+
+    monkeypatch.setattr(maps, "periodic_points", short)
+    rc = cli.main(["cocycle", "--manifest",
+                   _cocycle_manifest(tmp_path, 1e-3, 2),
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert "period 2 found 3 of 5 points (0 Newton failures)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "cocycle_result.json").exists()
 
 
 def test_regularity_subcommand(tmp_path):

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_helpers import lyapunov_batch_per_step, small_perturbation
 from toralab import cocycles, conjugacy, maps, spectral
-from toralab.errors import GapTooSmall
+from toralab.errors import GapTooSmall, LostOrthogonality, SingularGenerator
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -82,6 +87,111 @@ def test_block_map_four_exponents():
     ref = [-np.log(MU), -np.log(GOLDEN), np.log(GOLDEN), np.log(MU)]
     rep = cocycles.lyapunov_qr(spec, [0.1, 0.2, 0.3, 0.4], 300, reference=ref)
     assert rep.max_deviation < 1e-12
+
+
+def _random_spec(d, kind, rng):
+    """A cocycle of the given kind over a random small perturbation."""
+    f = small_perturbation(d, rng)
+    if kind == "constant":
+        return cocycles.CocycleSpec(f, kind, matrix=rng.normal(size=(3, 3)))
+    if kind == "restriction":
+        return cocycles.CocycleSpec(f, kind, cluster_index=0)
+    return cocycles.CocycleSpec(f, kind)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 3), st.sampled_from(["derivative", "restriction",
+                                           "constant"]),
+       st.sampled_from([1, 4]), st.integers(1, 40), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_lyapunov_batch_matches_per_step_reference(d, kind, s_count, n,
+                                                   block_steps, seed):
+    # blocks of block_steps steps, so most draws cross block boundaries
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(d, kind, rng)
+    xs = rng.random((s_count, d))
+    with mock.patch.object(cocycles, "LYAPUNOV_BLOCK",
+                           block_steps * s_count * spec.m ** 2):
+        got = cocycles._lyapunov_batch(spec, xs, n)
+    ref = lyapunov_batch_per_step(spec, xs, n)
+    assert got["osc"] == ref["osc"]
+    for key in ("exps", "full", "det"):
+        assert np.array_equal(got[key], ref[key]), key
+
+
+def test_lyapunov_batch_matches_reference_across_the_block_cap():
+    # 36 points and m = 2 give blocks of 910 steps, as in the lyapunov
+    # scenario; one point gives one block of 1000
+    spec = cocycles.CocycleSpec(small_map(), "derivative")
+    grid = (np.stack(np.meshgrid(*[np.arange(6) / 6 + 1 / 12] * 2,
+                                 indexing="ij"), axis=-1).reshape(-1, 2))
+    for xs in (grid, grid[:1]):
+        got = cocycles._lyapunov_batch(spec, xs, 1000)
+        ref = lyapunov_batch_per_step(spec, xs, 1000)
+        assert got["osc"] == ref["osc"]
+        for key in ("exps", "full", "det"):
+            assert np.array_equal(got[key], ref[key]), key
+
+
+def test_lyapunov_rejects_runs_without_steps():
+    spec = cocycles.CocycleSpec(small_map(), "derivative")
+    with pytest.raises(ValueError, match="at least 1"):
+        cocycles.lyapunov_qr(spec, [0.2, 0.5], 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        cocycles.lyapunov_volume(spec, 0, grid_per_axis=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        cocycles.lyapunov_volume(spec, 10, grid_per_axis=2,
+                                 birkhoff_factor=0.05)
+
+
+SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
+
+
+def test_singular_generator_raises_on_products():
+    f = small_map()
+    spec = cocycles.CocycleSpec(f, "constant", matrix=SINGULAR)
+    with pytest.raises(SingularGenerator, match=r"near \[0.1 0.2\]"):
+        cocycles.cocycle_product(spec, [0.1, 0.2], 5)
+    orbit = maps.periodic_points(f, 2).orbits[-1]
+    with pytest.raises(SingularGenerator, match="singular near"):
+        cocycles.exponents_at_periodic(spec, orbit)
+    with pytest.raises(SingularGenerator, match="singular near"):
+        cocycles.conformality_at_periodic(spec, orbit)
+
+
+def test_singular_generator_loses_the_qr_frame():
+    spec = cocycles.CocycleSpec(small_map(), "constant", matrix=SINGULAR)
+    with pytest.raises(LostOrthogonality, match="at step 0$"):
+        cocycles.lyapunov_qr(spec, [0.1, 0.2], 10)
+
+
+class _SingularAt(cocycles.CocycleSpec):
+    """The identity cocycle, singular at one point."""
+
+    def __init__(self, f, point):
+        super().__init__(f, "constant", matrix=np.eye(2))
+        self.point = point
+
+    def generator(self, x):
+        a = super().generator(x)
+        a[np.all(np.asarray(x) == self.point, axis=-1)] = SINGULAR
+        return a
+
+
+@pytest.mark.parametrize("block_steps", [1, 4, 100])
+def test_lost_orthogonality_names_the_step(block_steps):
+    f = small_map()
+    y = np.array([[0.1, 0.2]])
+    for _ in range(7):
+        y = f.apply(y)
+    spec = _SingularAt(f, y[0])
+    with mock.patch.object(cocycles, "LYAPUNOV_BLOCK", block_steps * 4):
+        with pytest.raises(LostOrthogonality, match="at step 7$"):
+            cocycles.lyapunov_qr(spec, [0.1, 0.2], 20)
+    with pytest.raises(SingularGenerator, match="singular near"):
+        cocycles.cocycle_product(spec, [0.1, 0.2], 9)
+    assert np.array_equal(cocycles.cocycle_product(spec, [0.1, 0.2], 7),
+                          np.eye(2))
 
 
 def test_periodic_exponents_linear_exact():

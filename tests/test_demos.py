@@ -1,0 +1,23 @@
+"""The demos that call periodic_points and the cocycle products run to the
+end as scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["02_nonsmooth_conjugacy.py",
+                                  "05_cocycles.py"])
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import periodic_seeds_box, table_memo_off
+from oracle_helpers import (periodic_points_per_seed, periodic_seeds_box,
+                            small_perturbation, table_memo_off)
 from toralab import exactalg, maps, spectral
 from toralab.errors import (NewtonDivergence, NotHyperbolic,
                             VerificationInconclusive)
@@ -237,6 +238,50 @@ def test_periodic_seeds_match_box_and_orbits_partition_by_period(d, n, seed):
                           for q in range(1, m + 1) if m % q == 0)
             assert sum(o.period for o in res.orbits if o.period == m) \
                 == minimal
+
+
+def _assert_same_search(got, ref, atol=0.0, rtol=0.0):
+    assert (got.point_count, got.expected_count, got.newton_failures,
+            got.newton_iterations, got.period) == \
+        (ref.point_count, ref.expected_count, ref.newton_failures,
+         ref.newton_iterations, ref.period)
+    assert len(got.orbits) == len(ref.orbits)
+    for o, r in zip(got.orbits, ref.orbits):
+        assert (o.period, o.k_vector, o.residual) == \
+            (r.period, r.k_vector, r.residual)
+        assert o.points.shape == r.points.shape
+        assert np.max(np.abs(o.points - r.points), initial=0.0) <= atol
+        assert np.max(np.abs(o.deriv_product - r.deriv_product)) <= \
+            rtol * np.max(np.abs(r.deriv_product))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_periodic_orbits_match_per_seed_reference(d, n, seed):
+    # The batched walk evaluates f at many points per call and the
+    # reference at one, which numpy hands to different BLAS kernels (gemm
+    # and gemv).  Where L or R sums two inexact products the kernels may
+    # round differently, and the expansion of f carries that last bit
+    # along the orbit: up to 3.6e-15 after 3 steps.  Every discrete
+    # field, and the residual of the shared Newton pass, is exact.
+    f = small_perturbation(d, np.random.default_rng(seed), n=n)
+    _assert_same_search(maps.periodic_points(f, n),
+                        periodic_points_per_seed(f, n), atol=1e-13,
+                        rtol=1e-13)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.integers(1, 4), st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -1)]),
+       st.floats(1e-4, 1e-2), st.integers(0, 2 ** 32 - 1))
+def test_periodic_orbits_are_bit_identical_on_one_mode_cat_maps(n, freq, eps,
+                                                                 seed):
+    # The cat map with a one-mode R, the family of the cocycle scenario:
+    # every sum in f and Df has one inexact term at most, so the batched
+    # walk must reproduce the per-seed orbits bit for bit.
+    amp = eps * np.random.default_rng(seed).uniform(-1, 1, size=2)
+    f = maps.PerturbedMap(CAT, TrigPoly.sin_mode(freq, amp), check=False)
+    _assert_same_search(maps.periodic_points(f, n),
+                        periodic_points_per_seed(f, n))
 
 
 def test_periodic_minimal_periods():

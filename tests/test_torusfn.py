@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracle_helpers import (table_memo_off, trig_eval_direct,
                             trig_jacobian_direct)
-from toralab import exactalg
+from toralab import exactalg, spectral
 from toralab import torusfn as tf
 from toralab.errors import UnreliableFit
 
@@ -68,6 +68,28 @@ def test_compose_affine_matches_pointwise():
     pts = np.random.default_rng(5).random((200, 2))
     want = np.sin(2 * np.pi * (2 * pts[:, 0] + pts[:, 1]))
     assert np.max(np.abs(comp.eval_real(pts)[:, 0] - want)) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_compose_affine_matches_pointwise_for_unimodular_maps(d, count, shift,
+                                                              seed):
+    # f(M x + c) evaluated at M x + c against the coefficients of
+    # compose_affine; the phases 2 pi <n, M x + c> reach about 10^3, so the
+    # two sides agree to a few 1e-13 times the l1 size of f
+    rng = np.random.default_rng(seed)
+    tp = tf.TrigPoly(d, 2)
+    for _ in range(count):
+        tp[tuple(rng.integers(-3, 4, size=d))] = rng.normal(size=2) + \
+            1j * rng.normal(size=2)
+    mat = np.array(spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                              entry_cap=6).rows())
+    c = rng.uniform(-1, 1, size=d) if shift else None
+    comp = tp.compose_affine(mat, c)
+    pts = rng.uniform(-2, 2, (50, d))
+    want = tp.eval(pts @ mat.T + (0 if c is None else c))
+    assert np.max(np.abs(comp.eval(pts) - want)) < 1e-11 * _l1_scales(tp)[0]
 
 
 def test_compose_affine_group_action():
@@ -251,6 +273,32 @@ def _assert_matches_direct(tp, pts):
 def test_pair_eval_matches_exponential_sum(tp, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, (37, tp.dim_domain))
     _assert_matches_direct(tp, pts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sparse_polys(), st.integers(1, 4))
+def test_grid_roundtrip_below_nyquist(tp, extra):
+    # support radius F <= 3 on a grid of N > 2F points per axis: the
+    # coefficients come back, and so do the grid values
+    n = 2 * tp.support_radius + extra
+    gf = tp.to_grid(n)
+    back = gf.to_trig()
+    scale = _l1_scales(tp)[0]
+    for freq in set(tp.coeffs) | set(back.coeffs):
+        assert np.max(np.abs(back[freq] - tp[freq])) < 1e-13 * scale
+    again = back.to_grid(n, allow_alias=True)
+    assert np.max(np.abs(again.values - gf.values)) < 1e-13 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sparse_polys())
+def test_symmetrize_real_is_idempotent(tp):
+    once = tp.symmetrize_real()
+    twice = once.symmetrize_real()
+    assert once.is_real(0.0)
+    assert list(twice.coeffs) == list(once.coeffs)
+    for freq, c in once.coeffs.items():
+        assert np.array_equal(twice[freq], c)
 
 
 def _box_poly(f, m, count, seed, real):
