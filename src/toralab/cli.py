@@ -62,6 +62,12 @@ def validate_manifest(manifest):
     if scenario in ("classify", "conjugate", "linearized", "kam", "lyapunov",
                     "cocycle", "regularity"):
         _require(params, "matrix", list, f"{scenario}.params")
+    if scenario in ("conjugate", "regularity") and "samples" in params:
+        samples = params["samples"]
+        if isinstance(samples, bool) or not isinstance(samples, int) or \
+                samples < 1:
+            raise SchemaError(f"{scenario}.params: samples must be a "
+                              "positive integer")
     return manifest
 
 

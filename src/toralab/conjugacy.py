@@ -92,8 +92,9 @@ class ConjugacyResult:
 class _OrbitSeries:
     """The two one-sided sums of h, walked along forward and backward orbits.
 
-    `terms` is the one walk: the grid solve consumes it until its stopping
-    rule holds, and a call at other points consumes `n_terms` of it.
+    `_walk` is the one walk.  The grid solve consumes its `terms` until its
+    stopping rule holds, a call at other points consumes `n_terms` of them,
+    and `with_image` reads h(x) and h(f x) off one walk from x.
     """
 
     def __init__(self, f):
@@ -107,30 +108,75 @@ class _OrbitSeries:
         self.n_terms = None          # set by the grid solve
         self.shift = np.zeros(f.dim)  # set by the anchor normalization
 
+    def _walk(self, points):
+        """Yield R(x), R(f^-1 x), R(f x), R(f^-2 x), R(f^2 x), ... at the
+        points x, in splitting coordinates: the forward and backward orbits
+        alternately, each point computed when its value is asked for.
+
+        R is evaluated once per orbit point: f(y) is formed from R(y), and
+        R at f^-1(z) is read right after the Newton inverse, whose last
+        iterate left its trig table behind (see TrigPoly._pair_table).
+        """
+        f = self.f
+        y = z = points
+        while True:
+            y, r_y = f.apply_with_displacement(y)
+            yield r_y @ self.w_inv.T
+            z = f.invert(z)
+            yield f.displacement_at(z) @ self.w_inv.T
+
     def terms(self, points):
         """Yield the k-th unstable and stable terms at points, k = 0, 1, ...
 
         In splitting coordinates: L_u^-(k+1) R^u(f^k x) and
-        L_s^k R^s(f^-(k+1) x).  R is evaluated once per orbit point: f(y)
-        is formed from R(y), and R at f^-1(z) is read right after the Newton
-        inverse, whose last iterate left its trig table behind (see
-        TrigPoly._pair_table).  Each term advances the forward orbit one
-        step; the backward orbit advances when the next term is asked for.
+        L_s^k R^s(f^-(k+1) x).  Term k takes the walk to f^k x forward and
+        f^-(k+1) x backward.
         """
-        f, du = self.f, self.du
-        y = points
-        z = f.invert(points)
-        r_z = f.displacement_at(z)
+        du = self.du
+        walk = self._walk(points)
         mu = self.au.copy()
-        ms = np.eye(f.dim - du)
-        while True:
-            y, r_y = f.apply_with_displacement(y)
-            yield ((r_y @ self.w_inv.T)[:, :du] @ mu.T,
-                   (r_z @ self.w_inv.T)[:, du:] @ ms.T)
-            z = f.invert(z)
-            r_z = f.displacement_at(z)
+        ms = np.eye(self.f.dim - du)
+        for r_fwd in walk:
+            yield (r_fwd[:, :du] @ mu.T, next(walk)[:, du:] @ ms.T)
             mu = self.au @ mu
             ms = self.als @ ms
+
+    def with_image(self, points):
+        """h(x) and h(f x) from one walk of n_terms + 1 forward and n_terms
+        backward points of x.
+
+        The forward points of f x are those of x after the first, and the
+        backward points of f x are x and those of x before the last.  So
+        R(f^j x) enters h(x) with L_u^-(j+1) for j < N and h(f x) with
+        L_u^-j for j >= 1, and R(f^-j x) enters h(x) with L_s^(j-1) for
+        j >= 1 and h(f x) with L_s^j for j < N (N = n_terms).  h(x) is
+        summed in the order of __call__, so it is evaluate_h(x) bit for
+        bit; h(f x) differs from evaluate_h(f x) by the rounding of the
+        Newton inverse that a walk from f x would take back to x.
+        """
+        pts = np.asarray(points, dtype=float)
+        flat = _mod1(pts.reshape(-1, self.f.dim))
+        du, n = self.du, self.n_terms
+        walk = self._walk(flat)
+        r_fwd = next(walk)                       # R(x)
+        hx_u = np.zeros((flat.shape[0], du))
+        hx_s = np.zeros((flat.shape[0], self.f.dim - du))
+        hf_u = np.zeros_like(hx_u)
+        hf_s = -r_fwd[:, du:]                    # L_s^0 R^s(x)
+        mu = self.au.copy()                      # L_u^-(k+1)
+        ms = np.eye(self.f.dim - du)             # L_s^k
+        for k in range(n):
+            hx_u += r_fwd[:, :du] @ mu.T
+            r_bwd = next(walk)                   # R(f^-(k+1) x)
+            hx_s -= r_bwd[:, du:] @ ms.T
+            r_fwd = next(walk)                   # R(f^(k+1) x)
+            hf_u += r_fwd[:, :du] @ mu.T
+            ms = self.als @ ms
+            if k + 1 < n:
+                hf_s -= r_bwd[:, du:] @ ms.T
+            mu = self.au @ mu
+        return (self.combine(hx_u, hx_s).reshape(pts.shape),
+                self.combine(hf_u, hf_s).reshape(pts.shape))
 
     def combine(self, acc_u, acc_s):
         """h from the accumulated coordinates of its two parts."""
@@ -157,10 +203,13 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     terms.  The tail is estimated as the last term's sup over the grid
     points times sigma/(1-sigma): an estimate, not a certified bound at
     arbitrary points.  The residual max |L H(x) - H(f x)| is taken on a
-    seeded random point set, not on the solver grid; it telescopes to the
-    last terms of the two sums, so it is a consistency check of the
-    summation rather than independent evidence for h.
+    seeded random point set of residual_samples >= 1 points, not on the
+    solver grid; it telescopes to the last terms of the two sums, so it is
+    a consistency check of the summation rather than independent evidence
+    for h.
     """
+    if residual_samples < 1:
+        raise ValueError("residual_samples must be at least 1")
     sd = f.spec
     sigma_u = sd.unstable_norm.contraction
     sigma_s = sd.stable_norm.contraction
@@ -252,12 +301,16 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
 
 
 def _conjugacy_residual(f, evaluator, points):
-    """||L H(x) - H(f~ x)||_inf on the lift, rowwise."""
+    """||L H(x) - H(f~ x)||_inf on the lift, rowwise.
+
+    h(x) and h(f x) share one orbit walk from x (_OrbitSeries.with_image):
+    f x and its forward points are the forward points of x, and the
+    backward points of f x are x and the backward points of x.
+    """
     lmat = np.array(f.base.rows(), dtype=float)
-    hx = points + evaluator(points)
-    lhs = hx @ lmat.T
-    fx = f.apply_lift(points)
-    rhs = fx + evaluator(fx)
+    h_x, h_fx = evaluator.with_image(points)
+    lhs = (points + h_x) @ lmat.T
+    rhs = f.apply_lift(points) + h_fx
     return np.max(np.abs(lhs - rhs), axis=1)
 
 

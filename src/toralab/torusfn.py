@@ -21,8 +21,10 @@ TWO_PI = 2.0 * np.pi
 # RSS 13-22% higher, and larger blocks are no faster.
 BOX_CHUNK = 1 << 18
 # Points times pairs of the largest [cos | sin] table a TrigPoly keeps for
-# its next evaluation (2 MB).  An orbit walk's tables, 10^4 points times a
-# few pairs, fit.
+# its next evaluation (2 MB), and points times box rows (2F + 1) of the
+# largest pair of box-dense power tables it keeps (at most 4 MB).  An orbit
+# walk's tables, 10^4 points times a few pairs, fit, and so do the power
+# tables of a KAM grid, 36^2 points times 33 rows.
 TABLE_MEMO = 1 << 17
 
 
@@ -61,6 +63,7 @@ class TrigPoly:
         self._pairs = None
         self._dense = None
         self._table = None
+        self._powers = None
 
     def __setitem__(self, n, c):
         n = tuple(int(x) for x in n)
@@ -331,6 +334,29 @@ class TrigPoly:
             np.conj(out[:zero:-1], out=out[:zero])
         return out.T
 
+    def _power_tables(self, pts, real):
+        """The power tables (e_1, e_2) of _box_sum at the points pts.
+
+        Like the [cos | sin] table of _pair_table, the tables of at most
+        TABLE_MEMO points times box rows are kept with the bytes and strides
+        of their points and handed out again for the same points: a Newton
+        step's f and Df, and the walk's R after the Newton inverse, share
+        one pair of tables.
+        """
+        f = self.support_radius
+        key = (pts.tobytes(), pts.strides) \
+            if len(pts) * (2 * f + 1) <= TABLE_MEMO else None
+        if key is not None and self._powers is not None and \
+                self._powers[0] == key:
+            return self._powers[1]
+        tables = (self._power_table(pts[:, 0], f, 0 if real else -f),
+                  self._power_table(pts[:, 1], f, -f))
+        if key is not None:
+            for e in tables:
+                e.setflags(write=False)
+            self._powers = (key, tables)
+        return tables
+
     def _box_sum(self, flat, box):
         """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] per point,
         with e_i the power tables of axis i (see _dense_2d for the rows),
@@ -342,8 +368,7 @@ class TrigPoly:
         out = np.empty((flat.shape[0], cols // size),
                        dtype=float if real else complex)
         for sl in _chunks(flat.shape[0], max(1, BOX_CHUNK // cols)):
-            e1 = self._power_table(flat[sl, 0], f, 0 if real else -f)
-            e2 = self._power_table(flat[sl, 1], f, -f)
+            e1, e2 = self._power_tables(flat[sl], real)
             part = (e1 @ box).reshape(len(e1), size, -1)
             part = np.matmul(e2[:, None, :], part)[:, 0]
             out[sl] = 2.0 * part.real if real else part

@@ -312,8 +312,23 @@ def invert_id_minus(hp, target):
         f"{update:.2e}, tolerance 1e-14)")
 
 
-def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
-             tol=None, drop_tol=1e-17):
+def _q_on_grid(h_grid, base):
+    """Q = L h - h o L at the grid points of h_grid, reduced mod Z^d.
+
+    L is an integer matrix, so x -> L x mod 1 permutes the grid k/N: the
+    value of h o L at k/N is the sample of h at (L k mod N)/N.
+    """
+    n, d = h_grid.grid_n, h_grid.dim_domain
+    h = h_grid.values.reshape(-1, d)
+    k = np.indices((n,) * d).reshape(d, -1)
+    image = np.ravel_multi_index(tuple(np.array(base.entries) @ k % n),
+                                 (n,) * d)
+    q = h @ base.as_array().T - h[image]
+    return q - np.round(q)
+
+
+def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
+             drop_tol=1e-17):
     """One improvement step: solve the linearized equation and conjugate.
 
     Q = R + (h o f - h o L) is projected to the ball |n| <= radius, the
@@ -321,19 +336,25 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, conj=None,
     H' = Id - h' to f' = H'^-1 o f o H', which is L exactly when h'
     reproduces h.  A step that does not bring f closer to L is reported
     as no_improvement.
+
+    Q is taken on the grid of the conjugacy solve, where R drops out: the
+    conjugacy equation L h - h o f = R gives R + h o f = L h, so
+    Q = L h - h o L, and h o L reads h at the grid points that L permutes
+    (_q_on_grid), with no orbit walk.  h is only defined mod Z^d (an
+    anchor shift s adds the integer vector (L - I) s to L h - h o L), so
+    Q is reduced mod Z^d.  It differs from R + h o f - h o L with both h
+    walked by the terms one past the last summed ones, L_u^-N R^u(f^N x)
+    and L_s^N R^s(f^-N x), of the size of the solve's stopping threshold.
     """
     d = f.dim
     el = f.base
     lmat = el.as_array()
-    if conj is None:
-        conj = solve_conjugacy(f, tol=1e-11, grid_n=grid_n,
-                               residual_samples=500, regularity=False)
+    conj = solve_conjugacy(f, tol=1e-11, grid_n=grid_n,
+                           residual_samples=500, regularity=False)
     pts = uniform_grid(d, grid_n)
     in_c0, in_c1 = _map_distances(f, pts)
 
-    h_f = conj.evaluate_h(f.apply(pts))
-    h_l = conj.evaluate_h(_mod1(pts @ lmat.T))
-    q_vals = f.displacement_at(pts) + h_f - h_l
+    q_vals = _q_on_grid(conj.h_grid, el)
     q_full = GridFunction(q_vals.reshape((grid_n,) * d + (d,))).to_trig(
         threshold=1e-15)
     q_tp, proj_q = q_full.restrict(radius)

@@ -7,9 +7,10 @@ grid values composed by trigonometric interpolation, random-restart
 optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
 over Fractions, periodic-point seeds from a bounding-box search, the
-conjugacy's orbit walk with every trig table built afresh, and periodic
-orbits and QR exponents computed one point and one step at a time (with
-the random perturbed maps their property tests draw).
+conjugacy's orbit walk with every trig table built afresh, the KAM
+step's Q and the conjugacy residual each from two orbit walks, and
+periodic orbits and QR exponents computed one point and one step at a time
+(with the random perturbed maps their property tests draw).
 """
 
 import contextlib
@@ -246,6 +247,29 @@ def orbit_terms_reference(f, points):
         z = f.invert(z)
         mu = au @ mu
         ms = als @ ms
+
+
+# ---------------------------------------------------------------------------
+# The KAM step's Q and the conjugacy residual, each from two orbit walks
+# ---------------------------------------------------------------------------
+
+def kam_q_walked(f, conj, grid_n):
+    """Q = R + h o f - h o L at the points of the N^d grid, with h o f and
+    h o L each read off a walk of the conjugacy's evaluator."""
+    pts = uniform_grid(f.dim, grid_n)
+    lmat = f.base.as_array()
+    return f.displacement_at(pts) + conj.evaluate_h(f.apply(pts)) - \
+        conj.evaluate_h(_mod1(pts @ lmat.T))
+
+
+def conjugacy_residual_two_walks(f, evaluator, points):
+    """||L H(x) - H(f~ x)||_inf on the lift, rowwise, with h(x) and
+    h(f~ x) from separate walks (the backward points of f~ x from Newton
+    inverses of f~ x)."""
+    lmat = f.base.as_array()
+    fx = f.apply_lift(points)
+    return np.max(np.abs((points + evaluator(points)) @ lmat.T -
+                         fx - evaluator(fx)), axis=1)
 
 
 # ---------------------------------------------------------------------------

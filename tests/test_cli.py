@@ -166,6 +166,26 @@ def test_regularity_subcommand(tmp_path):
     assert (tmp_path / "regularity_jacobian_scan.dat").exists()
 
 
+@pytest.mark.parametrize("scenario", ["conjugate", "regularity"])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "500"])
+def test_bad_residual_sample_count_is_schema_error(tmp_path, capsys,
+                                                   monkeypatch, scenario,
+                                                   samples):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the manifest was checked")
+
+    monkeypatch.setattr(cli.conjugacy, "solve_conjugacy", no_solve)
+    manifest = {"scenario": scenario, "seed": 0,
+                "params": {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                           "n_grid": 16, "samples": samples}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    rc = cli.main([scenario, "--manifest", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "samples must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_result.json").exists()
+
+
 def test_determinism_bitwise(tmp_path):
     manifest = {"scenario": "conjugate", "seed": 7,
                 "params": {"matrix": [[2, 1], [1, 1]],

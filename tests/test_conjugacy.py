@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (interpolated_conjugacy, orbit_terms_reference,
+from oracle_helpers import (conjugacy_residual_two_walks,
+                            interpolated_conjugacy, orbit_terms_reference,
                             shadow_conjugacy, table_memo_off)
 from toralab import cli, conjugacy, maps, spectral
 from toralab.errors import NewtonDivergence, NotHyperbolic, OrderViolation
@@ -155,6 +157,38 @@ def test_orbit_walk_matches_fresh_tables(make_map, grid_n):
         ref = list(islice(orbit_terms_reference(f, grid), 20))
     for k, ((u, s), (u_ref, s_ref)) in enumerate(zip(walk, ref)):
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref), k
+
+
+@lru_cache(maxsize=None)
+def _solved(name):
+    f, grid_n = {"cat": (small_map(), 32),
+                 "conjugate4": (cli._build_map(D4_PARAMS), 12)}[name]
+    return f, conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=grid_n,
+                                        residual_samples=100)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.sampled_from(["cat", "conjugate4"]), st.integers(0, 2 ** 32 - 1))
+def test_one_walk_residual_matches_two_walks(name, seed):
+    # h(x) and h(f x) from one walk from x against two walks, one from x and
+    # one from f x: h(x) is evaluate_h(x) bit for bit, and the rows differ
+    # only by the Newton inverses that took the second walk back to x
+    f, res = _solved(name)
+    pts = np.random.default_rng(seed).random((300, f.dim))
+    ev = res._evaluator
+    assert np.array_equal(ev.with_image(pts)[0], ev(pts))
+    one = conjugacy._conjugacy_residual(f, ev, pts)
+    two = conjugacy_residual_two_walks(f, ev, pts)
+    assert np.max(np.abs(one - two)) <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_residual_samples_below_one_raise_before_the_solve(samples,
+                                                           monkeypatch):
+    monkeypatch.setattr(conjugacy, "_OrbitSeries", None)    # no walk at all
+    with pytest.raises(ValueError, match="residual_samples"):
+        conjugacy.solve_conjugacy(small_map(), grid_n=16,
+                                  residual_samples=samples)
 
 
 def _hyperbolic_perturbation(d, rng, eps=1e-4):

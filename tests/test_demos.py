@@ -1,5 +1,5 @@
-"""The demos that call periodic_points and the cocycle products run to the
-end as scripts."""
+"""The demos that call periodic_points, the cocycle products and the KAM
+step run to the end as scripts."""
 
 import os
 import subprocess
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["02_nonsmooth_conjugacy.py",
+                                  "04_twisted_and_kam.py",
                                   "05_cocycles.py"])
 def test_demo_exits_zero(name, tmp_path):
     env = dict(os.environ)

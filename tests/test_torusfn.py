@@ -359,12 +359,18 @@ def shared_table_cases(draw):
 
 # 3000 pairs at 1408 points: the blocks of eval (1398 points) and
 # eval_jacobian (699) end on the same 10 points, a table small enough to
-# keep.  The F = 32 boxes take the separable path, which keeps no table.
+# keep.  The F = 32 boxes with m = 2 take the separable path, in blocks of
+# 2016 points for eval and 1008 for eval_jacobian: at 2026 points both end
+# on the same 10 points, whose power tables eval keeps and eval_jacobian
+# reuses; at 1400 points eval keeps the tables of all of them, and neither
+# block of eval_jacobian matches.
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(shared_table_cases(), st.integers(0, 2 ** 32 - 1))
 @example((_sparse_many(3, 12, 3000, 0, real=True), 1408), 1)
 @example((_sparse_many(3, 12, 3000, 1, real=False), 1408), 2)
 @example((_box_poly(32, 2, 65 * 65, 0, real=True), 1400), 3)
+@example((_box_poly(32, 2, 65 * 65, 0, real=True), 2026), 4)
+@example((_box_poly(32, 2, 13 * 65, 1, real=False), 2026), 5)
 def test_kept_table_changes_no_bit(case, seed):
     tp, count = case
     pts = np.random.default_rng(seed).uniform(-2, 2, (count, tp.dim_domain))
@@ -393,6 +399,22 @@ def test_kept_table_is_dropped_when_a_coefficient_changes():
     tp[(3, 0)] = [0.125, 0.0]
     assert tp._table is None
     assert np.array_equal(tp.eval(pts), tp.copy().eval(pts))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_box_dense_power_tables_are_shared_then_dropped(real):
+    # a Newton step's f and Df at one point set share one pair of power
+    # tables, and a coefficient change drops them
+    tp = _box_poly(16, 2, 33 * 33, 0, real=real)
+    assert tp._box_dense()
+    pts = np.random.default_rng(13).random((40, 2))
+    tp.eval(pts)
+    kept = tp._powers
+    assert kept is not None
+    tp.eval_jacobian(pts)
+    assert tp._powers is kept
+    tp[(3, 0)] = [0.125, 0.0]
+    assert tp._powers is None
 
 
 def test_to_trig_matches_per_coefficient_build():

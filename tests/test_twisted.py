@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toralab import exactalg, maps, spectral, twisted
+from oracle_helpers import kam_q_walked, small_perturbation
+from toralab import conjugacy, exactalg, maps, spectral, twisted
 from toralab.errors import (NotHyperbolic, ToleranceNotReached,
                             TruncationInsufficient)
 from toralab.torusfn import TrigPoly
@@ -221,3 +222,62 @@ def test_invert_id_minus_solves_and_raises_when_not_contracting():
     large = TrigPoly.sin_mode((1, 0), [1.0, 0.0])
     with pytest.raises(ToleranceNotReached, match="200 iterations"):
         twisted.invert_id_minus(large, pts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.sampled_from([(2, 16), (3, 8)]), st.integers(0, 2 ** 32 - 1))
+def test_q_on_the_grid_matches_the_walked_q(case, seed):
+    # Q = L h - h o L on the grid against R + h o f - h o L from two walks.
+    # They differ by L h - h o f - R, the two terms one past the last
+    # summed ones: L_u^-N R^u(f^N x) and L_s^N R^s(f^-N x).  In the adapted
+    # norms each is about as small as the last summed term, which stopped
+    # the solve below stop_at = tol (1 - sigma) / (2 sigma); the unstable
+    # one is taken at f x, off the grid whose maximum stopped the solve, so
+    # allow twice that, and ||T^-1|| to come back to coordinates.
+    d, grid_n = case
+    rng = np.random.default_rng(seed)
+    while True:                 # redraw until the series contract briskly
+        f = small_perturbation(d, rng)
+        sd = f.spec
+        sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
+        if sigma < 0.8:
+            break
+    tol = 1e-11
+    conj = conjugacy.solve_conjugacy(f, tol=tol, grid_n=grid_n,
+                                     residual_samples=10)
+    stop_at = tol * (1 - sigma) / (2 * sigma)
+    t_inv = f._adapted_transform()[1]
+    bound = 2 * np.linalg.norm(t_inv, 2) * stop_at
+    q = twisted._q_on_grid(conj.h_grid, f.base)
+    assert np.max(np.abs(q - kam_q_walked(f, conj, grid_n))) <= bound
+
+
+@pytest.mark.parametrize("matrix, offset", [
+    ([[2, 1], [1, 1]], [1.0, 0.0]),       # L - I unimodular: s integer
+    ([[3, 1], [2, 1]], [0.5, 0.0])],      # det(L - I) = -2: (L - I) s = (1, 1)
+    ids=["cat", "det2"])
+def test_kam_step_ignores_an_offset_of_h_by_an_integer_image(
+        matrix, offset, monkeypatch):
+    # h is defined mod Z^d, and h + s with (L - I) s in Z^d \ {0} solves the
+    # same conjugacy equation mod Z^d; Q is reduced mod Z^d, so the step is
+    # the same up to the rounding of h + s
+    base = spectral.automorphism(matrix)
+    f = maps.build(base, TrigPoly.sin_mode((0, 1), [1e-3, 0.0]), warn=False)
+    step = lambda: twisted.kam_step(f, radius=8, grid_n=32)
+    f_ref, rep_ref = step()
+    solve = twisted.solve_conjugacy
+
+    def offset_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.h_grid.values = res.h_grid.values + np.array(offset)
+        return res
+
+    monkeypatch.setattr(twisted, "solve_conjugacy", offset_solve)
+    f_off, rep_off = step()
+    pts = np.random.default_rng(5).random((300, 2))
+    assert np.max(np.abs(f_off.displacement_at(pts) -
+                         f_ref.displacement_at(pts))) < 1e-13
+    for key, value in rep_ref.as_dict().items():
+        if isinstance(value, float):
+            assert rep_off.as_dict()[key] == pytest.approx(
+                value, rel=1e-9, abs=1e-15), key
