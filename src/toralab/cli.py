@@ -62,13 +62,26 @@ def validate_manifest(manifest):
     if scenario in ("classify", "conjugate", "linearized", "kam", "lyapunov",
                     "cocycle", "regularity"):
         _require(params, "matrix", list, f"{scenario}.params")
-    if scenario in ("conjugate", "regularity") and "samples" in params:
-        samples = params["samples"]
-        if isinstance(samples, bool) or not isinstance(samples, int) or \
-                samples < 1:
-            raise SchemaError(f"{scenario}.params: samples must be a "
-                              "positive integer")
+    if scenario in ("conjugate", "regularity") and "samples" in params and \
+            not _positive_int(params["samples"]):
+        raise SchemaError(f"{scenario}.params: samples must be a positive "
+                          "integer")
+    if scenario in ("conjugate", "regularity", "kam") and \
+            "n_grid" in params and not _positive_int(params["n_grid"]):
+        raise SchemaError(f"{scenario}.params: n_grid must be a positive "
+                          "integer")
+    if scenario == "regularity" and "resolutions" in params:
+        res = params["resolutions"]
+        if not isinstance(res, list) or not all(map(_positive_int, res)):
+            raise SchemaError("regularity.params: resolutions must be a "
+                              "list of positive integers")
     return manifest
+
+
+def _positive_int(value):
+    # bool is an int subclass, and True is not a count
+    return isinstance(value, int) and not isinstance(value, bool) and \
+        value >= 1
 
 
 def manifest_hash(manifest):

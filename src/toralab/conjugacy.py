@@ -253,7 +253,8 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     anchor_res = 0.0
     if anchor:
         anchor_pt = fixed_point_near_zero(f)
-        hp = anchor_pt + evaluator(anchor_pt)
+        h_anchor = evaluator(anchor_pt)
+        hp = anchor_pt + h_anchor
         lmat = np.array(f.base.rows(), dtype=float)
         k_int = np.round((lmat - np.eye(d)) @ hp)
         rows = [[f.base.rows()[i][j] - (1 if i == j else 0)
@@ -262,7 +263,9 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
         # q is only defined mod Z^d; an integer part adds (L - I) q to h
         shift = np.array([float(x - round(x)) for x in q])
         evaluator.shift = shift
-        hp_new = anchor_pt + evaluator(anchor_pt)
+        # combine subtracts the shift last: h_anchor - shift is, bit for
+        # bit, what a second walk would now give
+        hp_new = anchor_pt + (h_anchor - shift)
         anchor_res = float(np.max(np.abs(hp_new - np.round(hp_new))))
     h_vals = evaluator.combine(acc_u, acc_s)
 
@@ -270,14 +273,12 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     sample = rng.random((residual_samples, d))
     res = _conjugacy_residual(f, evaluator, sample)
 
-    # degree-one check: H(x + e_i) - H(x) = e_i, i.e. h is periodic
+    # degree-one check: H(x + e_i) - H(x) = e_i, i.e. h is periodic; one
+    # walk takes the probe points and their d translates together
     probe = rng.random((16, d))
-    winding = 0.0
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = 1.0
-        winding = max(winding, float(np.max(np.abs(
-            evaluator(probe + e) - evaluator(probe)))))
+    h_all = evaluator(probe + np.concatenate([np.zeros((1, d)), np.eye(d)]
+                                             )[:, None, :])
+    winding = float(np.max(np.abs(h_all[1:] - h_all[0])))
 
     h_grid = GridFunction(h_vals.reshape((grid_n,) * d + (d,)))
     dh = h_grid.jacobian_grid()
@@ -385,18 +386,24 @@ def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
 def periodic_covariance(result: ConjugacyResult, search=None, n_max=3):
     """Max over found f-orbits of the distance of H(p) from L^n-periodicity."""
     f = result.f
-    worst = 0.0
     if search is not None:
         searches = [search]
     else:
         searches = [periodic_points(f, n) for n in range(1, n_max + 1)]
+    powers, reps = [], []
     for s in searches:
         ln = np.array(f.base.power(s.period).rows(), dtype=float)
-        for orbit in s.orbits:
-            q = orbit.representative + result.evaluate_h(orbit.representative)
-            r = ln @ q - q
-            r -= np.round(r)
-            worst = max(worst, float(np.max(np.abs(r))))
+        powers += [ln] * len(s.orbits)
+        reps += [o.representative for o in s.orbits]
+    worst = 0.0
+    if not reps:
+        return worst
+    # one walk takes the representatives of every orbit of every period
+    reps = np.array(reps)
+    for ln, q in zip(powers, reps + result.evaluate_h(reps)):
+        r = ln @ q - q
+        r -= np.round(r)
+        worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
 

@@ -35,6 +35,32 @@ def _mod1(x):
     return x - np.floor(x)
 
 
+def _cos_sin(u, cos, sin):
+    """cos 2 pi u into cos and sin 2 pi u into sin, for angles u in turns.
+
+    With v = u - ceil(u - 1/2), which is exact and lies in (-1/2, 1/2],
+    and t = tan(pi v): cos 2 pi u = 2/(1 + t^2) - 1 and sin 2 pi u =
+    2t/(1 + t^2).  numpy runs float64 tan as a vectorized loop, 2-3 ns per
+    element on a 2-core Xeon, where its cos and sin are scalar libm calls
+    of 12-13 ns; the nine cheap ufuncs around it cost about 1 ns each.
+    The reduction makes the result exactly 1-periodic: u and u + m give
+    the same bits whenever both are exact.  The absolute error is below
+    5e-16 (4.7e-16 at worst against 113-bit mpmath, at u = 2^-54 - 1/2,
+    where u - 1/2 rounds to -1), and |cos|, |sin| <= 1.  u is read only;
+    cos and sin are the outputs and may be strided views.
+    """
+    np.subtract(u, 0.5, out=cos)
+    np.ceil(cos, out=cos)
+    np.subtract(u, cos, out=sin)
+    sin *= np.pi
+    np.tan(sin, out=sin)
+    np.multiply(sin, sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+
+
 def _chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
@@ -157,7 +183,8 @@ class TrigPoly:
         A_n (x) w_n, flattened to m * d columns).  When c_{-n} = conj(c_n)
         exactly and c_0 is real, A, B and c_0 have zero imaginary part and
         are stored as float64, so a real polynomial is evaluated in real
-        arithmetic.
+        arithmetic: [A; B] is float64 exactly then.  A zero c_0 is stored
+        as None, so eval skips it without testing it on every call.
         """
         if self._pairs is None:
             d, m = self.dim_domain, self.dim_range
@@ -176,21 +203,24 @@ class TrigPoly:
             freqs = np.array(reps, dtype=float).reshape(k, d)
             w = (TWO_PI * freqs)[:, None, :]
             jw = np.concatenate([b[:, :, None] * w, -a[:, :, None] * w])
-            self._pairs = (c0, freqs, np.concatenate([a, b]),
-                           jw.reshape(2 * k, m * d))
+            self._pairs = (c0 if np.any(c0) else None, freqs,
+                           np.concatenate([a, b]), jw.reshape(2 * k, m * d))
         return self._pairs
 
     def _pair_table(self, pts):
         """[cos Theta | sin Theta] at the points pts (Theta = 2 pi x n^T).
 
-        cos and sin fill the rows of a (2K, P) array whose transpose enters
-        the products, because numpy's vectorized loops need contiguous
-        output.  A table of at most TABLE_MEMO points times pairs is kept
-        with the bytes and strides of its points and handed out again for
-        the same points, so it is the table a rebuild would give.  A Newton
-        step takes f and Df at one point set, and an orbit walk reads R at
-        the point the Newton inverse returns: each builds one table, not
-        two.
+        _cos_sin fills the rows of a (2K, P) array from the angles in turns
+        U = n x^T, and the transpose of the array enters the products,
+        because numpy's vectorized loops need contiguous output.  Its tan
+        loop builds a table about four times as fast as np.cos and np.sin
+        (80-110 against 360-460 us for one pair at 10^4 points), with an
+        absolute error below 5e-16 per entry.  A table of at most TABLE_MEMO
+        points times pairs is kept with the bytes and strides of its points
+        and handed out again for the same points, so it is the table a
+        rebuild would give.  A Newton step takes f and Df at one point set,
+        and an orbit walk reads R at the point the Newton inverse returns:
+        each builds one table, not two.
         """
         freqs = self._pair_arrays()[1]
         k = len(freqs)
@@ -199,11 +229,8 @@ class TrigPoly:
         if key is not None and self._table is not None and \
                 self._table[0] == key:
             return self._table[1]
-        theta = freqs @ pts.T
-        theta *= TWO_PI
-        trig = np.empty((2 * k, theta.shape[1]))
-        np.cos(theta, out=trig[:k])
-        np.sin(theta, out=trig[k:])
+        trig = np.empty((2 * k, len(pts)))
+        _cos_sin(freqs @ pts.T, trig[:k], trig[k:])
         if key is not None:
             trig.setflags(write=False)
             self._table = (key, trig)
@@ -305,7 +332,7 @@ class TrigPoly:
             w = (2j * np.pi) * np.arange(-f, f + 1)
             jac = np.stack([box * w[:, None, None],
                             box * w[None, :, None]], axis=-1)
-            if self._pair_arrays()[0].dtype != complex:
+            if self._pair_arrays()[2].dtype != complex:
                 box, jac = box[f:], jac[f:]
                 box[0] *= 0.5
                 jac[0] *= 0.5
@@ -318,17 +345,18 @@ class TrigPoly:
         """exp(2 pi i k x) for k = k_min..f (k_min is -f or 0), as a (P, .)
         view of a row-per-k array.
 
-        One exp per point: row k > 0 is row k - 1 times exp(2 pi i x),
-        a cumulative product taken one contiguous row at a time, and the
-        rows k < 0 are the conjugates.  x is reduced mod 1 first, which
-        is exact and keeps the phase error of the base at one rounding of
-        a number below 2 pi.
+        Row 1 is exp(2 pi i x): _cos_sin, the kernel of the sparse
+        tables, writes cos 2 pi x and sin 2 pi x into its real and
+        imaginary parts, each within 5e-16.  Row k > 1 is row k - 1 times
+        row 1, a cumulative product taken one contiguous row at a time,
+        and the rows k < 0 are the conjugates.
         """
         out = np.empty((f - k_min + 1, len(x)), dtype=complex)
         zero = -k_min
-        base = np.exp((2j * np.pi) * _mod1(x))
         out[zero] = 1.0
-        for k in range(zero + 1, len(out)):
+        base = out[zero + 1]
+        _cos_sin(x, base.real, base.imag)
+        for k in range(zero + 2, len(out)):
             np.multiply(out[k - 1], base, out=out[k])
         if zero:
             np.conj(out[:zero:-1], out=out[:zero])
@@ -363,7 +391,7 @@ class TrigPoly:
         in blocks of BOX_CHUNK points times box columns.
         """
         f = self.support_radius
-        real = self._pair_arrays()[0].dtype != complex
+        real = self._pair_arrays()[2].dtype != complex
         size, cols = 2 * f + 1, box.shape[1]
         out = np.empty((flat.shape[0], cols // size),
                        dtype=float if real else complex)
@@ -382,17 +410,21 @@ class TrigPoly:
         otherwise.  Sparse polynomials are summed over +-n pairs, one cos
         and one sin per pair and point: f = c_0 + cos(Theta) A +
         sin(Theta) B with Theta = 2 pi x n^T (see _pair_arrays), as one
-        matrix product over the stacked [cos | sin] columns.
+        matrix product over the stacked [cos | sin] columns.  Every table
+        entry, here and on the box-dense path, comes from the one kernel
+        _cos_sin: a vectorized tan in place of np.cos and np.sin, which
+        numpy runs as scalar calls at about four times the cost, with an
+        absolute error below 5e-16 per entry.
 
         Box-dense d = 2 polynomials (support radius F) are separable:
         f(x) = sum_{n_1} e_1[n_1] sum_{n_2} c_n e_2[n_2] with the power
-        tables e_i[k] = exp(2 pi i k x_i), k = -F..F, built from one exp
-        per point and axis (cumulative products for k > 0, conjugates for
-        k < 0).  One matrix product of e_1 with the coefficient box
-        reshaped to 2F + 1 rows contracts n_1, and a per-point dot with
-        e_2 contracts n_2.  A real polynomial keeps the rows n_1 >= 0 only
-        and is summed as 2 Re.  chunk bounds the points times pairs held
-        at once on the sparse path.
+        tables e_i[k] = exp(2 pi i k x_i), k = -F..F, built from one cos
+        and sin per point and axis (cumulative products for k > 0,
+        conjugates for k < 0).  One matrix product of e_1 with the
+        coefficient box reshaped to 2F + 1 rows contracts n_1, and a
+        per-point dot with e_2 contracts n_2.  A real polynomial keeps the
+        rows n_1 >= 0 only and is summed as 2 Re.  chunk bounds the points
+        times pairs held at once on the sparse path.
         """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
@@ -401,7 +433,7 @@ class TrigPoly:
         if self._box_dense():
             return self._box_sum(flat, self._dense_2d()[0]).reshape(shape)
         out = self._pair_sum(flat, ab, chunk)
-        if np.any(c0):
+        if c0 is not None:
             out += c0
         return out.reshape(shape)
 

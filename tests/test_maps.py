@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracle_helpers import (periodic_points_per_seed, periodic_seeds_box,
                             small_perturbation, table_memo_off)
-from toralab import exactalg, maps, spectral
+from toralab import exactalg, maps, spectral, torusfn
 from toralab.errors import (NewtonDivergence, NotHyperbolic,
                             VerificationInconclusive)
 from toralab.torusfn import TrigPoly
@@ -143,22 +143,31 @@ def test_mod1_is_numpy_remainder_bit_for_bit():
                           maps._mod1(x).view(np.int64))
 
 
-def test_r_after_invert_is_r_at_the_returned_point():
+def test_r_after_invert_is_r_at_the_returned_point(monkeypatch):
     # L^-1 y = (-2^-60, 2^-59): the first iterate reduces to (1.0, 2^-59)
     # and already solves f(x) = y, and only the final reduction maps it to
-    # (0.0, 2^-59), where sin(2 pi x_1) is 0 rather than sin(2 pi) != 0.
-    # The last iterate's table must not serve the returned point.
+    # (0.0, 2^-59).  The trig kernel is exactly 1-periodic, so both points
+    # have the same [cos | sin] table, yet they are different points: the
+    # table the last iterate left must not be served for the returned one.
     f = maps.build(CAT, TrigPoly.sin_mode((1, 0), [EPS, 0.0]), warn=False)
     y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]])
     assert maps._mod1(y @ f._mat_inv.T)[0, 0] == 1.0
     x = f.invert(y)
+    assert x[0, 0] == 0.0
+    last = f.disp._table[0]
+    last_pts = np.frombuffer(last[0]).reshape(x.shape)
+    assert last_pts[0, 0] == 1.0 and np.array_equal(last_pts[1:], x[1:])
+    builds = []
+    kernel = torusfn._cos_sin
+    monkeypatch.setattr(torusfn, "_cos_sin",
+                        lambda *args: builds.append(1) or kernel(*args))
     r = f.displacement_at(x)
-    assert x[0, 0] == 0.0 and r[0, 0] == 0.0
+    assert len(builds) == 1
+    assert f.disp._table[0] == (x.tobytes(), x.strides)
+    assert r[0, 0] == 0.0
     with table_memo_off():
         assert np.array_equal(x, f.invert(y))
         assert np.array_equal(r, f.displacement_at(x))
-        stale = f.displacement_at(np.array([[1.0, x[0, 1]]]))[0]
-    assert stale[0] != 0.0
     fx, r_x = f.apply_with_displacement(x)
     assert np.array_equal(fx, f.apply(x))
     assert np.array_equal(r_x, r)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -389,6 +390,85 @@ def test_kept_table_changes_no_bit(case, seed):
     tp.eval(pts)
     pts[-1, 0] += 0.5
     assert np.array_equal(tp.eval(pts), want_moved)
+
+
+def _kernel(u):
+    u = np.asarray(u, dtype=float)
+    cos, sin = np.empty_like(u), np.empty_like(u)
+    tf._cos_sin(u, cos, sin)
+    return cos, sin
+
+
+def _kernel_error(u, cos, sin):
+    """Largest |cos 2 pi u - cos|, |sin 2 pi u - sin| against mpmath."""
+    worst = 0.0
+    with mpmath.workprec(113):
+        for ui, ci, si in zip(u.ravel(), cos.ravel(), sin.ravel()):
+            a = 2 * mpmath.pi * mpmath.mpf(float(ui))
+            worst = max(worst, abs(float(mpmath.cos(a) - mpmath.mpf(ci))),
+                        abs(float(mpmath.sin(a) - mpmath.mpf(si))))
+    return worst
+
+
+_HALF_BELOW = np.nextafter(0.5, 0.0)
+_KERNEL_EDGES = [0.5, -0.5, 0.25, -0.25, 0.0, -0.0, 1e-300, -1e-300,
+                 _HALF_BELOW, -_HALF_BELOW, np.nextafter(0.5, 1.0),
+                 np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), 1.5, 2.75]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40))
+def test_cos_sin_kernel_is_within_5e16_of_mpmath(turns):
+    u = np.array(turns + _KERNEL_EDGES)
+    cos, sin = _kernel(u)
+    assert np.all(np.abs(cos) <= 1.0) and np.all(np.abs(sin) <= 1.0)
+    assert _kernel_error(u, cos, sin) <= 5e-16
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(-2 ** 30, 2 ** 30), st.integers(0, 20),
+       st.integers(-1000, 1000))
+@example(1, 1, 1)
+@example(-1, 1, 1)
+@example(3, 1, -2)
+@example(1, 2, 5)
+def test_cos_sin_kernel_is_exactly_one_periodic(num, scale, m):
+    # u = num 2^-scale and u + m are exact (below 2^53 units of 2^-scale),
+    # so they are the same angle and must give the same bits, half turns
+    # included
+    u = np.array([np.ldexp(float(num), -scale)])
+    assert (u + m - m)[0] == u[0]
+    for a, b in zip(_kernel(u), _kernel(u + m)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=6),
+       st.lists(st.lists(st.integers(-2048, 2048), min_size=4, max_size=4),
+                min_size=1, max_size=8))
+def test_d4_pair_table_matches_mpmath(freqs, cells):
+    # dyadic points x = j/1024 make every angle <n, x> exact, so each
+    # table entry is the kernel's alone: within 5e-16 of cos and sin
+    tp = tf.TrigPoly(4, 1)
+    for n in freqs:
+        if any(n):
+            tp[n] = [0.5]
+    reps = tp._pair_arrays()[1]
+    pts = np.array(cells, dtype=float) / 1024
+    table = tp._pair_table(pts)
+    k = len(reps)
+    worst = 0.0
+    with mpmath.workprec(113):
+        for i, n in enumerate(reps):
+            for j, x in enumerate(pts):
+                a = 2 * mpmath.pi * mpmath.fsum(
+                    mpmath.mpf(float(ni)) * mpmath.mpf(float(xi))
+                    for ni, xi in zip(n, x))
+                worst = max(worst,
+                            abs(float(mpmath.cos(a) - table[i, j])),
+                            abs(float(mpmath.sin(a) - table[k + i, j])))
+    assert worst <= 5e-16
 
 
 def test_kept_table_is_dropped_when_a_coefficient_changes():
