@@ -40,9 +40,9 @@ def _cos_sin(u, cos, sin):
 
     With v = u - ceil(u - 1/2), which is exact and lies in (-1/2, 1/2],
     and t = tan(pi v): cos 2 pi u = 2/(1 + t^2) - 1 and sin 2 pi u =
-    2t/(1 + t^2).  numpy runs float64 tan as a vectorized loop, 2-3 ns per
-    element on a 2-core Xeon, where its cos and sin are scalar libm calls
-    of 12-13 ns; the nine cheap ufuncs around it cost about 1 ns each.
+    2t/(1 + t^2).  numpy runs float64 tan as a vectorized loop and its cos
+    and sin as scalar libm calls, which cost several times as much per
+    element even with the nine cheap ufuncs around the tan.
     The reduction makes the result exactly 1-periodic: u and u + m give
     the same bits whenever both are exact.  The absolute error is below
     5e-16 (4.7e-16 at worst against 113-bit mpmath, at u = 2^-54 - 1/2,
@@ -212,13 +212,10 @@ class TrigPoly:
 
         _cos_sin fills the rows of a (2K, P) array from the angles in turns
         U = n x^T, and the transpose of the array enters the products,
-        because numpy's vectorized loops need contiguous output.  Its tan
-        loop builds a table about four times as fast as np.cos and np.sin
-        (80-110 against 360-460 us for one pair at 10^4 points), with an
-        absolute error below 5e-16 per entry.  A table of at most TABLE_MEMO
-        points times pairs is kept with the bytes and strides of its points
-        and handed out again for the same points, so it is the table a
-        rebuild would give.  A Newton step takes f and Df at one point set,
+        because numpy's vectorized loops need contiguous output.  A table
+        of at most TABLE_MEMO points times pairs is kept with the bytes and
+        strides of its points and handed out again for the same points, so
+        it is the table a rebuild would give.  A Newton step takes f and Df at one point set,
         and an orbit walk reads R at the point the Newton inverse returns:
         each builds one table, not two.
         """
@@ -347,9 +344,9 @@ class TrigPoly:
 
         Row 1 is exp(2 pi i x): _cos_sin, the kernel of the sparse
         tables, writes cos 2 pi x and sin 2 pi x into its real and
-        imaginary parts, each within 5e-16.  Row k > 1 is row k - 1 times
-        row 1, a cumulative product taken one contiguous row at a time,
-        and the rows k < 0 are the conjugates.
+        imaginary parts.  Row k > 1 is row k - 1 times row 1, a cumulative
+        product taken one contiguous row at a time, and the rows k < 0 are
+        the conjugates.
         """
         out = np.empty((f - k_min + 1, len(x)), dtype=complex)
         zero = -k_min
@@ -411,10 +408,7 @@ class TrigPoly:
         and one sin per pair and point: f = c_0 + cos(Theta) A +
         sin(Theta) B with Theta = 2 pi x n^T (see _pair_arrays), as one
         matrix product over the stacked [cos | sin] columns.  Every table
-        entry, here and on the box-dense path, comes from the one kernel
-        _cos_sin: a vectorized tan in place of np.cos and np.sin, which
-        numpy runs as scalar calls at about four times the cost, with an
-        absolute error below 5e-16 per entry.
+        entry, here and on the box-dense path, comes from _cos_sin.
 
         Box-dense d = 2 polynomials (support radius F) are separable:
         f(x) = sum_{n_1} e_1[n_1] sum_{n_2} c_n e_2[n_2] with the power
