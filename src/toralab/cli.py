@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -78,10 +79,13 @@ def validate_manifest(manifest):
     return manifest
 
 
+def _int(value):
+    # bool is an int subclass, and True is not a count or a frequency
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value):
-    # bool is an int subclass, and True is not a count
-    return isinstance(value, int) and not isinstance(value, bool) and \
-        value >= 1
+    return _int(value) and value >= 1
 
 
 def manifest_hash(manifest):
@@ -96,21 +100,47 @@ def _matrix(params, key="matrix"):
         raise SchemaError(f"bad matrix: {exc}") from exc
 
 
+def _finite(value):
+    return (_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _mode_record_problem(rec, dim, dim_range):
+    if not isinstance(rec, dict):
+        return "not an object"
+    freq, amp = rec.get("freq"), rec.get("amplitude")
+    amps = amp if isinstance(amp, list) else [amp]
+    if not (isinstance(freq, list) and len(freq) == dim and
+            all(map(_int, freq))):
+        return f"freq must be a list of {dim} integers"
+    if len(amps) > dim_range or not all(map(_finite, amps)):
+        return f"amplitude must be a finite number or a list of at most " \
+               f"{dim_range} finite numbers"
+    if rec.get("kind", "sin") not in ("sin", "cos"):
+        return "kind must be 'sin' or 'cos'"
+    return None
+
+
 def trigpoly_from_modes(dim, dim_range, modes):
-    """Build a real trig polynomial from manifest mode records."""
+    """Build a real trig polynomial from manifest mode records.
+
+    A record is {"freq": d integers, "amplitude": a finite number or a
+    list of at most dim_range finite numbers, "kind": "sin" (the default)
+    or "cos"}; anything else raises SchemaError.
+    """
+    if not isinstance(modes, list):
+        raise SchemaError(f"modes must be a list of mode records, got "
+                          f"{modes!r}")
     out = TrigPoly(dim, dim_range)
     for rec in modes:
-        freq = rec.get("freq")
-        amp = rec.get("amplitude")
-        kind = rec.get("kind", "sin")
-        if freq is None or amp is None or len(freq) != dim:
-            raise SchemaError(f"bad mode record {rec}")
+        problem = _mode_record_problem(rec, dim, dim_range)
+        if problem:
+            raise SchemaError(f"bad mode record {rec!r}: {problem}")
+        amp = np.atleast_1d(np.asarray(rec["amplitude"], dtype=float))
         amp_vec = np.zeros(dim_range)
-        amp_arr = np.atleast_1d(np.asarray(amp, dtype=float))
-        amp_vec[:amp_arr.size] = amp_arr
-        mode = TrigPoly.sin_mode(freq, amp_vec) if kind == "sin" else \
-            TrigPoly.cos_mode(freq, amp_vec)
-        out = out + mode
+        amp_vec[:amp.size] = amp
+        mode = TrigPoly.sin_mode if rec.get("kind", "sin") == "sin" else \
+            TrigPoly.cos_mode
+        out = out + mode(rec["freq"], amp_vec)
     return out
 
 

@@ -61,6 +61,64 @@ def _cos_sin(u, cos, sin):
     cos -= 1.0
 
 
+class _RowKeys:
+    """The distinct rows of an (N, d) int64 array, sorted lexicographically.
+
+    inverse[i] is the index among the keys of row i, and first[j] the row
+    where key j first occurs.  One lexsort over the columns keys them all;
+    np.unique(axis=0) sorts a structured view with a generic comparison,
+    several times slower.
+    """
+
+    def __init__(self, rows):
+        order = np.lexsort(rows.T[::-1])        # stable: ties keep row order
+        srt = rows[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        self.keys = srt[new]
+        self.first = order[new]
+        self.inverse = np.empty(len(rows), dtype=np.intp)
+        self.inverse[order] = np.cumsum(new) - 1
+
+    def find(self, rows):
+        """The index among the keys of each row, or -1 where it is none.
+
+        A binary search on a structured view, whose int64 fields compare
+        in the lexsort's order.
+        """
+        if not len(self.keys):
+            return np.full(len(rows), -1, dtype=np.intp)
+        fields = [("", np.int64)] * self.keys.shape[1]
+        pos = np.searchsorted(
+            np.ascontiguousarray(self.keys).view(fields).ravel(),
+            np.ascontiguousarray(rows, dtype=np.int64).view(fields).ravel())
+        pos = np.minimum(pos, len(self.keys) - 1)
+        return np.where(np.all(self.keys[pos] == rows, axis=1), pos, -1)
+
+
+class _DictRowKeys:
+    """_RowKeys for rows of Python ints (object dtype), which no int64 sort
+    can order: a dict keys them in the order they first occur."""
+
+    def __init__(self, rows):
+        self._index = {}
+        self.inverse = np.array([self._index.setdefault(n, len(self._index))
+                                 for n in map(tuple, rows.tolist())],
+                                dtype=np.intp)
+        self.keys = np.array(list(self._index), dtype=object).reshape(
+            -1, rows.shape[1])
+        self.first = np.unique(self.inverse, return_index=True)[1]
+
+    def find(self, rows):
+        return np.array([self._index.get(n, -1)
+                         for n in map(tuple, rows.tolist())], dtype=np.intp)
+
+
+def _row_keys(rows):
+    """The distinct rows of an (N, d) array of int64 or Python ints."""
+    return _DictRowKeys(rows) if rows.dtype == object else _RowKeys(rows)
+
+
 def _chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
@@ -69,7 +127,10 @@ def _chunks(n, size):
 class TrigPoly:
     """Finite Fourier series with integer frequency support.
 
-    coeffs maps frequency tuples n in Z^d to complex vectors of length m.
+    coeffs maps frequency tuples n in Z^d to complex vectors of length m,
+    with no all-zero vector stored.  from_arrays is the bulk constructor,
+    for a (K, d) block of frequencies and a (K, m) block of coefficients;
+    __setitem__ sets one coefficient, for small polynomials built by hand.
     """
 
     def __init__(self, dim_domain, dim_range, coeffs=None):
@@ -93,6 +154,9 @@ class TrigPoly:
 
     def __setitem__(self, n, c):
         n = tuple(int(x) for x in n)
+        if len(n) != self.dim_domain:
+            raise ValueError(f"frequency {n} does not have length "
+                             f"{self.dim_domain}")
         c = np.asarray(c, dtype=complex).reshape(self.dim_range)
         self._clear_cache()
         if np.any(c != 0):
@@ -105,6 +169,32 @@ class TrigPoly:
                                np.zeros(self.dim_range, dtype=complex))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_arrays(cls, dim_domain, dim_range, freqs, coefs):
+        """The polynomial with coefficient row k of coefs at frequency row k
+        of freqs, stored in the order given.
+
+        freqs is a (K, d) integer array (object dtype holds Python ints
+        beyond int64) of distinct rows, coefs a (K, m) array.  All-zero
+        rows are dropped, as __setitem__ drops them.
+        """
+        out = cls(dim_domain, dim_range)
+        freqs = np.asarray(freqs)
+        coefs = np.asarray(coefs, dtype=complex)
+        k = len(freqs)
+        if freqs.dtype.kind not in "iuO" or \
+                freqs.shape != (k, out.dim_domain) or \
+                coefs.shape != (k, out.dim_range):
+            raise ValueError(
+                f"expected integer frequencies of shape (K, {out.dim_domain})"
+                f" and coefficients of shape (K, {out.dim_range}), got "
+                f"{freqs.dtype} {freqs.shape} and {coefs.shape}")
+        keep = np.any(coefs != 0, axis=1)
+        out.coeffs.update(zip(map(tuple, freqs[keep].tolist()), coefs[keep]))
+        if len(out.coeffs) != np.count_nonzero(keep):
+            raise ValueError("repeated frequency row")
+        return out
 
     @classmethod
     def zero(cls, dim_domain, dim_range):
@@ -248,34 +338,59 @@ class TrigPoly:
         return self.dim_domain == 2 and \
             len(self.coeffs) > 12 * (2 * self.support_radius + 1)
 
+    def _rows(self):
+        """Frequencies (K, d) and coefficients (K, m) in dict order.
+
+        The frequencies are int64, or Python ints (object dtype) when one
+        does not fit int64.
+        """
+        keys = list(self.coeffs)
+        try:
+            freqs = np.array(keys, dtype=np.int64)
+        except OverflowError:
+            freqs = np.array(keys, dtype=object)
+        return (freqs.reshape(len(keys), self.dim_domain),
+                np.array(list(self.coeffs.values()), dtype=complex).reshape(
+                    len(keys), self.dim_range))
+
+    @staticmethod
+    def _negated(freqs, coefs):
+        """c_{-n} for each row n of _rows: the row of -n, or 0 where -n
+        carries no coefficient; and the index of that row, or -1."""
+        keys = _row_keys(freqs)
+        pos = keys.find(-freqs)
+        partner = np.where(pos >= 0, keys.first[pos], -1)
+        return np.where((partner >= 0)[:, None], coefs[partner], 0), partner
+
     def copy(self):
-        return TrigPoly(self.dim_domain, self.dim_range,
-                        {n: c.copy() for n, c in self.coeffs.items()})
+        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
+                                    *self._rows())
 
     def is_real(self, tol=1e-12):
-        for n, c in self.coeffs.items():
-            cc = self[tuple(-x for x in n)]
-            if np.max(np.abs(cc - np.conj(c))) > tol:
-                return False
-        return True
+        freqs, coefs = self._rows()
+        neg = self._negated(freqs, coefs)[0]
+        # the max of each row first, so that a NaN row passes as it always has
+        return not np.any(np.abs(neg - np.conj(coefs)).max(axis=1) > tol)
 
     def symmetrize_real(self):
-        """Project onto real-valued functions (enforce c_{-n} = conj(c_n))."""
-        out = TrigPoly(self.dim_domain, self.dim_range)
-        seen = set()
-        for n in list(self.coeffs):
-            if n in seen:
-                continue
-            neg = tuple(-x for x in n)
-            seen.add(n)
-            seen.add(neg)
-            avg = 0.5 * (self[n] + np.conj(self[neg]))
-            out[n] = avg
-            if neg != n:
-                out[neg] = np.conj(avg)
-            else:
-                out[n] = avg.real
-        return out
+        """Project onto real-valued functions (enforce c_{-n} = conj(c_n)).
+
+        Each +-n pair is averaged at the first of its rows in dict order,
+        n, and written as n then -n; c_0 is replaced by its real part.
+        """
+        freqs, coefs = self._rows()
+        neg, partner = self._negated(freqs, coefs)
+        rows = np.arange(len(freqs))
+        first = (partner < 0) | (partner >= rows)
+        avg = 0.5 * (coefs[first] + np.conj(neg[first]))
+        zero = partner[first] == rows[first]
+        avg[zero] = avg[zero].real
+        pair = np.ones((len(avg), 2), dtype=bool)
+        pair[:, 1] = ~zero
+        return TrigPoly.from_arrays(
+            self.dim_domain, self.dim_range,
+            np.stack([freqs[first], -freqs[first]], axis=1)[pair],
+            np.stack([avg, np.conj(avg)], axis=1)[pair])
 
     # -- algebra -----------------------------------------------------------
 
@@ -505,22 +620,23 @@ class TrigPoly:
         return float(np.max(total))
 
     def restrict(self, radius):
-        """Drop coefficients outside the sup-norm ball of the given radius."""
-        out = TrigPoly(self.dim_domain, self.dim_range)
-        dropped = 0.0
-        for n, c in self.coeffs.items():
-            if max(abs(x) for x in n) <= radius:
-                out[n] = c
-            else:
-                dropped += float(np.max(np.abs(c)))
-        return out, dropped
+        """Drop coefficients outside the sup-norm ball of the given radius.
+
+        Returns the restriction and the sum of max_i |c_i| over the dropped
+        modes, added one by one in dict order (cumsum is sequential).
+        """
+        freqs, coefs = self._rows()
+        inside = np.abs(freqs).max(axis=1) <= radius
+        peaks = np.abs(coefs[~inside]).max(axis=1)
+        dropped = float(np.cumsum(peaks)[-1]) if len(peaks) else 0.0
+        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
+                                    freqs[inside], coefs[inside]), dropped
 
     def threshold(self, cutoff):
-        out = TrigPoly(self.dim_domain, self.dim_range)
-        for n, c in self.coeffs.items():
-            if np.max(np.abs(c)) > cutoff:
-                out[n] = c
-        return out
+        freqs, coefs = self._rows()
+        keep = np.abs(coefs).max(axis=1) > cutoff
+        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
+                                    freqs[keep], coefs[keep])
 
     def to_grid(self, grid_n, allow_alias=False):
         if not allow_alias and 2 * self.support_radius >= grid_n:
@@ -580,6 +696,13 @@ def c0_norm(fn, grid_n=128):
     return C0Bounds(lower=float(grid_sup(tp, safe_n)), upper=tp.c0_upper())
 
 
+def _fft_freqs(n):
+    """The integer frequency of each FFT bin, 0..ceil(n/2) - 1 then
+    -floor(n/2)..-1.  fftfreq(n) * n is not exact: for n = 36 it reads
+    6.999... at bin 7, which truncates to 6."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
 class GridFunction:
     """Samples of a periodic function at the uniform grid k/N."""
 
@@ -599,15 +722,11 @@ class GridFunction:
         """Fourier coefficients (divided by N^d); optionally thresholded."""
         d, n = self.dim_domain, self.grid_n
         coef = np.fft.fftn(self.values, axes=tuple(range(d))) / (n ** d)
-        freqs = (np.fft.fftfreq(n) * n).astype(np.int64)
-        out = TrigPoly(d, self.dim_range)
-        mags = np.max(np.abs(coef), axis=-1)
-        # all-zero rows are dropped as __setitem__ would drop them; the keys
-        # and values go in in argwhere's (C) order, with no per-key call
-        keep = (mags > threshold) & (mags > 0)
-        keys = map(tuple, freqs[np.argwhere(keep)].tolist())
-        out.coeffs.update(zip(keys, coef[keep].astype(complex, copy=False)))
-        return out
+        freqs = _fft_freqs(n)
+        # rows in argwhere's (C) order; from_arrays drops the all-zero ones
+        keep = np.max(np.abs(coef), axis=-1) > threshold
+        return TrigPoly.from_arrays(d, self.dim_range,
+                                    freqs[np.argwhere(keep)], coef[keep])
 
     def eval(self, points):
         """Trigonometric interpolation of the samples at `points`."""
@@ -620,7 +739,7 @@ class GridFunction:
         """Spectral Jacobian at the grid points: shape grid + (m, d)."""
         d, n, m = self.dim_domain, self.grid_n, self.dim_range
         coef = np.fft.fftn(self.values, axes=tuple(range(d)))
-        freqs = (np.fft.fftfreq(n) * n)
+        freqs = _fft_freqs(n)
         out = np.empty(self.values.shape + (d,), dtype=complex)
         for axis in range(d):
             shape = [1] * (d + 1)

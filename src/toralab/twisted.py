@@ -28,7 +28,7 @@ from .conjugacy import solve_conjugacy
 from .errors import ToleranceNotReached, TruncationInsufficient
 from .maps import PerturbedMap
 from .spectral import lyapunov_splitting
-from .torusfn import GridFunction, TrigPoly, _mod1, uniform_grid
+from .torusfn import GridFunction, TrigPoly, _mod1, _row_keys, uniform_grid
 
 
 def _sup(n):
@@ -142,9 +142,20 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     The solution is the superposition of one contribution per nonzero
     mode s of Q, with q^u_s, q^s_s its splitting coordinates: the
     unstable part L_u^-(k+1) q^u_s lands at (L^T)^k s for k >= 0, the
-    stable part -L_s^(k-1) q^s_s at (L^T)^-k s for k >= 1.  All modes of
-    Q step together as exact integer frequencies; a side stops at the
-    first k whose running power A has ||A||_2 * max|Q_s| < drop_tol.
+    stable part -L_s^(k-1) q^s_s at (L^T)^-k s for k >= 1.  A side stops
+    at the first k whose running power A has ||A||_2 * max|Q_s| < drop_tol,
+    so the step counts are fixed before any frequency moves.  All modes of
+    Q then step together as exact integer frequencies.
+
+    The frequencies are int64 rows when an exact Python-int bound keeps
+    every one below 2^62: max|s| times the largest sup-norm gain of the
+    exact powers S^j of a side's step matrix S, j up to its step count,
+    and radius times the gain of L^-1 for the residual's step back from
+    the ball.  The bound also covers the partial sums of each product.
+    One lexsort keys the int64 rows; past the bound the rows are Python
+    ints (object dtype), keyed by a dict.  Both routes then add the
+    contributions with one np.add.at in occurrence order, so every sum is
+    formed alike.
 
     Q must be a real vector-valued trig polynomial supported in the ball
     |n| <= radius, with finite coefficients.  Raises
@@ -162,13 +173,12 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
         raise ValueError("drop_tol must be positive")
     f_prime = extended_radius or 4 * radius
 
-    lt = [list(r) for r in zip(*automorphism.entries)]
-    lti = exactalg.inverse_unimodular(lt)      # L^-T n: the predecessor of n
     w, du = sd.basis_full, sd.unstable_dim
     sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
 
-    qmap = {n: c for n, c in q.coeffs.items() if any(n)}
-    q_arr = np.array(list(qmap.values()), dtype=complex).reshape(-1, d)
+    freqs, coefs = q._rows()
+    nonzero = np.any(freqs != 0, axis=1)
+    support, q_arr = freqs[nonzero], coefs[nonzero]
     if not np.all(np.isfinite(q_arr)):
         raise ValueError("Q has a non-finite coefficient")
     q_scale = float(np.max(np.abs(q_arr), initial=0.0))
@@ -179,75 +189,89 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     h0 = np.linalg.solve(lmat - np.eye(d), q0)
     zero_res = float(np.max(np.abs((lmat - np.eye(d)) @ h0 - q0)))
 
-    # frequencies are the rows n^T of Python-int arrays (no overflow), so
-    # a step of L^T is a right product with L, and of L^-T with L^-1
-    support = np.array(list(qmap), dtype=object).reshape(-1, d)
-    l_int = np.array(automorphism.entries, dtype=object)
-    li_int = np.array(lti, dtype=object).T
+    # one (K_q, d) block of contributions per step of each side
     au = np.linalg.inv(sd.restricted_unstable())
     q_split = q_arr @ sd.basis_full_inv.T
-    # each frequency gets a row of acc when it first appears; every step's
-    # (K_q, d) block of contributions is kept with its rows
-    index, rows, blocks = {}, [], [np.zeros((0, d), dtype=complex)]
-    for freqs, step, factor, power, cols in (
-            (support, l_int, au, au, slice(None, du)),
-            (support @ li_int, li_int, sd.restricted_stable(),
-             -np.eye(d - du), slice(du, None))):
+    blocks, counts = [np.zeros((0, d), dtype=complex)], []
+    for factor, power, cols in (
+            (au, au, slice(None, du)),
+            (sd.restricted_stable(), -np.eye(d - du), slice(du, None))):
+        count = 0
         while np.linalg.norm(power, 2) * q_scale >= drop_tol:
             blocks.append(q_split[:, cols] @ (w[:, cols] @ power).T)
-            rows += [index.setdefault(n, len(index))
-                     for n in map(tuple, freqs.tolist())]
-            freqs = freqs @ step
             power = factor @ power
+            count += 1
+        counts.append(count)
+
+    # frequencies are rows n^T, so the unstable side's step k lands at
+    # s^T L^k and the stable side's at s^T L^-(k+1); the exact powers
+    # bound every row before one is formed
+    l_int = np.array(automorphism.entries, dtype=object)
+    li_int = np.array(exactalg.inverse_unimodular(automorphism.rows()),
+                      dtype=object)
+    powers = []
+    for p, step, count in ((np.identity(d, dtype=object), l_int, counts[0]),
+                           (li_int, li_int, counts[1])):
+        for _ in range(count):
+            powers.append(p)
+            p = p @ step
+
+    def sup_gain(p):        # max |(n^T p)_j| / max |n_i|
+        return max(sum(abs(x) for x in col) for col in p.T.tolist())
+
+    s_max = int(np.abs(support).max(initial=0))
+    bound = max([s_max * sup_gain(p) for p in powers] +
+                [radius * sup_gain(li_int)])
+    exact = np.int64 if bound < 2 ** 62 else object
+    support, li_exact = support.astype(exact), li_int.astype(exact)
+    stepped = np.matmul(support, np.array(powers, dtype=exact).reshape(
+        -1, d, d)).reshape(-1, d)
+    keyed = _row_keys(stepped)
+    keys = keyed.keys
+
     # add.at adds repeated rows one by one in occurrence order (a fancy-
     # indexed += would keep only the last of them), so every sum is formed
     # in the same order as a running sum per frequency
-    acc = np.zeros((len(index), d), dtype=complex)
-    np.add.at(acc, rows, np.concatenate(blocks))
+    acc = np.zeros((len(keys), d), dtype=complex)
+    np.add.at(acc, keyed.inverse, np.concatenate(blocks))
     peak = np.abs(acc).max(axis=1, initial=0.0)
-    # sums below drop_tol / 10 are rounding-level and not retained
+    # sums below drop_tol / 10 are rounding-level and not retained; the
+    # rest are listed in the order the walk first reached them
     kept = np.flatnonzero(peak >= drop_tol / 10)
-    keys = list(index)
-    values = {keys[i]: acc[i] for i in kept.tolist()}
+    kept = kept[np.argsort(keyed.first[kept])]
+    sup = np.abs(keys[kept]).max(axis=1)
+    inside, beyond = sup <= radius, sup > f_prime
+    ball, annular = kept[inside], kept[~inside & ~beyond]
 
-    h = TrigPoly(d, d)
-    h[(0,) * d] = h0
-    annulus = TrigPoly(d, d)
-    beyond_f, beyond_fp = [], []     # exactly rounded sums: order-free
-    for (n, c), top in zip(values.items(), peak[kept].tolist()):
-        s = _sup(n)
-        if s <= radius:
-            h[n] = c
-            continue
-        if s <= f_prime:
-            annulus[n] = c
-        else:
-            beyond_fp.append(top)
-        beyond_f.append(top)
-    dropped_f, dropped_fp = math.fsum(beyond_f), math.fsum(beyond_fp)
+    h = TrigPoly.from_arrays(
+        d, d, np.concatenate([np.zeros((1, d), dtype=keys.dtype), keys[ball]]),
+        np.concatenate([h0[None], acc[ball]]))
+    annulus = TrigPoly.from_arrays(d, d, keys[annular], acc[annular])
+    # exactly rounded sums: order-free
+    dropped_f = math.fsum(peak[kept[~inside]])
+    dropped_fp = math.fsum(peak[kept[beyond]])
     tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
         sigma ** max(f_prime // max(radius, 1), 1)
-    tail_bound = dropped_fp + len(qmap) * drop_tol / max(1 - sigma, 1e-9) \
+    tail_bound = dropped_fp + len(support) * drop_tol / max(1 - sigma, 1e-9) \
         + tail_geo
     if tol is not None and dropped_fp + tail_geo > tol:
         raise TruncationInsufficient(
             f"dropped mass beyond F'={f_prime} is "
             f"{dropped_fp + tail_geo:.3e} > tol {tol:.3e}")
 
-    # per-coefficient substitution residual over retained modes
-    def coeff_at(nn):
-        if nn == (0,) * d:
-            return h0.astype(complex)
-        return values.get(nn, np.zeros(d, dtype=complex))
-
-    res_max = zero_res
-    for n in list(h.coeffs) + list(qmap):
-        if not any(n) or _sup(n) > radius:
-            continue
-        pred = tuple(exactalg.mat_vec(lti, n))
-        r = lmat @ coeff_at(n) - coeff_at(pred) - \
-            np.asarray(qmap.get(n, np.zeros(d, dtype=complex)))
-        res_max = max(res_max, float(np.max(np.abs(r))))
+    # per-coefficient substitution residual L c_n - c_{L^-T n} - Q_n over
+    # the retained modes and the modes of Q in the ball; coef's extra last
+    # row, index -1, is the zero of a frequency that is not retained
+    coef = np.zeros((len(keys) + 1, d), dtype=complex)
+    coef[kept] = acc[kept]
+    at_q = keyed.find(support)
+    qtab = np.zeros((len(keys), d), dtype=complex)
+    qtab[at_q[at_q >= 0]] = q_arr[at_q >= 0]
+    ids = np.concatenate([ball, at_q])
+    pred = keyed.find(np.concatenate([keys[ball], support]) @ li_exact)
+    r = np.matmul(lmat, coef[ids][..., None])[..., 0] - coef[pred] - \
+        np.concatenate([qtab[ball], q_arr])
+    res_max = max(zero_res, float(np.abs(r).max(initial=0.0)))
 
     return LinearizedSolution(h=h.symmetrize_real() if q.is_real() else h,
                               annulus=annulus, radius=radius,
@@ -377,7 +401,6 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
     r_full = GridFunction(disp_vals.reshape((grid_n,) * d + (d,))).to_trig(
         threshold=1e-15)
     r_tp, proj_f = r_full.restrict(radius)
-    r_tp = r_tp.symmetrize_real()
     f_prime = PerturbedMap(el, r_tp, warn=False)
 
     out_c0, out_c1 = _map_distances(f_prime, pts)

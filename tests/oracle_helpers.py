@@ -8,19 +8,23 @@ optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
 over Fractions, periodic-point seeds from a bounding-box search, the
 conjugacy's orbit walk with every trig table built afresh, the KAM
-step's Q and the conjugacy residual each from two orbit walks, and
+step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
-(with the random perturbed maps their property tests draw).
+(with the random perturbed maps their property tests draw), TrigPoly's
+bulk operations as per-key loops, and the twisted equation keyed by a
+dict of frequency tuples.
 """
 
 import contextlib
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 
-from toralab import cocycles, exactalg, intpoly, maps, spectral, torusfn
+from toralab import cocycles, exactalg, intpoly, maps, spectral, torusfn, \
+    twisted
 from toralab.errors import (LostOrthogonality, NotHyperbolic,
                             ToleranceNotReached)
 from toralab.torusfn import GridFunction, TrigPoly, _mod1, uniform_grid
@@ -352,6 +356,153 @@ def trig_jacobian_direct(tp, points):
         e = np.exp(2j * np.pi * (pts @ nf))
         out += e[:, None, None] * (c[:, None] * (2j * np.pi * nf)[None, :])
     return out
+
+
+# ---------------------------------------------------------------------------
+# TrigPoly's bulk operations, one coefficient at a time
+# ---------------------------------------------------------------------------
+
+def is_real_per_key(tp, tol):
+    for n, c in tp.coeffs.items():
+        cc = tp[tuple(-x for x in n)]
+        if np.max(np.abs(cc - np.conj(c))) > tol:
+            return False
+    return True
+
+
+def symmetrize_real_per_key(tp):
+    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    seen = set()
+    for n in list(tp.coeffs):
+        if n in seen:
+            continue
+        neg = tuple(-x for x in n)
+        seen.add(n)
+        seen.add(neg)
+        avg = 0.5 * (tp[n] + np.conj(tp[neg]))
+        out[n] = avg
+        if neg != n:
+            out[neg] = np.conj(avg)
+        else:
+            out[n] = avg.real
+    return out
+
+
+def restrict_per_key(tp, radius):
+    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    dropped = 0.0
+    for n, c in tp.coeffs.items():
+        if max(abs(x) for x in n) <= radius:
+            out[n] = c
+        else:
+            dropped += float(np.max(np.abs(c)))
+    return out, dropped
+
+
+def threshold_per_key(tp, cutoff):
+    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    for n, c in tp.coeffs.items():
+        if np.max(np.abs(c)) > cutoff:
+            out[n] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The twisted equation with every frequency keyed by a dict of tuples
+# ---------------------------------------------------------------------------
+
+def _sup(n):
+    return max(abs(x) for x in n)
+
+
+def solve_linearized_dict_keyed(automorphism, q, radius=None,
+                                extended_radius=None, drop_tol=1e-17):
+    """twisted.solve_linearized with Python-int frequencies stepped one
+    power at a time, a dict from frequency tuples to accumulator rows, h
+    and the annulus filled by __setitem__, and the residual one mode at a
+    time with exactalg.mat_vec (oracle only)."""
+    sd = spectral.lyapunov_splitting(automorphism)
+    d = automorphism.dim
+    radius = radius or max(q.support_radius, 1)
+    f_prime = extended_radius or 4 * radius
+
+    lt = [list(r) for r in zip(*automorphism.entries)]
+    lti = exactalg.inverse_unimodular(lt)
+    w, du = sd.basis_full, sd.unstable_dim
+    sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
+
+    qmap = {n: c for n, c in q.coeffs.items() if any(n)}
+    q_arr = np.array(list(qmap.values()), dtype=complex).reshape(-1, d)
+    q_scale = float(np.max(np.abs(q_arr), initial=0.0))
+
+    lmat = automorphism.as_array()
+    q0 = q[(0,) * d]
+    h0 = np.linalg.solve(lmat - np.eye(d), q0)
+    zero_res = float(np.max(np.abs((lmat - np.eye(d)) @ h0 - q0)))
+
+    support = np.array(list(qmap), dtype=object).reshape(-1, d)
+    l_int = np.array(automorphism.entries, dtype=object)
+    li_int = np.array(lti, dtype=object).T
+    au = np.linalg.inv(sd.restricted_unstable())
+    q_split = q_arr @ sd.basis_full_inv.T
+    index, rows, blocks = {}, [], [np.zeros((0, d), dtype=complex)]
+    for freqs, step, factor, power, cols in (
+            (support, l_int, au, au, slice(None, du)),
+            (support @ li_int, li_int, sd.restricted_stable(),
+             -np.eye(d - du), slice(du, None))):
+        while np.linalg.norm(power, 2) * q_scale >= drop_tol:
+            blocks.append(q_split[:, cols] @ (w[:, cols] @ power).T)
+            rows += [index.setdefault(n, len(index))
+                     for n in map(tuple, freqs.tolist())]
+            freqs = freqs @ step
+            power = factor @ power
+    acc = np.zeros((len(index), d), dtype=complex)
+    np.add.at(acc, rows, np.concatenate(blocks))
+    peak = np.abs(acc).max(axis=1, initial=0.0)
+    kept = np.flatnonzero(peak >= drop_tol / 10)
+    keys = list(index)
+    values = {keys[i]: acc[i] for i in kept.tolist()}
+
+    h = TrigPoly(d, d)
+    h[(0,) * d] = h0
+    annulus = TrigPoly(d, d)
+    beyond_f, beyond_fp = [], []
+    for (n, c), top in zip(values.items(), peak[kept].tolist()):
+        s = _sup(n)
+        if s <= radius:
+            h[n] = c
+            continue
+        if s <= f_prime:
+            annulus[n] = c
+        else:
+            beyond_fp.append(top)
+        beyond_f.append(top)
+    dropped_f, dropped_fp = math.fsum(beyond_f), math.fsum(beyond_fp)
+    tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
+        sigma ** max(f_prime // max(radius, 1), 1)
+    tail_bound = dropped_fp + len(qmap) * drop_tol / max(1 - sigma, 1e-9) \
+        + tail_geo
+
+    def coeff_at(nn):
+        if nn == (0,) * d:
+            return h0.astype(complex)
+        return values.get(nn, np.zeros(d, dtype=complex))
+
+    res_max = zero_res
+    for n in list(h.coeffs) + list(qmap):
+        if not any(n) or _sup(n) > radius:
+            continue
+        pred = tuple(exactalg.mat_vec(lti, n))
+        r = lmat @ coeff_at(n) - coeff_at(pred) - \
+            np.asarray(qmap.get(n, np.zeros(d, dtype=complex)))
+        res_max = max(res_max, float(np.max(np.abs(r))))
+
+    return twisted.LinearizedSolution(
+        h=symmetrize_real_per_key(h) if is_real_per_key(q, 1e-12) else h,
+        annulus=annulus, radius=radius, extended_radius=f_prime,
+        residual_max=res_max, dropped_beyond_f=dropped_f,
+        dropped_beyond_fprime=dropped_fp, tail_bound=tail_bound,
+        zero_mode_residual=zero_res)
 
 
 # ---------------------------------------------------------------------------

@@ -274,3 +274,39 @@ def test_run_log_sidecar_excluded_from_results(tmp_path):
     rec = _read(tmp_path / "classify_result.json")
     blob = json.dumps(rec)
     assert "elapsed" not in blob
+
+
+_BAD_MODES = {
+    "fractional freq": {"freq": [1.5, 0], "amplitude": [1.0]},
+    "bool freq": {"freq": [True, 0], "amplitude": [1.0]},
+    "unknown kind": {"freq": [1, 0], "amplitude": [1.0], "kind": "sine"},
+    "long amplitude": {"freq": [1, 0], "amplitude": [1.0, 0.5, 0.25]},
+    "text amplitude": {"freq": [1, 0], "amplitude": ["x"]},
+    "nan amplitude": {"freq": [1, 0], "amplitude": [float("nan")]},
+}
+
+
+@pytest.mark.parametrize("scenario", ["linearized", "conjugate",
+                                      "counterexample"])
+@pytest.mark.parametrize("case", sorted(_BAD_MODES))
+def test_bad_mode_record_is_schema_error(tmp_path, capsys, monkeypatch,
+                                         scenario, case):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the manifest was checked")
+
+    monkeypatch.setattr(cli.conjugacy, "solve_conjugacy", no_solve)
+    monkeypatch.setattr(cli.conjugacy, "build_counterexample", no_solve)
+    monkeypatch.setattr(cli.twisted, "solve_linearized", no_solve)
+    # counterexample's phi maps T^2 to R, so three amplitudes are too many
+    # there as well as for the d = 2 maps of the other scenarios
+    params = {"phi_modes": [_BAD_MODES[case]]} \
+        if scenario == "counterexample" else \
+        {"matrix": [[2, 1], [1, 1]], "eps": 1e-3, "n_grid": 16,
+         "modes": [_BAD_MODES[case]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"scenario": scenario, "seed": 0,
+                                "params": params}))
+    rc = cli.main([scenario, "--manifest", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bad mode record" in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_result.json").exists()

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (table_memo_off, trig_eval_direct,
+from oracle_helpers import (is_real_per_key, restrict_per_key,
+                            symmetrize_real_per_key, table_memo_off,
+                            threshold_per_key, trig_eval_direct,
                             trig_jacobian_direct)
 from toralab import exactalg, spectral
 from toralab import torusfn as tf
@@ -518,6 +520,17 @@ def test_to_trig_matches_per_coefficient_build():
     assert 1 < len(gf.to_trig(-1.0).coeffs) < 64
 
 
+@pytest.mark.parametrize("d, n", [(1, 100), (2, 24), (2, 36), (3, 12)])
+def test_to_trig_keys_every_bin_of_a_non_power_of_two_grid(d, n):
+    # fftfreq(n) * n reads 6.999... at bin 7 of a 36-grid: truncated, two
+    # bins would share a key and one would be lost
+    vals = np.random.default_rng(n).normal(size=(n,) * d + (2,))
+    tp = tf.GridFunction(vals).to_trig()
+    assert len(tp.coeffs) == n ** d
+    assert np.max(np.abs(tp.eval(tf.uniform_grid(d, n)) -
+                         vals.reshape(-1, 2))) < 1e-12
+
+
 def test_eval_dtype_and_shapes():
     z = tf.TrigPoly.zero(3, 2)
     pts = np.zeros((4, 5, 3))
@@ -559,6 +572,84 @@ def test_setitem_clears_cached_modes_radius_and_pairs():
     assert tp.support_radius == 1 and len(tp.modes()[0]) == 2
     assert np.isrealobj(tp.eval(pts))
     assert not tp.modes()[1].flags.writeable
+
+
+def test_wrong_length_frequency_raises():
+    tp = tf.TrigPoly(2, 2)
+    with pytest.raises(ValueError, match="length 2"):
+        tp[(1,)] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="length 2"):
+        tp[(1, 0, 0)] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="shape"):
+        tf.TrigPoly.from_arrays(2, 2, [[1]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="shape"):
+        tf.TrigPoly.from_arrays(2, 2, [[1.0, 0.0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="repeated"):
+        tf.TrigPoly.from_arrays(2, 1, [[1, 0], [1, 0]], [[1.0], [2.0]])
+    assert not tp.coeffs
+
+
+@st.composite
+def coefficient_rows(draw):
+    """(d, m, freqs, coefs) with distinct frequency rows |n|_inf <= 2 (or
+    those times 2^70, beyond int64), among them all-zero rows, a complex
+    c_0, and -n partners that are missing, exactly conjugate or not."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), unique=True,
+                         max_size=12))
+    part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
+    vec = st.lists(part, min_size=m, max_size=m)
+    coefs = np.array([np.array(draw(vec)) + 1j * np.array(draw(vec))
+                      for _ in keys], dtype=complex).reshape(len(keys), m)
+    for i, n in enumerate(keys):
+        neg = tuple(-x for x in n)
+        if neg in keys[:i] and draw(st.booleans()):
+            coefs[i] = np.conj(coefs[keys.index(neg)])
+    freqs = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+    if draw(st.booleans()):
+        freqs = freqs.astype(object) * 2 ** 70
+    return d, m, freqs, coefs
+
+
+def _per_key(d, m, freqs, coefs):
+    tp = tf.TrigPoly(d, m)
+    for n, c in zip(freqs.tolist(), coefs):
+        tp[n] = c
+    return tp
+
+
+def _assert_same_coeffs(got, want):
+    assert (got.dim_domain, got.dim_range) == (want.dim_domain,
+                                               want.dim_range)
+    assert list(got.coeffs) == list(want.coeffs)
+    for n, c in want.coeffs.items():
+        assert got.coeffs[n].dtype == complex
+        assert np.array_equal(got.coeffs[n], c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(coefficient_rows())
+def test_from_arrays_matches_setitem(case):
+    d, m, freqs, coefs = case
+    got = tf.TrigPoly.from_arrays(d, m, freqs, coefs)
+    _assert_same_coeffs(got, _per_key(*case))
+    assert all(type(x) is int for n in got.coeffs for x in n)
+    _assert_same_coeffs(got.copy(), got)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(coefficient_rows(), st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
+       st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9]))
+def test_bulk_operations_match_per_key_loops(case, tol, radius, cutoff):
+    tp = _per_key(*case)
+    assert tp.is_real(tol) == is_real_per_key(tp, tol)
+    _assert_same_coeffs(tp.symmetrize_real(), symmetrize_real_per_key(tp))
+    got, dropped = tp.restrict(radius)
+    want, want_dropped = restrict_per_key(tp, radius)
+    _assert_same_coeffs(got, want)
+    assert dropped == want_dropped
+    _assert_same_coeffs(tp.threshold(cutoff), threshold_per_key(tp, cutoff))
 
 
 def test_sobolev_constant():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import kam_q_walked, small_perturbation
+from oracle_helpers import (kam_q_walked, small_perturbation,
+                            solve_linearized_dict_keyed)
 from toralab import conjugacy, exactalg, maps, spectral, twisted
 from toralab.errors import (NotHyperbolic, ToleranceNotReached,
                             TruncationInsufficient)
@@ -139,6 +140,71 @@ def test_frequencies_beyond_int64_stay_exact():
                 cur = tuple(exactalg.mat_vec(step, cur))
     assert set(sol.annulus.coeffs) <= orbit
     assert max(max(abs(x) for x in n) for n in sol.annulus.coeffs) > 2 ** 63
+
+
+def _assert_matches_dict_keyed(base, q, **kwargs):
+    got = twisted.solve_linearized(base, q, **kwargs)
+    want = solve_linearized_dict_keyed(base, q, **kwargs)
+    for name in ("h", "annulus"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert list(mine.coeffs) == list(theirs.coeffs), name
+        for n, c in theirs.coeffs.items():
+            assert np.array_equal(mine.coeffs[n], c), (name, n)
+    # the residual's rows L c_n come from one stacked matmul here and one
+    # matrix-vector product per mode in the oracle; numpy computes both
+    # row by row in the same order, so the residual is equal, not close
+    assert got.report() == want.report()
+    return got
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_solve_linearized_matches_dict_keyed_oracle(d, real, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):         # most draws are not hyperbolic
+        base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                          entry_cap=4)
+        try:
+            spectral.lyapunov_splitting(base)
+            break
+        except NotHyperbolic:
+            pass
+    else:
+        assume(False)
+    q = TrigPoly(d, d)
+    for _ in range(int(rng.integers(1, 8))):
+        n = rng.integers(-3, 4, size=d)
+        q[n] = rng.normal(size=d) + 1j * rng.normal(size=d)
+    if real:
+        q = q.symmetrize_real()
+    radius = max(q.support_radius, 1) + int(rng.integers(0, 3))
+    _assert_matches_dict_keyed(base, q, radius=radius,
+                               extended_radius=int(rng.integers(0, 3)) *
+                               radius or None)
+
+
+def test_solve_linearized_matches_dict_keyed_oracle_beyond_int64():
+    # BIG's orbits pass 2^63, so the frequencies are Python ints keyed by
+    # a dict; the annulus holds some of them
+    q = TrigPoly.sin_mode((0, 1, 0, 0), [0.5, 0.1, 0.2, 0.3]) + \
+        TrigPoly.cos_mode((1, 0, -1, 0), [0.0, 0.2, 0.0, 0.1])
+    sol = _assert_matches_dict_keyed(BIG, q, radius=1,
+                                     extended_radius=10 ** 60)
+    assert max(max(map(abs, n)) for n in sol.annulus.coeffs) > 2 ** 63
+
+
+def test_kam_step_builds_no_coefficient_by_setitem(monkeypatch):
+    f = maps.build(CAT, TrigPoly.sin_mode((0, 1), [1e-3, 0.0]), warn=False)
+    calls = []
+    setitem = TrigPoly.__setitem__
+
+    def counted(self, n, c):
+        calls.append(n)
+        setitem(self, n, c)
+
+    monkeypatch.setattr(TrigPoly, "__setitem__", counted)
+    twisted.kam_step(f, radius=4, grid_n=16)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
