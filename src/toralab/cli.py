@@ -229,16 +229,30 @@ def run_classify(manifest, outdir):
     return {"classification": report}, []
 
 
+def _conjugacy_record(res, samples, seed, reg):
+    """The solve's summary, the residual check at `samples` points drawn
+    from `seed`, and the regularity fits reg when given."""
+    out = {**res.summary(), **conjugacy.residual_check(res, samples, seed)}
+    if reg is not None:
+        out["regularity"] = {
+            k: (v if not hasattr(v, "exponent") else {
+                "exponent": v.exponent, "constant": v.constant,
+                "residual": v.residual, "reliable": v.reliable})
+            for k, v in reg.items()}
+    return out
+
+
 def run_conjugate(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
     res = conjugacy.solve_conjugacy(
-        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128),
-        seed=manifest.get("seed", 0),
-        residual_samples=params.get("samples", 10000),
-        regularity=params.get("regularity", False))
+        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128))
+    reg = conjugacy.regularity_metrics(res) \
+        if params.get("regularity", False) else None
+    record = _conjugacy_record(res, params.get("samples", 10000),
+                               manifest.get("seed", 0), reg)
     cov = conjugacy.periodic_covariance(res, n_max=params.get("cov_n", 2))
-    out = {"conjugacy": res.summary(), "periodic_covariance": cov,
+    out = {"conjugacy": record, "periodic_covariance": cov,
            "smallness": res.f.smallness.__dict__}
     files = []
     n = res.grid_n
@@ -416,22 +430,20 @@ def run_regularity(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
     res = conjugacy.solve_conjugacy(
-        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128),
-        seed=manifest.get("seed", 0),
-        residual_samples=params.get("samples", 2000), regularity=True)
+        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128))
+    reg = conjugacy.regularity_metrics(res)
+    record = _conjugacy_record(res, params.get("samples", 2000),
+                               manifest.get("seed", 0), reg)
     scan = []
     for n in params.get("resolutions", [64, 128, 256]):
         r = conjugacy.solve_conjugacy(f, tol=params.get("tol", 1e-10),
-                                      grid_n=n, seed=manifest.get("seed", 0),
-                                      residual_samples=100,
-                                      regularity=False, anchor=False)
+                                      grid_n=n)
         rep = conjugacy.jacobian_dh(r, sample_n=min(48, n))
         scan.append({"n": n, "jacobian_residual": rep.residual_eq,
                      "min_det": rep.min_det})
-    reg = res.regularity
     dh_rep = cocycles.dh_as_cocycle_conjugacy(res)
     out = {
-        "conjugacy": res.summary(),
+        "conjugacy": record,
         "holder_h": {"exponent": reg["holder_h"].exponent,
                      "reliable": reg["holder_h"].reliable},
         "holder_dh": {"exponent": reg["holder_dh"].exponent,
@@ -512,9 +524,7 @@ def run_compare(manifest_paths, outdir):
         f = _build_map(m["params"])
         res = conjugacy.solve_conjugacy(
             f, tol=m["params"].get("tol", 1e-10),
-            grid_n=m["params"].get("n_grid", 128),
-            seed=m.get("seed", 0),
-            residual_samples=m["params"].get("samples", 2000))
+            grid_n=m["params"].get("n_grid", 128))
         eps_list.append(float(m["params"]["eps"]))
         norms.append(res.h_c0)
     ratios = [h / e for h, e in zip(norms, eps_list)]

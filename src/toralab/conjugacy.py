@@ -34,12 +34,10 @@ from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
 
 @dataclass
 class ConjugacyResult:
-    """H = Id + h with a residual consistency check and solve telemetry.
+    """H = Id + h on the solve grid, its evaluator, and solve telemetry.
 
-    tail_bound is an estimate (see solve_conjugacy).  residual_max and
-    residual_mean check that the series were summed consistently: in the
-    orbit form, L H(x) - H(f x) telescopes to the last terms of the two
-    sums at x, so they do not test h independently.
+    tail_bound is an estimate (see solve_conjugacy).  The residual
+    consistency check at other points is residual_check.
     """
 
     f: object
@@ -50,16 +48,12 @@ class ConjugacyResult:
     tail_bound: float
     contraction_u: float
     contraction_s: float
-    residual_max: float
-    residual_mean: float
-    residual_samples: int
     anchor_point: np.ndarray
     anchor_shift: np.ndarray
     anchor_residual: float
     telemetry: dict
     h_c0: float
     dh_c0: float
-    regularity: dict | None = None
     _evaluator: object = field(default=None, repr=False)
 
     def evaluate_h(self, points):
@@ -70,23 +64,14 @@ class ConjugacyResult:
         return pts + self.evaluate_h(pts)
 
     def summary(self):
-        out = {
+        return {
             "grid_n": self.grid_n, "tol": self.tol, "n_terms": self.n_terms,
             "tail_bound": self.tail_bound,
             "contraction": [self.contraction_u, self.contraction_s],
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
             "anchor_point": list(map(float, self.anchor_point)),
             "anchor_residual": self.anchor_residual,
             "h_c0": self.h_c0, "dh_c0": self.dh_c0, "mode": "orbit",
         }
-        if self.regularity is not None:
-            out["regularity"] = {
-                k: (v if not hasattr(v, "exponent") else {
-                    "exponent": v.exponent, "constant": v.constant,
-                    "residual": v.residual, "reliable": v.reliable})
-                for k, v in self.regularity.items()}
-        return out
 
 
 class _OrbitSeries:
@@ -193,23 +178,17 @@ class _OrbitSeries:
         return self.combine(acc_u, acc_s).reshape(pts.shape)
 
 
-def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
-                    seed=0, residual_samples=10000, regularity=False,
-                    anchor=True):
+def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
     """Solve L o H = H o f for H = Id + h close to the identity.
 
     Returns a ConjugacyResult whose h is sampled on an N^d grid and whose
     evaluator gives h at arbitrary points from the same number of series
     terms.  The tail is estimated as the last term's sup over the grid
     points times sigma/(1-sigma): an estimate, not a certified bound at
-    arbitrary points.  The residual max |L H(x) - H(f x)| is taken on a
-    seeded random point set of residual_samples >= 1 points, not on the
-    solver grid; it telescopes to the last terms of the two sums, so it is
-    a consistency check of the summation rather than independent evidence
-    for h.
+    arbitrary points.  h is normalized so that H(p) is the L-fixed point
+    nearest p, for the f-fixed point p near 0 (anchor_residual is the
+    distance left).  The residual at other points is residual_check's.
     """
-    if residual_samples < 1:
-        raise ValueError("residual_samples must be at least 1")
     sd = f.spec
     sigma_u = sd.unstable_norm.contraction
     sigma_s = sd.stable_norm.contraction
@@ -248,57 +227,53 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400,
     tail = max(term_norms_u[-1], term_norms_s[-1]) * sigma / (1.0 - sigma)
 
     # normalization: H(p) must be the L-fixed point nearest p (usually 0)
-    shift = np.zeros(d)
-    anchor_pt = np.zeros(d)
-    anchor_res = 0.0
-    if anchor:
-        anchor_pt = fixed_point_near_zero(f)
-        h_anchor = evaluator(anchor_pt)
-        hp = anchor_pt + h_anchor
-        lmat = np.array(f.base.rows(), dtype=float)
-        k_int = np.round((lmat - np.eye(d)) @ hp)
-        rows = [[f.base.rows()[i][j] - (1 if i == j else 0)
-                 for j in range(d)] for i in range(d)]
-        q = exactalg.solve_fraction(rows, [int(x) for x in k_int])
-        # q is only defined mod Z^d; an integer part adds (L - I) q to h
-        shift = np.array([float(x - round(x)) for x in q])
-        evaluator.shift = shift
-        # combine subtracts the shift last: h_anchor - shift is, bit for
-        # bit, what a second walk would now give
-        hp_new = anchor_pt + (h_anchor - shift)
-        anchor_res = float(np.max(np.abs(hp_new - np.round(hp_new))))
+    anchor_pt = fixed_point_near_zero(f)
+    h_anchor = evaluator(anchor_pt)
+    hp = anchor_pt + h_anchor
+    lmat = np.array(f.base.rows(), dtype=float)
+    k_int = np.round((lmat - np.eye(d)) @ hp)
+    rows = [[f.base.rows()[i][j] - (1 if i == j else 0)
+             for j in range(d)] for i in range(d)]
+    q = exactalg.solve_fraction(rows, [int(x) for x in k_int])
+    # q is only defined mod Z^d; an integer part adds (L - I) q to h
+    shift = np.array([float(x - round(x)) for x in q])
+    evaluator.shift = shift
+    # combine subtracts the shift last: h_anchor - shift is, bit for bit,
+    # what a second walk would now give
+    hp_new = anchor_pt + (h_anchor - shift)
+    anchor_res = float(np.max(np.abs(hp_new - np.round(hp_new))))
     h_vals = evaluator.combine(acc_u, acc_s)
-
-    rng = np.random.default_rng(seed)
-    sample = rng.random((residual_samples, d))
-    res = _conjugacy_residual(f, evaluator, sample)
-
-    # degree-one check: H(x + e_i) - H(x) = e_i, i.e. h is periodic; one
-    # walk takes the probe points and their d translates together
-    probe = rng.random((16, d))
-    h_all = evaluator(probe + np.concatenate([np.zeros((1, d)), np.eye(d)]
-                                             )[:, None, :])
-    winding = float(np.max(np.abs(h_all[1:] - h_all[0])))
 
     h_grid = GridFunction(h_vals.reshape((grid_n,) * d + (d,)))
     dh = h_grid.jacobian_grid()
-    result = ConjugacyResult(
+    return ConjugacyResult(
         f=f, h_grid=h_grid, grid_n=grid_n, tol=tol, n_terms=evaluator.n_terms,
         tail_bound=float(tail), contraction_u=float(sigma_u),
-        contraction_s=float(sigma_s), residual_max=float(res.max()),
-        residual_mean=float(res.mean()), residual_samples=residual_samples,
-        anchor_point=anchor_pt, anchor_shift=shift,
-        anchor_residual=anchor_res,
+        contraction_s=float(sigma_s), anchor_point=anchor_pt,
+        anchor_shift=shift, anchor_residual=anchor_res,
         telemetry={"term_norms_unstable": term_norms_u,
                    "term_norms_stable": term_norms_s,
-                   "stop_threshold": stop_at,
-                   "winding_residual": winding},
+                   "stop_threshold": stop_at},
         h_c0=float(np.max(np.abs(h_vals))),
         dh_c0=float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1)))),
         _evaluator=evaluator)
-    if regularity:
-        result.regularity = regularity_metrics(result)
-    return result
+
+
+def residual_check(result: ConjugacyResult, samples, seed):
+    """Max and mean of |L H(x) - H(f x)| over `samples` >= 1 seeded random
+    points, none of them on the solver grid.
+
+    The residual telescopes to the last terms of the two sums at x, so it
+    checks that the series were summed consistently; it is not independent
+    evidence for h.
+    """
+    if samples < 1:
+        raise ValueError("residual samples must be at least 1")
+    f = result.f
+    points = np.random.default_rng(seed).random((samples, f.dim))
+    res = _conjugacy_residual(f, result._evaluator, points)
+    return {"residual_max": float(res.max()),
+            "residual_mean": float(res.mean())}
 
 
 def _conjugacy_residual(f, evaluator, points):
@@ -315,24 +290,21 @@ def _conjugacy_residual(f, evaluator, points):
     return np.max(np.abs(lhs - rhs), axis=1)
 
 
-def regularity_metrics(result: ConjugacyResult, pairs=10000, seed=1,
-                       sobolev_q=None):
-    """Holder fits for h and Dh, Sobolev indicator, and sup norms."""
-    f = result.f
-    d = f.dim
-    q = sobolev_q or (d + 1)
-    est_h = estimate_holder(lambda p: result.evaluate_h(p), dim=d,
-                            pairs=pairs, seed=seed)
+def regularity_metrics(result: ConjugacyResult):
+    """Holder fits for h (10^4 seeded pairs) and Dh (5000), the W^(1,d+1)
+    Sobolev indicator, and sup norms."""
+    d = result.f.dim
+    est_h = estimate_holder(result.evaluate_h, dim=d, pairs=10000, seed=1)
     tp = result.h_grid.to_trig(threshold=1e-13)
     jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
         np.asarray(p).shape[:-1] + (d * d,))
-    est_dh = estimate_holder(jac_eval, dim=d, pairs=pairs // 2, seed=seed + 1,
+    est_dh = estimate_holder(jac_eval, dim=d, pairs=5000, seed=2,
                              j_max=max(8, int(np.log2(result.grid_n)) - 1))
     return {
         "holder_h": est_h,
         "holder_dh": est_dh,
-        "sobolev_q": q,
-        "sobolev_h": sobolev_norm(result.h_grid, q),
+        "sobolev_q": d + 1,
+        "sobolev_h": sobolev_norm(result.h_grid, d + 1),
         "h_c0": result.h_c0,
         "dh_c0": result.dh_c0,
     }
@@ -383,13 +355,11 @@ def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
                             _evaluator=evaluator)
 
 
-def periodic_covariance(result: ConjugacyResult, search=None, n_max=3):
-    """Max over found f-orbits of the distance of H(p) from L^n-periodicity."""
+def periodic_covariance(result: ConjugacyResult, n_max=3):
+    """Max over found f-orbits of period 1..n_max of the distance of H(p)
+    from L^n-periodicity."""
     f = result.f
-    if search is not None:
-        searches = [search]
-    else:
-        searches = [periodic_points(f, n) for n in range(1, n_max + 1)]
+    searches = [periodic_points(f, n) for n in range(1, n_max + 1)]
     powers, reps = [], []
     for s in searches:
         ln = np.array(f.base.power(s.period).rows(), dtype=float)

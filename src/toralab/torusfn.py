@@ -210,7 +210,8 @@ class TrigPoly:
         vec = np.zeros(m, dtype=complex)
         vec[:amp.size] = amp
         out[freq] = vec / 2j
-        out[tuple(-x for x in freq)] = -vec / 2j
+        neg = tuple(-x for x in freq)
+        out[neg] = out[neg] - vec / 2j      # at n = 0 the halves cancel
         return out
 
     @classmethod
@@ -222,14 +223,8 @@ class TrigPoly:
         vec = np.zeros(m, dtype=complex)
         vec[:amp.size] = amp
         out[freq] = vec / 2
-        out[tuple(-x for x in freq)] = vec / 2
-        return out
-
-    @classmethod
-    def constant_fn(cls, dim_domain, value):
-        value = np.atleast_1d(np.asarray(value, dtype=complex))
-        out = cls(dim_domain, value.size)
-        out[(0,) * dim_domain] = value
+        neg = tuple(-x for x in freq)
+        out[neg] = out[neg] + vec / 2       # at n = 0 the halves add up
         return out
 
     # -- structure ---------------------------------------------------------
@@ -579,11 +574,6 @@ class TrigPoly:
         for n, c in self.coeffs.items():
             out[n] = (2j * np.pi * float(np.dot(n, v))) * c
         return out
-
-    def partial(self, axis):
-        e = np.zeros(self.dim_domain)
-        e[axis] = 1.0
-        return self.derivative(e)
 
     def compose_affine(self, mat, shift=None):
         """Exact coefficients of x -> f(M x + c) for integer M.

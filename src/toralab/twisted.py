@@ -373,8 +373,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
     d = f.dim
     el = f.base
     lmat = el.as_array()
-    conj = solve_conjugacy(f, tol=1e-11, grid_n=grid_n,
-                           residual_samples=500, regularity=False)
+    conj = solve_conjugacy(f, tol=1e-11, grid_n=grid_n)
     pts = uniform_grid(d, grid_n)
     in_c0, in_c1 = _map_distances(f, pts)
 

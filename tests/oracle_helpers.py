@@ -612,6 +612,19 @@ def small_perturbation(d, rng, n=1, max_points=300, eps=1e-3):
     return maps.PerturbedMap(base, disp, check=False)
 
 
+def conformal_bundles(base):
+    """True when L's eigenvalues on E^u share one modulus, and so do its
+    eigenvalues on E^s.  Only then is h Lipschitz down to rounding scale.
+    Otherwise h is Holder with exponent log|mu_min| / log|mu_max| over
+    the bundle, below 1.  Two walks from points a rounding apart then
+    differ by far more than the solve's tolerance: at 1e-16 apart, 1.6e-6
+    with unstable moduli 1.46 and 8.54, and 1.8e-9 with stable moduli 0.26
+    and 0.58."""
+    mods = np.abs(np.linalg.eigvals(base.as_array()))
+    return all(np.ptp(m) <= 1e-9 * np.max(m)
+               for m in (mods[mods > 1], mods[mods < 1]))
+
+
 def periodic_points_per_seed(f, n, newton_tol=1e-12, dedupe_tol=1e-8,
                              max_iter=60):
     """maps.periodic_points with each converged seed's orbit walked by

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from toralab import cli, maps
+from toralab import cli, conjugacy, maps
 from toralab.errors import IncomparableManifests
 
 
@@ -167,6 +167,66 @@ def test_regularity_subcommand(tmp_path):
     assert rec["results"]["sobolev"]["note"].startswith("diagnostic")
     assert len(rec["results"]["jacobian_scan"]) == 2
     assert (tmp_path / "regularity_jacobian_scan.dat").exists()
+
+
+_CONJUGACY_KEYS = {"grid_n", "tol", "n_terms", "tail_bound", "contraction",
+                   "residual_max", "residual_mean", "anchor_point",
+                   "anchor_residual", "h_c0", "dh_c0", "mode"}
+
+
+@pytest.mark.parametrize("scenario, regularity", [
+    ("conjugate", False), ("conjugate", True), ("regularity", None)])
+def test_conjugacy_record_keys(tmp_path, scenario, regularity):
+    params = {"matrix": [[2, 1], [1, 1]], "eps": 1e-3, "n_grid": 16,
+              "samples": 50, "cov_n": 1, "resolutions": [16],
+              "modes": [{"freq": [0, 1], "amplitude": [1.0]}]}
+    if regularity is not None:
+        params["regularity"] = regularity
+    path = cli.run_manifest({"scenario": scenario, "seed": 0,
+                             "params": params}, str(tmp_path))
+    record = _read(path)["results"]["conjugacy"]
+    want = _CONJUGACY_KEYS | ({"regularity"} if regularity is not False
+                              else set())
+    assert set(record) == want
+    if regularity is not False:
+        assert set(record["regularity"]) == {
+            "holder_h", "holder_dh", "sobolev_q", "sobolev_h", "h_c0",
+            "dh_c0"}
+
+
+def test_regularity_takes_one_residual_walk(tmp_path, monkeypatch):
+    # the residual check runs for the record's solve only, not for the
+    # solves of the resolution scan
+    calls = []
+    with_image = conjugacy._OrbitSeries.with_image
+
+    def counted(self, points):
+        calls.append(len(points))
+        return with_image(self, points)
+
+    monkeypatch.setattr(conjugacy._OrbitSeries, "with_image", counted)
+    manifest = {"scenario": "regularity", "seed": 0,
+                "params": {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                           "modes": [{"freq": [0, 1], "amplitude": [1.0]}],
+                           "n_grid": 16, "samples": 40,
+                           "resolutions": [16, 32]}}
+    cli.run_manifest(manifest, str(tmp_path))
+    assert calls == [40]
+
+
+def test_linearized_zero_frequency_cos_mode(tmp_path):
+    # a cos mode at n = 0 is the constant (1, 0), and the zero mode of h
+    # solves (L - I) h_0 = (1, 0)
+    manifest = {"scenario": "linearized", "seed": 0,
+                "params": {"matrix": [[2, 1], [1, 1]], "radius": 2,
+                           "modes": [{"freq": [0, 0], "amplitude": [1.0, 0.0],
+                                      "kind": "cos"}]}}
+    rec = _read(cli.run_manifest(manifest, str(tmp_path)))["results"]
+    want = np.linalg.solve(np.array([[1.0, 1.0], [1.0, 0.0]]), [1.0, 0.0])
+    zero = [c for c in rec["coefficients"] if c["freq"] == [0, 0]]
+    assert len(zero) == 1
+    assert np.allclose(zero[0]["re"], want, rtol=0, atol=1e-12)
+    assert zero[0]["im"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("scenario", ["conjugate", "regularity"])

@@ -29,6 +29,16 @@ def test_eval_half_period_mode():
     assert np.allclose(val, [-1.0], atol=1e-14)
 
 
+def test_zero_frequency_modes_are_the_constant_and_zero():
+    # the +n and -n halves of a mode coincide at n = 0: cos gives the
+    # constant amplitude, sin the zero polynomial
+    x = np.random.default_rng(0).random((5, 2))
+    cos0 = tf.TrigPoly.cos_mode((0, 0), [1.0, -0.5])
+    assert np.array_equal(cos0.eval_real(x), np.tile([1.0, -0.5], (5, 1)))
+    assert list(cos0.coeffs) == [(0, 0)]
+    assert tf.TrigPoly.sin_mode((0, 0), [1.0, -0.5]).coeffs == {}
+
+
 def test_transform_constant():
     gf = tf.GridFunction(np.full((8, 8, 1), 3.5))
     tp = gf.to_trig()
@@ -123,7 +133,7 @@ def test_identity_compose():
 
 def test_derivative_simple():
     s = tf.TrigPoly.sin_mode((1,), 1.0)
-    ds = s.partial(0)
+    ds = s.derivative([1.0])
     x = np.array([[0.0], [0.1]])
     assert np.allclose(ds.eval_real(x)[:, 0],
                        2 * np.pi * np.cos(2 * np.pi * x[:, 0]), atol=1e-12)
@@ -215,7 +225,7 @@ def test_column_reduce_unimodular_and_rank(case):
 
 def test_grid_sup_zero_and_constant():
     assert tf.grid_sup(tf.TrigPoly.zero(4, 4), 64) == 0.0
-    const = tf.TrigPoly.constant_fn(4, [0.5, -2.0])
+    const = tf.TrigPoly(4, 2, {(0, 0, 0, 0): [0.5, -2.0]})
     assert tf.grid_sup(const, 64) == 2.0
 
 
@@ -536,7 +546,7 @@ def test_eval_dtype_and_shapes():
     pts = np.zeros((4, 5, 3))
     assert z.eval(pts).shape == (4, 5, 2) and not np.any(z.eval(pts))
     assert z.eval_jacobian(pts).shape == (4, 5, 2, 3)
-    tp = tf.TrigPoly.constant_fn(2, [1.5, -2.0j])
+    tp = tf.TrigPoly(2, 2, {(0, 0): [1.5, -2.0j]})
     assert np.iscomplexobj(tp.eval(pts[..., :2]))
     assert np.all(tp.eval(pts[..., :2]) == np.array([1.5, -2.0j]))
     # a full 13 x 13 box takes the separable path, with the same dtype rule

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (kam_q_walked, small_perturbation,
-                            solve_linearized_dict_keyed)
+from oracle_helpers import (conformal_bundles, kam_q_walked,
+                            small_perturbation, solve_linearized_dict_keyed)
 from toralab import conjugacy, exactalg, maps, spectral, twisted
 from toralab.errors import (NotHyperbolic, ToleranceNotReached,
                             TruncationInsufficient)
@@ -18,7 +18,7 @@ BIG = spectral.automorphism([[1, 2, 2, 1], [2, 1, 0, 0], [1, 3, 3, 1],
 
 
 def test_zero_mode_constant():
-    q = TrigPoly.constant_fn(2, [0.3, -0.2])
+    q = TrigPoly(2, 2, {(0, 0): [0.3, -0.2]})
     sol = twisted.solve_linearized(CAT, q, radius=2)
     want = np.linalg.solve(CAT.as_array() - np.eye(2), [0.3, -0.2])
     assert np.allclose(sol.h[(0, 0)].real, want, atol=1e-13)
@@ -207,6 +207,22 @@ def test_kam_step_builds_no_coefficient_by_setitem(monkeypatch):
     assert calls == []
 
 
+def test_kam_step_takes_no_residual_walk(monkeypatch):
+    # kam_step reads only the conjugacy's grid, so the one-walk residual
+    # (the only caller of with_image) is never taken
+    f = maps.build(CAT, TrigPoly.sin_mode((0, 1), [1e-3, 0.0]), warn=False)
+    calls = []
+    with_image = conjugacy._OrbitSeries.with_image
+
+    def counted(self, points):
+        calls.append(len(points))
+        return with_image(self, points)
+
+    monkeypatch.setattr(conjugacy._OrbitSeries, "with_image", counted)
+    twisted.kam_step(f, radius=4, grid_n=16)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_q_raises(bad):
     q = TrigPoly.sin_mode((0, 1), [0.5, 0.1])
@@ -302,15 +318,14 @@ def test_q_on_the_grid_matches_the_walked_q(case, seed):
     # allow twice that, and ||T^-1|| to come back to coordinates.
     d, grid_n = case
     rng = np.random.default_rng(seed)
-    while True:                 # redraw until the series contract briskly
-        f = small_perturbation(d, rng)
+    while True:     # redraw until the series contract briskly and h is
+        f = small_perturbation(d, rng)      # Lipschitz at rounding scale
         sd = f.spec
         sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
-        if sigma < 0.8:
+        if sigma < 0.8 and conformal_bundles(f.base):
             break
     tol = 1e-11
-    conj = conjugacy.solve_conjugacy(f, tol=tol, grid_n=grid_n,
-                                     residual_samples=10)
+    conj = conjugacy.solve_conjugacy(f, tol=tol, grid_n=grid_n)
     stop_at = tol * (1 - sigma) / (2 * sigma)
     t_inv = f._adapted_transform()[1]
     bound = 2 * np.linalg.norm(t_inv, 2) * stop_at
