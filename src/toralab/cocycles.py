@@ -1,9 +1,9 @@
 """Linear cocycles over a perturbed toral automorphism.
 
 Products along orbits, finite-time Lyapunov exponents (QR
-reorthogonalized, pointwise / volume-averaged / at periodic points),
-conformality and fiber-bunching diagnostics, and singular-subspace
-estimates of the invariant subbundles.
+reorthogonalized once per chunk of steps, pointwise / volume-averaged /
+at periodic points), conformality and fiber-bunching diagnostics, and
+singular-subspace estimates of the invariant subbundles.
 """
 
 from __future__ import annotations
@@ -110,12 +110,16 @@ class ExponentReport:
     `exponents` discards the first half of the run (the frame-alignment
     transient of the QR scheme), which is exact for a constant normal
     generator; `full_average` keeps the plain (1/n) sums and
-    `oscillation` is the gap between the two.
+    `oscillation` is the gap between the two.  `det_consistency` is
+    |sum full_average - (1/n) log |det product||.  The QR scheme takes its
+    last diagonal from log |det|, so there it holds by construction and
+    reads the rounding of the sums, not an independent check of the frame;
+    at periodic points it compares the eigenvalues with the determinant.
     """
     exponents: np.ndarray          # ascending, transient-discarded
     n: int
     oscillation: float
-    det_consistency: float         # |sum full - (1/n) log|det product||
+    det_consistency: float
     full_average: np.ndarray | None = None
     birkhoff: np.ndarray | None = None   # one long orbit, lyapunov_volume
     reference: np.ndarray | None = None
@@ -144,6 +148,15 @@ MAX_ITER = 10 ** 4
 # generator calls, never one (n, S, m, m) stack.  Blocks of 2^17 entries
 # were no faster on the lyapunov scenario and raised its peak RSS by 3 MB.
 LYAPUNOV_BLOCK = 1 << 15
+# Log budget of one chunk of _lyapunov_batch (m <= 2).  Every
+# singular value of a product P of steps a_j lies between
+# prod 1/||a_j^-1||_F and prod ||a_j||_F.  While the chunk's sum of
+# |log ||a_j||_F| + |log ||a_j^-1||_F| stays under ln 2^500, every partial
+# product of its tree, and B q, has its singular values in [2^-500, 2^500].
+# The square of an entry, or the product of two, is then below 2^1000, so
+# nothing overflows (2^1024), and what underflows (below 2^-1022) is under
+# 2^-522 eps of the product's norm, so no direction is lost to it.
+CHUNK_LOG_BUDGET = 500 * np.log(2.0)
 
 
 def lyapunov_qr(spec: CocycleSpec, x, n, reference=None):
@@ -167,16 +180,31 @@ def _lyapunov_batch(spec, xs, n):
 
     The orbit is walked a block of steps at a time, at most
     LYAPUNOV_BLOCK matrix entries of generator values per block, and each
-    block's generators come from one call.  The QR steps then run in
-    order; their log |diag R| and log |det A| are summed per block by
-    np.cumsum, one step after the other, onto the sums carried from the
-    blocks before.
+    block's generators come from one call.  A block is cut into chunks of
+    consecutive steps, none crossing the tail start n // 2, and the frame
+    is reorthonormalized once per chunk (Benettin, Galgani, Giorgilli &
+    Strelcyn, Meccanica 15, 1980): Q R = B q for the chunk's product
+    B = a_{j+k-1} ... a_j, whose diag R is the product of the per-step
+    ones.  For m <= 2 each chunk is the longest run of steps from its
+    start with sum |log ||a_j||_F| + |log ||a_j^-1||_F| <= CHUNK_LOG_BUDGET
+    at every point, so that B neither overflows nor underflows.  No other
+    bound is needed there: the one diagonal read from the QR is
+    r_11 = |B q_1|, a column norm, accurate whatever cond(B) is.  For
+    m >= 3 the middle diagonals lose about eps cond(B), so every chunk is
+    one step.  The last diagonal is never read: log r_mm =
+    sum log |det a_j| - sum_{i<m} log r_ii, with log |det a_j| from
+    slogdet.  The products of a block's chunks come from pairwise trees
+    of batched matmuls (_chunk_products).
+
+    A step whose det a_j is zero or whose log |det a_j| is not finite
+    raises LostOrthogonality naming that step, and so does a chunk with
+    an r_ii, i < m, that is not finite and positive.
     """
     s_count, m = xs.shape[0], spec.m
     q = np.broadcast_to(np.eye(m), (s_count, m, m)).copy()
-    sums = np.zeros((1, s_count, m))
-    tail = np.zeros((1, s_count, m))
-    logdet = np.zeros((1, s_count))
+    sums = np.zeros((s_count, m))
+    tail = np.zeros((s_count, m))
+    logdet = np.zeros(s_count)
     tail_start = n // 2
     block = max(1, LYAPUNOV_BLOCK // (s_count * m * m))
     y = xs.copy()
@@ -188,24 +216,88 @@ def _lyapunov_batch(spec, xs, n):
                 y = spec.f.apply(y)
             ys[j] = y
         a = spec.generator(ys)
-        steps = np.empty((count, s_count, m))
-        for j in range(count):
-            q, r = _qr_positive(a[j] @ q)
-            diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        sign, step_logdet = np.linalg.slogdet(a)
+        bad = np.any((sign == 0) | ~np.isfinite(step_logdet), axis=1)
+        if np.any(bad):
+            raise LostOrthogonality(
+                f"degenerate QR frame at step {start + int(np.argmax(bad))}")
+        starts = _chunk_starts(a, step_logdet,
+                               min(max(tail_start - start, 0), count))
+        chunk_logdet = np.add.reduceat(step_logdet, starts, axis=0)
+        for lo, prod, ld in zip(starts + start, _chunk_products(a, starts),
+                                chunk_logdet):
+            q, r = _qr_positive(prod @ q)
+            diag = np.diagonal(r, axis1=-2, axis2=-1)[:, :m - 1]
             if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
                 raise LostOrthogonality(
-                    f"degenerate QR frame at step {start + j}")
-            steps[j] = np.log(diag)
-        later = steps[max(tail_start - start, 0):]
-        sums = np.cumsum(np.concatenate([sums, steps]), axis=0)[-1:]
-        tail = np.cumsum(np.concatenate([tail, later]), axis=0)[-1:]
-        logdet = np.cumsum(np.concatenate(
-            [logdet, np.log(np.abs(np.linalg.det(a)))]), axis=0)[-1:]
-    full = np.sort(sums[0] / n, axis=1)
-    refined = np.sort(tail[0] / max(n - tail_start, 1), axis=1)
+                    f"degenerate QR frame in the chunk from step {lo}")
+            logs = np.log(diag)
+            logs = np.concatenate([logs, (ld - logs.sum(axis=1))[:, None]],
+                                  axis=1)
+            sums += logs
+            if lo >= tail_start:
+                tail += logs
+        logdet += step_logdet.sum(axis=0)
+    full = np.sort(sums / n, axis=1)
+    refined = np.sort(tail / max(n - tail_start, 1), axis=1)
     osc = float(np.max(np.abs(full - refined)))
-    det = np.abs(full.sum(axis=1) - logdet[0] / n)
+    det = np.abs(full.sum(axis=1) - logdet / n)
     return {"exps": refined, "full": full, "osc": osc, "det": det}
+
+
+def _chunk_starts(a, logdet, cut):
+    """First steps of the chunks of one block of generators a (k, S, m, m)
+    with log |det| logdet (k, S), none crossing step cut: for m <= 2 each
+    chunk the longest run of steps from its start that keeps
+    _lyapunov_batch's log budget at every point, for m >= 3 one step."""
+    m = a.shape[-1]
+    if m >= 3:
+        return np.arange(len(a))
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        log_a = np.log(np.sqrt(np.einsum("...ij,...ij->...", a, a)))
+        # a^-1 = adj(a) / det a, and adj(a) has a's entries for m = 2 and
+        # is [1] for m = 1
+        log_inv = log_a - logdet if m == 2 else -logdet
+        cost = np.max(np.abs(log_a) + np.abs(log_inv), axis=1)
+    # a step over the budget (or NaN, from inf - inf, or with a norm that
+    # over- or underflows) is a chunk of its own
+    cum = np.concatenate([[0.0], np.cumsum(np.fmin(cost, CHUNK_LOG_BUDGET))])
+    starts = []
+    for lo, hi in ((0, cut), (cut, len(a))):
+        j = lo
+        while j < hi:
+            starts.append(j)
+            j = min(hi, max(j + 1, int(np.searchsorted(
+                cum, cum[j] + CHUNK_LOG_BUDGET, side="right")) - 1))
+    return np.array(starts, dtype=int)
+
+
+def _chunk_products(a, starts):
+    """B = a[e-1] ... a[s] for each chunk [s, e) of the steps a (k, ...),
+    chunk i starting at starts[i] and ending where the next starts.
+
+    Chunks are padded at the end with exact identities to a power-of-two
+    length w and multiplied in pairs, log2 w batched matmuls for all the
+    chunks of that length at once; one tree per length keeps the padding
+    under half of each tree.
+    """
+    lengths = np.diff(np.append(starts, len(a)))
+    widths = np.array([1 << (int(k) - 1).bit_length() for k in lengths])
+    out = np.empty((len(starts),) + a.shape[1:])
+    eye = np.eye(a.shape[-1])
+    for w in np.unique(widths).tolist():
+        sel = np.flatnonzero(widths == w)
+        ks = lengths[sel]
+        offset = np.repeat(np.cumsum(ks) - ks, ks)
+        pos = np.arange(ks.sum()) - offset
+        tree = np.broadcast_to(eye, (len(sel), w) + a.shape[1:]).copy()
+        tree[np.repeat(np.arange(len(sel)), ks), pos] = \
+            a[np.repeat(starts[sel], ks) + pos]
+        while tree.shape[1] > 1:
+            tree = tree[:, 1::2] @ tree[:, ::2]
+        out[sel] = tree[:, 0]
+    return out
 
 
 def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
@@ -238,10 +330,31 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
     return report
 
 
+def _periodic_product(spec, orbit):
+    """A(p_{n-1}) ... A(p_0) around a periodic orbit of spec.f.
+
+    The derivative cocycle reads the orbit's deriv_product, which
+    periodic_points formed, and raises SingularGenerator when
+    |det| < 1e-14 max(||P||_F, 1); the other kinds take _orbit_product.
+    """
+    if spec.kind != "derivative":
+        return _orbit_product(spec, orbit.points)
+    prod = orbit.deriv_product
+    if abs(np.linalg.det(prod)) < 1e-14 * max(np.linalg.norm(prod), 1.0):
+        raise SingularGenerator(
+            f"derivative product singular near {orbit.representative}")
+    return prod
+
+
 def exponents_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
                           reference=None):
-    """Exact periodic exponents: log-moduli of eig(A_p^n) / n."""
-    prod = _orbit_product(spec, orbit.points)
+    """Exact periodic exponents: log-moduli of eig(A_p^n) / n.
+
+    orbit must come from periodic_points(spec.f, ...).  For the derivative
+    kind the product is the orbit's deriv_product, and the singularity
+    test (SingularGenerator) applies to D f^period, not to each step.
+    """
+    prod = _periodic_product(spec, orbit)
     eig = np.linalg.eigvals(prod)
     exps = np.sort(np.log(np.abs(eig)) / orbit.period)
     logdet = np.log(abs(np.linalg.det(prod))) / orbit.period
@@ -353,7 +466,10 @@ def conformality_check(matrix, tol=1e-8):
 
 def conformality_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
                              tol=1e-8):
-    return conformality_check(_orbit_product(spec, orbit.points), tol=tol)
+    """conformality_check of the product around orbit, which must come
+    from periodic_points(spec.f, ...); for the derivative kind that is the
+    orbit's deriv_product, tested for singularity as a whole."""
+    return conformality_check(_periodic_product(spec, orbit), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ at full accuracy, which grid interpolation of a merely Holder h cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -53,8 +54,14 @@ class ConjugacyResult:
     anchor_residual: float
     telemetry: dict
     h_c0: float
-    dh_c0: float
     _evaluator: object = field(default=None, repr=False)
+
+    @cached_property
+    def dh_c0(self):
+        """max over the grid of ||Dh||_2, from h_grid's spectral
+        Jacobian, formed on first read."""
+        dh = self.h_grid.jacobian_grid()
+        return float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1))))
 
     def evaluate_h(self, points):
         return self._evaluator(np.asarray(points, dtype=float))
@@ -245,7 +252,6 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
     h_vals = evaluator.combine(acc_u, acc_s)
 
     h_grid = GridFunction(h_vals.reshape((grid_n,) * d + (d,)))
-    dh = h_grid.jacobian_grid()
     return ConjugacyResult(
         f=f, h_grid=h_grid, grid_n=grid_n, tol=tol, n_terms=evaluator.n_terms,
         tail_bound=float(tail), contraction_u=float(sigma_u),
@@ -255,7 +261,6 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
                    "term_norms_stable": term_norms_s,
                    "stop_threshold": stop_at},
         h_c0=float(np.max(np.abs(h_vals))),
-        dh_c0=float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1)))),
         _evaluator=evaluator)
 
 

@@ -1,12 +1,14 @@
+import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import lyapunov_batch_per_step, small_perturbation
-from toralab import cocycles, conjugacy, maps, spectral
+from toralab import cli, cocycles, conjugacy, maps, spectral
 from toralab.errors import GapTooSmall, LostOrthogonality, SingularGenerator
 from toralab.torusfn import TrigPoly
 
@@ -99,38 +101,82 @@ def _random_spec(d, kind, rng):
     return cocycles.CocycleSpec(f, kind)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(st.integers(2, 3), st.sampled_from(["derivative", "restriction",
+def _assert_matches_per_step(got, ref):
+    # chunked products and the log |det| diagonal round differently from
+    # one QR per step; 1e-12 is the exponent tolerance of the chunking
+    assert abs(got["osc"] - ref["osc"]) <= 1e-12
+    for key in ("exps", "full", "det"):
+        assert np.max(np.abs(got[key] - ref[key])) <= 1e-12, key
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.sampled_from(["derivative", "restriction",
                                            "constant"]),
-       st.sampled_from([1, 4]), st.integers(1, 40), st.integers(1, 8),
+       st.sampled_from([1, 4]), st.integers(1, 40) | st.integers(100, 600),
+       st.integers(1, 8) | st.integers(64, 600),
        st.integers(0, 2 ** 32 - 1))
+@example(2, "derivative", 4, 600, 600, 0)
+@example(3, "derivative", 1, 600, 600, 0)
 def test_lyapunov_batch_matches_per_step_reference(d, kind, s_count, n,
                                                    block_steps, seed):
-    # blocks of block_steps steps, so most draws cross block boundaries
+    # blocks of 1-8 steps cross block boundaries in most draws; blocks of
+    # 64 or more steps and n up to 600 give chunks of more than 32 steps,
+    # and the two examples chunks of about 100 steps (m = 2) and the
+    # one-step chunks of m = 3
     rng = np.random.default_rng(seed)
     spec = _random_spec(d, kind, rng)
     xs = rng.random((s_count, d))
     with mock.patch.object(cocycles, "LYAPUNOV_BLOCK",
                            block_steps * s_count * spec.m ** 2):
         got = cocycles._lyapunov_batch(spec, xs, n)
-    ref = lyapunov_batch_per_step(spec, xs, n)
-    assert got["osc"] == ref["osc"]
-    for key in ("exps", "full", "det"):
-        assert np.array_equal(got[key], ref[key]), key
+    _assert_matches_per_step(got, lyapunov_batch_per_step(spec, xs, n))
 
 
 def test_lyapunov_batch_matches_reference_across_the_block_cap():
-    # 36 points and m = 2 give blocks of 910 steps, as in the lyapunov
+    # 36 points and m = 2 give blocks of 227 steps, as in the lyapunov
     # scenario; one point gives one block of 1000
     spec = cocycles.CocycleSpec(small_map(), "derivative")
     grid = (np.stack(np.meshgrid(*[np.arange(6) / 6 + 1 / 12] * 2,
                                  indexing="ij"), axis=-1).reshape(-1, 2))
     for xs in (grid, grid[:1]):
-        got = cocycles._lyapunov_batch(spec, xs, 1000)
-        ref = lyapunov_batch_per_step(spec, xs, 1000)
-        assert got["osc"] == ref["osc"]
-        for key in ("exps", "full", "det"):
-            assert np.array_equal(got[key], ref[key]), key
+        _assert_matches_per_step(cocycles._lyapunov_batch(spec, xs, 1000),
+                                 lyapunov_batch_per_step(spec, xs, 1000))
+
+
+@pytest.mark.parametrize("matrix, want", [
+    # singular values 1e300 apart: without the log budget a chunk of 20
+    # steps would overflow to inf and underflow to 0
+    (np.diag([1e150, 1e-150]), [-np.log(1e150), np.log(1e150)]),
+    # det a underflows to 0 (m = 2, 3) or overflows to inf, while each
+    # step is well conditioned
+    (1e-170 * np.eye(2), [np.log(1e-170)] * 2),
+    (1e-110 * np.eye(3), [np.log(1e-110)] * 3),
+    (1e200 * np.eye(2), [np.log(1e200)] * 2),
+    (np.array([[1e-200]]), [np.log(1e-200)]),
+])
+def test_lyapunov_chunks_stay_in_range(matrix, want):
+    spec = cocycles.CocycleSpec(small_map(), "constant", matrix=matrix)
+    rep = cocycles.lyapunov_qr(spec, [0.1, 0.2], 20)
+    assert np.allclose(rep.exponents, want, rtol=1e-12, atol=0)
+    assert np.allclose(rep.full_average, want, rtol=1e-12, atol=0)
+    assert rep.det_consistency <= 1e-12 * abs(sum(want))
+
+
+def test_lyapunov_scenario_reorthonormalizes_per_chunk(tmp_path):
+    # the bench's seed-3 lyapunov manifest: 1000 steps at 36 points and
+    # 8000 Birkhoff steps, 9000 QR calls at one per step
+    manifest = {"scenario": "lyapunov", "seed": 3,
+                "params": {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                           "modes": [{"freq": [0, 1], "amplitude": [1.0],
+                                      "kind": "sin"}],
+                           "n": 1000, "grid_per_axis": 6}}
+    path = tmp_path / "ly.json"
+    path.write_text(json.dumps(manifest))
+    with mock.patch.object(cocycles, "_qr_positive",
+                           wraps=cocycles._qr_positive) as spy:
+        assert cli.main(["lyapunov", "--manifest", str(path),
+                         "--out", str(tmp_path)]) == 0
+    assert 0 < spy.call_count <= 200
 
 
 def test_lyapunov_rejects_runs_without_steps():
@@ -157,6 +203,22 @@ def test_singular_generator_raises_on_products():
         cocycles.exponents_at_periodic(spec, orbit)
     with pytest.raises(SingularGenerator, match="singular near"):
         cocycles.conformality_at_periodic(spec, orbit)
+
+
+def test_derivative_periodic_diagnostics_read_the_orbit_product():
+    # the derivative kind makes no generator call: it reads deriv_product
+    # and applies the singularity test to it
+    f = small_map()
+    orbit = maps.periodic_points(f, 1).orbits[0]
+    spec = cocycles.CocycleSpec(f, "derivative")
+    singular = dataclasses.replace(orbit, deriv_product=np.array(SINGULAR))
+    diagnostics = (cocycles.exponents_at_periodic,
+                   cocycles.conformality_at_periodic)
+    with mock.patch.object(spec, "generator", side_effect=AssertionError):
+        for diagnostic in diagnostics:
+            diagnostic(spec, orbit)
+            with pytest.raises(SingularGenerator, match="singular near"):
+                diagnostic(spec, singular)
 
 
 def test_singular_generator_loses_the_qr_frame():
