@@ -32,12 +32,12 @@ print(f"dropped mass outside |n| <= 8: {sol.dropped_beyond_f:.3e}; "
 
 print("\n=== constructed solvable case recovers its solution ===")
 rng = np.random.default_rng(1)
-g = TrigPoly(2, 2)
+coeffs = {}
 for _ in range(5):
     n = tuple(int(v) for v in rng.integers(-2, 3, size=2))
     if n != (0, 0):
-        g[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
-g = g.symmetrize_real()
+        coeffs[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
+g = TrigPoly(2, 2, coeffs).symmetrize_real()
 qg = g.matrix_apply(cat.as_array()) - g.compose_affine(cat.rows())
 sol_g = twisted.solve_linearized(cat, qg, radius=8)
 err = max(float(np.max(np.abs(g[n] - sol_g.h[n])))

@@ -313,9 +313,7 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
         raise ValueError(f"n and birkhoff_factor * n must be at least 1, "
                          f"not {n} and {birkhoff_factor * n}")
     d = spec.f.dim
-    axes = [np.arange(grid_per_axis) / grid_per_axis +
-            0.5 / grid_per_axis] * d
-    xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    xs = uniform_grid(d, grid_per_axis) + 0.5 / grid_per_axis
     batch = _lyapunov_batch(spec, xs, n)
     exps = np.mean(batch["exps"], axis=0)
     report = ExponentReport(exponents=exps, n=n, oscillation=batch["osc"],

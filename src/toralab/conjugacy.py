@@ -515,11 +515,8 @@ def build_counterexample(a_block, b_block, phi: TrigPoly, k_trunc=60):
 
     from .spectral import block_diagonal
     base = block_diagonal(a_block, b_block)
-    disp = TrigPoly(4, 4)
-    for n, c in phi.coeffs.items():
-        key = (0, 0, n[0], n[1])
-        disp[key] = np.array([c[0] * v[0], c[0] * v[1], 0.0, 0.0],
-                             dtype=complex)
+    disp = TrigPoly(4, 4, {(0, 0) + n: [c[0] * v[0], c[0] * v[1], 0.0, 0.0]
+                           for n, c in phi.coeffs.items()})
     f = PerturbedMap(base, disp)
     psi = SkewSeries(phi, b_block.rows(), lam, k_trunc)
     conj = SkewConjugacy(psi, v)

@@ -3,12 +3,16 @@
 Two representations: finite Fourier series (TrigPoly) with the
 convention f(x) = sum_n c_n exp(2 pi i <n, x>), and uniform-grid samples
 (GridFunction) at the points k/N.  The transform divides by N^d so the
-re-indexing under integer linear substitutions is exact.
+re-indexing under integer linear substitutions is exact.  A TrigPoly is
+an immutable pair of read-only arrays, frequencies and coefficients, and
+each of its bulk operations is array code over those rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -119,6 +123,25 @@ def _row_keys(rows):
     return _DictRowKeys(rows) if rows.dtype == object else _RowKeys(rows)
 
 
+def _int_rows(rows):
+    """(K, d) frequency rows as int64, or as Python ints (object dtype) when
+    one does not fit int64."""
+    if rows.dtype.kind == "i":
+        return rows.astype(np.int64, copy=False)
+    try:
+        return np.array(rows.tolist(), dtype=np.int64).reshape(rows.shape)
+    except OverflowError:
+        return np.array(rows.tolist(), dtype=object).reshape(rows.shape)
+
+
+def _key(n, d):
+    """The frequency n as a tuple of Python ints, of length d."""
+    n = tuple(int(x) for x in n)
+    if len(n) != d:
+        raise ValueError(f"frequency {n} does not have length {d}")
+    return n
+
+
 def _chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
@@ -127,46 +150,57 @@ def _chunks(n, size):
 class TrigPoly:
     """Finite Fourier series with integer frequency support.
 
-    coeffs maps frequency tuples n in Z^d to complex vectors of length m,
-    with no all-zero vector stored.  from_arrays is the bulk constructor,
-    for a (K, d) block of frequencies and a (K, m) block of coefficients;
-    __setitem__ sets one coefficient, for small polynomials built by hand.
+    Stored as two read-only arrays, in insertion order: freqs, (K, d)
+    distinct frequency rows (int64, or Python ints in an object array once
+    one does not fit int64), and coefs, (K, m) complex, with no all-zero
+    row.  A polynomial is immutable: every operation returns a new one, so
+    whatever is derived from the arrays (the +-n pairs, the coefficient
+    box, the coeffs view) is computed once, on first use.  from_arrays is
+    the bulk constructor; TrigPoly(d, m, {n: c}) builds small polynomials
+    by hand and takes the same array path.
     """
 
     def __init__(self, dim_domain, dim_range, coeffs=None):
-        self.dim_domain = int(dim_domain)
-        self.dim_range = int(dim_range)
-        self.coeffs = {}
-        self._clear_cache()
-        if coeffs:
-            for n, c in coeffs.items():
-                self[n] = c
+        d, m = int(dim_domain), int(dim_range)
+        keys, vals = zip(*coeffs.items()) if coeffs else ((), ())
+        self._store(d, m, np.array([_key(n, d) for n in keys],
+                                   dtype=object).reshape(len(keys), d),
+                    np.array([np.asarray(c, dtype=complex).reshape(m)
+                              for c in vals],
+                             dtype=complex).reshape(len(keys), m))
 
-    def _clear_cache(self):
-        # Everything derived from the coefficients; __setitem__ is the only
-        # place they change, so it is the only place these are cleared.
-        self._modes = None
-        self._radius = None
-        self._pairs = None
-        self._dense = None
-        self._table = None
-        self._powers = None
-
-    def __setitem__(self, n, c):
-        n = tuple(int(x) for x in n)
-        if len(n) != self.dim_domain:
-            raise ValueError(f"frequency {n} does not have length "
-                             f"{self.dim_domain}")
-        c = np.asarray(c, dtype=complex).reshape(self.dim_range)
-        self._clear_cache()
-        if np.any(c != 0):
-            self.coeffs[n] = c
-        else:
-            self.coeffs.pop(n, None)
+    def _store(self, dim_domain, dim_range, freqs, coefs):
+        self.dim_domain = d = int(dim_domain)
+        self.dim_range = m = int(dim_range)
+        freqs, coefs = np.asarray(freqs), np.asarray(coefs, dtype=complex)
+        k = len(freqs)
+        if freqs.dtype.kind not in "iuO" or freqs.shape != (k, d) or \
+                coefs.shape != (k, m):
+            raise ValueError(
+                f"expected integer frequencies of shape (K, {d}) and "
+                f"coefficients of shape (K, {m}), got {freqs.dtype} "
+                f"{freqs.shape} and {coefs.shape}")
+        keep = np.any(coefs != 0, axis=1)
+        freqs, coefs = _int_rows(freqs[keep]), coefs[keep]
+        self._keys = _row_keys(freqs)
+        if len(self._keys.keys) != len(freqs):
+            raise ValueError("repeated frequency row")
+        freqs.setflags(write=False)
+        coefs.setflags(write=False)
+        self.freqs, self.coefs = freqs, coefs
+        # point-keyed memos of the last evaluation's tables
+        self._table = self._powers = None
 
     def __getitem__(self, n):
-        return self.coeffs.get(tuple(int(x) for x in n),
+        return self.coeffs.get(_key(n, self.dim_domain),
                                np.zeros(self.dim_range, dtype=complex))
+
+    @functools.cached_property
+    def coeffs(self):
+        """Read-only mapping from frequency tuples to coefficient rows, in
+        stored order."""
+        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()),
+                                         self.coefs)))
 
     # -- constructors ------------------------------------------------------
 
@@ -177,23 +211,10 @@ class TrigPoly:
 
         freqs is a (K, d) integer array (object dtype holds Python ints
         beyond int64) of distinct rows, coefs a (K, m) array.  All-zero
-        rows are dropped, as __setitem__ drops them.
+        rows are dropped.
         """
-        out = cls(dim_domain, dim_range)
-        freqs = np.asarray(freqs)
-        coefs = np.asarray(coefs, dtype=complex)
-        k = len(freqs)
-        if freqs.dtype.kind not in "iuO" or \
-                freqs.shape != (k, out.dim_domain) or \
-                coefs.shape != (k, out.dim_range):
-            raise ValueError(
-                f"expected integer frequencies of shape (K, {out.dim_domain})"
-                f" and coefficients of shape (K, {out.dim_range}), got "
-                f"{freqs.dtype} {freqs.shape} and {coefs.shape}")
-        keep = np.any(coefs != 0, axis=1)
-        out.coeffs.update(zip(map(tuple, freqs[keep].tolist()), coefs[keep]))
-        if len(out.coeffs) != np.count_nonzero(keep):
-            raise ValueError("repeated frequency row")
+        out = cls.__new__(cls)
+        out._store(dim_domain, dim_range, freqs, coefs)
         return out
 
     @classmethod
@@ -201,64 +222,59 @@ class TrigPoly:
         return cls(dim_domain, dim_range)
 
     @classmethod
+    def _mode(cls, freq, amplitude, dim_range, divisor, op):
+        """vec / divisor at freq and op(0, vec / divisor) at -freq, with vec
+        the amplitude padded to dim_range; at freq = 0 the two halves meet
+        as op(vec / divisor, vec / divisor)."""
+        freq = [int(x) for x in freq]
+        amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
+        vec = np.zeros(dim_range or amp.size, dtype=complex)
+        vec[:amp.size] = amp
+        half = vec / divisor
+        if not any(freq):
+            return cls.from_arrays(len(freq), len(vec), [freq],
+                                   [op(half, half)])
+        return cls.from_arrays(len(freq), len(vec),
+                               [freq, [-x for x in freq]],
+                               [half, op(0, half)])
+
+    @classmethod
     def sin_mode(cls, freq, amplitude, dim_range=None):
         """amplitude * sin(2 pi <freq, x>) as a real trig polynomial."""
-        freq = tuple(int(x) for x in freq)
-        amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        m = dim_range or amp.size
-        out = cls(len(freq), m)
-        vec = np.zeros(m, dtype=complex)
-        vec[:amp.size] = amp
-        out[freq] = vec / 2j
-        neg = tuple(-x for x in freq)
-        out[neg] = out[neg] - vec / 2j      # at n = 0 the halves cancel
-        return out
+        return cls._mode(freq, amplitude, dim_range, 2j, np.subtract)
 
     @classmethod
     def cos_mode(cls, freq, amplitude, dim_range=None):
-        freq = tuple(int(x) for x in freq)
-        amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        m = dim_range or amp.size
-        out = cls(len(freq), m)
-        vec = np.zeros(m, dtype=complex)
-        vec[:amp.size] = amp
-        out[freq] = vec / 2
-        neg = tuple(-x for x in freq)
-        out[neg] = out[neg] + vec / 2       # at n = 0 the halves add up
-        return out
+        return cls._mode(freq, amplitude, dim_range, 2, np.add)
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def support_radius(self):
         """Max sup-norm of frequencies in the support."""
-        if self._radius is None:
-            n, _ = self.modes()
-            self._radius = int(np.max(np.abs(n))) if n.size else 0
-        return self._radius
+        return int(np.abs(self.freqs).max(initial=0))
 
     def modes(self):
-        """Sorted frequencies (K, d) int64 and coefficients (K, m) complex.
+        """Frequencies (K, d) and coefficients (K, m), sorted by frequency."""
+        order = np.lexsort(self.freqs.T[::-1])
+        return self.freqs[order], self.coefs[order]
 
-        The arrays are cached and read-only; copy them to modify.
-        """
-        if self._modes is None:
-            keys = sorted(self.coeffs)
-            n = np.array(keys, dtype=np.int64).reshape(len(keys),
-                                                        self.dim_domain)
-            c = np.array([self.coeffs[k] for k in keys],
-                         dtype=complex).reshape(len(keys), self.dim_range)
-            n.setflags(write=False)
-            c.setflags(write=False)
-            self._modes = (n, c)
-        return self._modes
+    @functools.cached_property
+    def _negated(self):
+        """c_{-n} for each stored row n: the row of -n, or 0 where -n
+        carries no coefficient; and the index of that row, or -1."""
+        pos = self._keys.find(-self.freqs)
+        partner = np.where(pos >= 0, self._keys.first[pos], -1)
+        return np.where((partner >= 0)[:, None], self.coefs[partner],
+                        0), partner
 
-    def _pair_arrays(self):
+    @functools.cached_property
+    def _pairs(self):
         """Coefficients of f on the +-n pairs: (c_0, n, [A; B], [B w; -A w]).
 
         Each frequency pair +-n is listed once, by its representative n
-        with first nonzero coordinate > 0 (lexicographically n > 0).  With
-        theta = 2 pi <n, x> and w = 2 pi n,
+        with first nonzero coordinate > 0 (lexicographically n > 0), in
+        sorted order.  With theta = 2 pi <n, x> and w = 2 pi n,
 
             c_n e^{i theta} + c_{-n} e^{-i theta} = A cos theta + B sin theta,
             A = c_n + c_{-n},   B = i (c_n - c_{-n}),
@@ -271,26 +287,30 @@ class TrigPoly:
         arithmetic: [A; B] is float64 exactly then.  A zero c_0 is stored
         as None, so eval skips it without testing it on every call.
         """
-        if self._pairs is None:
-            d, m = self.dim_domain, self.dim_range
-            zero = (0,) * d
-            reps = sorted({n if n > zero else tuple(-x for x in n)
-                           for n in self.coeffs if n != zero})
-            k = len(reps)
-            pos = np.array([self[n] for n in reps]).reshape(k, m)
-            neg = np.array([self[tuple(-x for x in n)] for n in reps]
-                           ).reshape(k, m)
-            a = pos + neg
-            b = 1j * (pos - neg)
-            c0 = self[zero]
-            if not (np.any(a.imag) or np.any(b.imag) or np.any(c0.imag)):
-                a, b, c0 = a.real, b.real, c0.real
-            freqs = np.array(reps, dtype=float).reshape(k, d)
-            w = (TWO_PI * freqs)[:, None, :]
-            jw = np.concatenate([b[:, :, None] * w, -a[:, :, None] * w])
-            self._pairs = (c0 if np.any(c0) else None, freqs,
-                           np.concatenate([a, b]), jw.reshape(2 * k, m * d))
-        return self._pairs
+        d, m = self.dim_domain, self.dim_range
+        freqs, coefs = self.freqs, self.coefs
+        neg, partner = self._negated
+        nonzero = (freqs != 0).any(axis=1)
+        lead = freqs[np.arange(len(freqs)), np.argmax(freqs != 0, axis=1)]
+        positive = (lead > 0)[:, None]
+        # a positive row, or a negative one whose partner is not stored
+        take = positive[:, 0] | (nonzero & (partner < 0))
+        reps = np.where(positive, freqs, -freqs)[take]
+        order = np.lexsort(reps.T[::-1])
+        pos = np.where(positive, coefs, neg)[take][order]
+        neg = np.where(positive, neg, coefs)[take][order]
+        k = len(order)
+        a = pos + neg
+        b = 1j * (pos - neg)
+        c0 = coefs[~nonzero][0] if not nonzero.all() else \
+            np.zeros(m, dtype=complex)
+        if not (np.any(a.imag) or np.any(b.imag) or np.any(c0.imag)):
+            a, b, c0 = a.real, b.real, c0.real
+        rep_f = reps[order].astype(float).reshape(k, d)
+        w = (TWO_PI * rep_f)[:, None, :]
+        jw = np.concatenate([b[:, :, None] * w, -a[:, :, None] * w])
+        return (c0 if np.any(c0) else None, rep_f, np.concatenate([a, b]),
+                jw.reshape(2 * k, m * d))
 
     def _pair_table(self, pts):
         """[cos Theta | sin Theta] at the points pts (Theta = 2 pi x n^T).
@@ -304,7 +324,7 @@ class TrigPoly:
         and an orbit walk reads R at the point the Newton inverse returns:
         each builds one table, not two.
         """
-        freqs = self._pair_arrays()[1]
+        freqs = self._pairs[1]
         k = len(freqs)
         key = (pts.tobytes(), pts.strides) if k * len(pts) <= TABLE_MEMO \
             else None
@@ -321,7 +341,7 @@ class TrigPoly:
     def _pair_sum(self, flat, coef, chunk):
         """[cos Theta | sin Theta] coef at the points flat, in blocks of at
         most chunk points times pairs."""
-        k = len(self._pair_arrays()[1])
+        k = len(self._pairs[1])
         out = np.empty((flat.shape[0], coef.shape[1]), dtype=coef.dtype)
         for sl in _chunks(flat.shape[0], max(1, chunk // max(k, 1))):
             np.matmul(self._pair_table(flat[sl]).T, coef, out=out[sl])
@@ -331,50 +351,21 @@ class TrigPoly:
         """d = 2 polynomial that fills enough of its frequency box for the
         separable evaluation to be cheaper than the sparse one."""
         return self.dim_domain == 2 and \
-            len(self.coeffs) > 12 * (2 * self.support_radius + 1)
-
-    def _rows(self):
-        """Frequencies (K, d) and coefficients (K, m) in dict order.
-
-        The frequencies are int64, or Python ints (object dtype) when one
-        does not fit int64.
-        """
-        keys = list(self.coeffs)
-        try:
-            freqs = np.array(keys, dtype=np.int64)
-        except OverflowError:
-            freqs = np.array(keys, dtype=object)
-        return (freqs.reshape(len(keys), self.dim_domain),
-                np.array(list(self.coeffs.values()), dtype=complex).reshape(
-                    len(keys), self.dim_range))
-
-    @staticmethod
-    def _negated(freqs, coefs):
-        """c_{-n} for each row n of _rows: the row of -n, or 0 where -n
-        carries no coefficient; and the index of that row, or -1."""
-        keys = _row_keys(freqs)
-        pos = keys.find(-freqs)
-        partner = np.where(pos >= 0, keys.first[pos], -1)
-        return np.where((partner >= 0)[:, None], coefs[partner], 0), partner
-
-    def copy(self):
-        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
-                                    *self._rows())
+            len(self.freqs) > 12 * (2 * self.support_radius + 1)
 
     def is_real(self, tol=1e-12):
-        freqs, coefs = self._rows()
-        neg = self._negated(freqs, coefs)[0]
+        neg = self._negated[0]
         # the max of each row first, so that a NaN row passes as it always has
-        return not np.any(np.abs(neg - np.conj(coefs)).max(axis=1) > tol)
+        return not np.any(np.abs(neg - np.conj(self.coefs)).max(axis=1) > tol)
 
     def symmetrize_real(self):
         """Project onto real-valued functions (enforce c_{-n} = conj(c_n)).
 
-        Each +-n pair is averaged at the first of its rows in dict order,
-        n, and written as n then -n; c_0 is replaced by its real part.
+        Each +-n pair is averaged at the first of its stored rows, n, and
+        written as n then -n; c_0 is replaced by its real part.
         """
-        freqs, coefs = self._rows()
-        neg, partner = self._negated(freqs, coefs)
+        freqs, coefs = self.freqs, self.coefs
+        neg, partner = self._negated
         rows = np.arange(len(freqs))
         first = (partner < 0) | (partner >= rows)
         avg = 0.5 * (coefs[first] + np.conj(neg[first]))
@@ -389,35 +380,46 @@ class TrigPoly:
 
     # -- algebra -----------------------------------------------------------
 
+    def _combine(self, other, op):
+        """op(c_n, c'_n) where both polynomials store n, op(0, c'_n) where
+        only other does; the rows of self keep their order and the new
+        rows follow in the order of other."""
+        k = len(self.freqs)
+        keys = _row_keys(np.concatenate([self.freqs, other.freqs]))
+        row = keys.first[keys.inverse[k:]]
+        shared = row < k
+        coefs = self.coefs.copy()
+        coefs[row[shared]] = op(coefs[row[shared]], other.coefs[shared])
+        return TrigPoly.from_arrays(
+            self.dim_domain, self.dim_range,
+            np.concatenate([self.freqs, other.freqs[~shared]]),
+            np.concatenate([coefs, op(0, other.coefs[~shared])]))
+
     def __add__(self, other):
-        out = self.copy()
-        for n, c in other.coeffs.items():
-            out[n] = out[n] + c
-        return out
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        out = self.copy()
-        for n, c in other.coeffs.items():
-            out[n] = out[n] - c
-        return out
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
-        return TrigPoly(self.dim_domain, self.dim_range,
-                        {n: scalar * c for n, c in self.coeffs.items()})
+        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
+                                    self.freqs, scalar * self.coefs)
 
     __rmul__ = __mul__
 
     def matrix_apply(self, mat):
         """Left-multiply values by a constant matrix: x -> mat @ f(x)."""
         mat = np.asarray(mat, dtype=complex)
-        out = TrigPoly(self.dim_domain, mat.shape[0])
-        for n, c in self.coeffs.items():
-            out[n] = mat @ c
-        return out
+        # a stack of mat @ c products rounds each row as a lone product
+        # does; coefs @ mat.T runs another BLAS kernel and rounds otherwise
+        return TrigPoly.from_arrays(
+            self.dim_domain, mat.shape[0], self.freqs,
+            np.matmul(mat, self.coefs[:, :, None])[:, :, 0])
 
     # -- evaluation --------------------------------------------------------
 
-    def _dense_2d(self):
+    @functools.cached_property
+    def _dense(self):
         """The coefficient box as matrices for the separable evaluation.
 
         Returns (value, jac): row a of each matrix holds the box row
@@ -425,27 +427,24 @@ class TrigPoly:
         over n_2 = -F..F and the m components, so that one product with
         the axis-1 table contracts n_1.  value has (2F+1) m columns, the
         coefficients c_n; jac has (2F+1) m 2 columns, c_n 2 pi i n_1 and
-        c_n 2 pi i n_2.  For a real polynomial (as _pair_arrays decides)
+        c_n 2 pi i n_2.  For a real polynomial (as _pairs decides)
         c_{-n} = conj(c_n), so the terms with n_1 < 0 are the conjugates
         of those with n_1 > 0: only the rows n_1 >= 0 are kept, row 0
         halved, and the sum is taken as 2 Re.
         """
-        if self._dense is None:
-            f, m = self.support_radius, self.dim_range
-            size = 2 * f + 1
-            n, c = self.modes()
-            box = np.zeros((size, size, m), dtype=complex)
-            box[n[:, 0] + f, n[:, 1] + f] = c
-            w = (2j * np.pi) * np.arange(-f, f + 1)
-            jac = np.stack([box * w[:, None, None],
-                            box * w[None, :, None]], axis=-1)
-            if self._pair_arrays()[2].dtype != complex:
-                box, jac = box[f:], jac[f:]
-                box[0] *= 0.5
-                jac[0] *= 0.5
-            self._dense = (box.reshape(len(box), -1),
-                           jac.reshape(len(jac), -1))
-        return self._dense
+        f, m = self.support_radius, self.dim_range
+        size = 2 * f + 1
+        n = self.freqs
+        box = np.zeros((size, size, m), dtype=complex)
+        box[n[:, 0] + f, n[:, 1] + f] = self.coefs
+        w = (2j * np.pi) * np.arange(-f, f + 1)
+        jac = np.stack([box * w[:, None, None],
+                        box * w[None, :, None]], axis=-1)
+        if self._pairs[2].dtype != complex:
+            box, jac = box[f:], jac[f:]
+            box[0] *= 0.5
+            jac[0] *= 0.5
+        return box.reshape(len(box), -1), jac.reshape(len(jac), -1)
 
     @staticmethod
     def _power_table(x, f, k_min):
@@ -494,11 +493,11 @@ class TrigPoly:
 
     def _box_sum(self, flat, box):
         """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] per point,
-        with e_i the power tables of axis i (see _dense_2d for the rows),
+        with e_i the power tables of axis i (see _dense for the rows),
         in blocks of BOX_CHUNK points times box columns.
         """
         f = self.support_radius
-        real = self._pair_arrays()[2].dtype != complex
+        real = self._pairs[2].dtype != complex
         size, cols = 2 * f + 1, box.shape[1]
         out = np.empty((flat.shape[0], cols // size),
                        dtype=float if real else complex)
@@ -516,7 +515,7 @@ class TrigPoly:
         conj(c_n) exactly, as symmetrize_real leaves it) and complex
         otherwise.  Sparse polynomials are summed over +-n pairs, one cos
         and one sin per pair and point: f = c_0 + cos(Theta) A +
-        sin(Theta) B with Theta = 2 pi x n^T (see _pair_arrays), as one
+        sin(Theta) B with Theta = 2 pi x n^T (see _pairs), as one
         matrix product over the stacked [cos | sin] columns.  Every table
         entry, here and on the box-dense path, comes from _cos_sin.
 
@@ -533,9 +532,9 @@ class TrigPoly:
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range,)
-        c0, _, ab, _ = self._pair_arrays()
+        c0, _, ab, _ = self._pairs
         if self._box_dense():
-            return self._box_sum(flat, self._dense_2d()[0]).reshape(shape)
+            return self._box_sum(flat, self._dense[0]).reshape(shape)
         out = self._pair_sum(flat, ab, chunk)
         if c0 is not None:
             out += c0
@@ -561,8 +560,8 @@ class TrigPoly:
         flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)
         if self._box_dense():
-            return self._box_sum(flat, self._dense_2d()[1]).reshape(shape)
-        return self._pair_sum(flat, self._pair_arrays()[3],
+            return self._box_sum(flat, self._dense[1]).reshape(shape)
+        return self._pair_sum(flat, self._pairs[3],
                               1 << 21).reshape(shape)
 
     # -- calculus ----------------------------------------------------------
@@ -570,52 +569,46 @@ class TrigPoly:
     def derivative(self, direction):
         """Directional derivative along a constant vector."""
         v = np.asarray(direction, dtype=float)
-        out = TrigPoly(self.dim_domain, self.dim_range)
-        for n, c in self.coeffs.items():
-            out[n] = (2j * np.pi * float(np.dot(n, v))) * c
-        return out
+        # vecdot rounds each <n, v> as np.dot of one row does; freqs @ v
+        # runs another BLAS kernel and rounds otherwise
+        return TrigPoly.from_arrays(
+            self.dim_domain, self.dim_range, self.freqs,
+            (2j * np.pi * np.vecdot(self.freqs, v))[:, None] * self.coefs)
 
     def compose_affine(self, mat, shift=None):
         """Exact coefficients of x -> f(M x + c) for integer M.
 
         The mode at frequency n moves to M^T n and picks up the phase
-        exp(2 pi i <n, c>); no truncation is involved.
+        exp(2 pi i <n, c>); no truncation is involved.  Modes that land on
+        one frequency (M not unimodular) are summed in stored order, and
+        the frequencies are kept in the order they are first reached.
         """
-        mt = np.asarray(mat, dtype=np.int64)
         c_shift = np.zeros(self.dim_domain) if shift is None else \
             np.asarray(shift, dtype=float)
-        out = TrigPoly(self.dim_domain, self.dim_range)
-        for n, c in self.coeffs.items():
-            n_arr = np.array(n, dtype=np.int64)
-            new_n = tuple(int(x) for x in (mt.T @ n_arr))
-            phase = np.exp(2j * np.pi * float(np.dot(n_arr, c_shift)))
-            out[new_n] = out[new_n] + phase * c
-        return out
+        phase = np.exp(2j * np.pi * np.vecdot(self.freqs, c_shift))
+        keys = _row_keys(self.freqs @ np.asarray(mat, dtype=np.int64))
+        acc = np.zeros((len(keys.keys), self.dim_range), dtype=complex)
+        np.add.at(acc, keys.inverse, phase[:, None] * self.coefs)
+        order = np.argsort(keys.first)
+        return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
+                                    keys.keys[order], acc[order])
 
     # -- norms -------------------------------------------------------------
 
-    def l2_norm(self):
-        if not self.coeffs:
-            return 0.0
-        return float(np.sqrt(sum(np.sum(np.abs(c) ** 2)
-                                 for c in self.coeffs.values())))
-
     def c0_upper(self):
-        """Coefficient l1 bound for sup_x max_i |f_i(x)|."""
-        if not self.coeffs:
+        """Coefficient l1 bound for sup_x max_i |f_i(x)|, summed in stored
+        order (cumsum is sequential)."""
+        if not len(self.coefs):
             return 0.0
-        total = np.zeros(self.dim_range)
-        for c in self.coeffs.values():
-            total += np.abs(c)
-        return float(np.max(total))
+        return float(np.max(np.cumsum(np.abs(self.coefs), axis=0)[-1]))
 
     def restrict(self, radius):
         """Drop coefficients outside the sup-norm ball of the given radius.
 
         Returns the restriction and the sum of max_i |c_i| over the dropped
-        modes, added one by one in dict order (cumsum is sequential).
+        modes, added one by one in stored order (cumsum is sequential).
         """
-        freqs, coefs = self._rows()
+        freqs, coefs = self.freqs, self.coefs
         inside = np.abs(freqs).max(axis=1) <= radius
         peaks = np.abs(coefs[~inside]).max(axis=1)
         dropped = float(np.cumsum(peaks)[-1]) if len(peaks) else 0.0
@@ -623,10 +616,9 @@ class TrigPoly:
                                     freqs[inside], coefs[inside]), dropped
 
     def threshold(self, cutoff):
-        freqs, coefs = self._rows()
-        keep = np.abs(coefs).max(axis=1) > cutoff
+        keep = np.abs(self.coefs).max(axis=1) > cutoff
         return TrigPoly.from_arrays(self.dim_domain, self.dim_range,
-                                    freqs[keep], coefs[keep])
+                                    self.freqs[keep], self.coefs[keep])
 
     def to_grid(self, grid_n, allow_alias=False):
         if not allow_alias and 2 * self.support_radius >= grid_n:
@@ -634,9 +626,9 @@ class TrigPoly:
                              f"({self.support_radius} vs N={grid_n})")
         d, m = self.dim_domain, self.dim_range
         arr = np.zeros((grid_n,) * d + (m,), dtype=complex)
-        for n, c in self.coeffs.items():
-            idx = tuple(x % grid_n for x in n)
-            arr[idx] += c
+        # add.at adds aliased modes one by one, in stored order
+        np.add.at(arr, tuple((self.freqs % grid_n).astype(np.intp).T),
+                  self.coefs)
         vals = np.fft.ifftn(arr, axes=tuple(range(d))) * (grid_n ** d)
         return GridFunction(vals)
 
@@ -659,7 +651,7 @@ def grid_sup(tp, grid_n=64):
     r = d the full d-dimensional grid is used unchanged.
     """
     d, m = tp.dim_domain, tp.dim_range
-    u, r = exactalg.column_reduce(sorted(tp.coeffs), d)
+    u, r = exactalg.column_reduce(tp.modes()[0].tolist(), d)
     if r == d:
         vals = tp.to_grid(grid_n, allow_alias=2 * tp.support_radius >= grid_n)
         vals = vals.values
@@ -667,7 +659,7 @@ def grid_sup(tp, grid_n=64):
         vals = tp[(0,) * d][None, :]
     else:
         g = tp.compose_affine(u)
-        low = TrigPoly(r, m, {n[:r]: c for n, c in g.coeffs.items()})
+        low = TrigPoly.from_arrays(r, m, g.freqs[:, :r], g.coefs)
         vals = low.to_grid(grid_n, allow_alias=True).values
     return np.max(np.abs(vals.real)) if tp.is_real(1e-9) else \
         np.max(np.abs(vals))
@@ -737,10 +729,6 @@ class GridFunction:
             mult = (2j * np.pi) * freqs.reshape(shape)
             out[..., axis] = np.fft.ifftn(coef * mult, axes=tuple(range(d)))
         return out.real if np.isrealobj(self.values) else out
-
-    def l2_norm(self):
-        return float(np.sqrt(np.mean(np.sum(np.abs(self.values) ** 2,
-                                            axis=-1))))
 
 
 # ---------------------------------------------------------------------------
@@ -855,26 +843,6 @@ def sobolev_norm(fn, q, grid_n=64):
     return float(np.mean(integrand) ** (1.0 / q))
 
 
-def trig_to_record(tp):
-    """JSON-compatible record: list of (frequency, complex vector) pairs."""
-    modes = []
-    for n in sorted(tp.coeffs):
-        c = tp.coeffs[n]
-        modes.append({"freq": [int(x) for x in n],
-                      "re": [float(v) for v in c.real],
-                      "im": [float(v) for v in c.imag]})
-    return {"dim_domain": tp.dim_domain, "dim_range": tp.dim_range,
-            "convention": "exp(2 pi i <n, x>)", "modes": modes}
-
-
-def trig_from_record(rec):
-    tp = TrigPoly(rec["dim_domain"], rec["dim_range"])
-    for mode in rec["modes"]:
-        tp[tuple(mode["freq"])] = np.array(mode["re"]) + \
-            1j * np.array(mode["im"])
-    return tp
-
-
 def save_grid(gf, path, extra_header=None):
     """Text format: one JSON header line, then one sample row per line."""
     import json
@@ -893,20 +861,6 @@ def save_grid(gf, path, extra_header=None):
                                   for v in row) + "\n")
             else:
                 fh.write(" ".join(f"{float(v):.17g}" for v in row) + "\n")
-
-
-def load_grid(path):
-    import json
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        rows = [line.split() for line in fh if line.strip()]
-    d, m, n = header["dim_domain"], header["dim_range"], header["grid_n"]
-    data = np.array(rows, dtype=float)
-    if header["complex"]:
-        vals = data[:, 0::2] + 1j * data[:, 1::2]
-    else:
-        vals = data
-    return GridFunction(vals.reshape((n,) * d + (m,)))
 
 
 def weierstrass_type(alpha, base=3, terms=30):

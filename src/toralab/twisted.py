@@ -176,7 +176,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     w, du = sd.basis_full, sd.unstable_dim
     sigma = max(sd.unstable_norm.contraction, sd.stable_norm.contraction)
 
-    freqs, coefs = q._rows()
+    freqs, coefs = q.freqs, q.coefs
     nonzero = np.any(freqs != 0, axis=1)
     support, q_arr = freqs[nonzero], coefs[nonzero]
     if not np.all(np.isfinite(q_arr)):

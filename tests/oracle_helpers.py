@@ -11,8 +11,8 @@ conjugacy's orbit walk with every trig table built afresh, the KAM
 step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
-bulk operations as per-key loops, and the twisted equation keyed by a
-dict of frequency tuples.
+bulk operations as per-key loops into dicts, the twisted equation keyed
+by a dict of frequency tuples, and the reader of save_grid's text format.
 """
 
 import contextlib
@@ -362,6 +362,20 @@ def trig_jacobian_direct(tp, points):
 # TrigPoly's bulk operations, one coefficient at a time
 # ---------------------------------------------------------------------------
 
+def _put(out, n, c):
+    """out[n] = c as a per-key store keeps it: a complex vector, and an
+    all-zero vector removes n (a later store of n appends it again)."""
+    c = np.asarray(c, dtype=complex)
+    if np.any(c != 0):
+        out[n] = c
+    else:
+        out.pop(n, None)
+
+
+def _zero(tp):
+    return np.zeros(tp.dim_range, dtype=complex)
+
+
 def is_real_per_key(tp, tol):
     for n, c in tp.coeffs.items():
         cc = tp[tuple(-x for x in n)]
@@ -371,7 +385,7 @@ def is_real_per_key(tp, tol):
 
 
 def symmetrize_real_per_key(tp):
-    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    out = {}
     seen = set()
     for n in list(tp.coeffs):
         if n in seen:
@@ -380,31 +394,115 @@ def symmetrize_real_per_key(tp):
         seen.add(n)
         seen.add(neg)
         avg = 0.5 * (tp[n] + np.conj(tp[neg]))
-        out[n] = avg
+        _put(out, n, avg)
         if neg != n:
-            out[neg] = np.conj(avg)
+            _put(out, neg, np.conj(avg))
         else:
-            out[n] = avg.real
+            _put(out, n, avg.real)
     return out
 
 
 def restrict_per_key(tp, radius):
-    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    out = {}
     dropped = 0.0
     for n, c in tp.coeffs.items():
         if max(abs(x) for x in n) <= radius:
-            out[n] = c
+            _put(out, n, c)
         else:
             dropped += float(np.max(np.abs(c)))
     return out, dropped
 
 
 def threshold_per_key(tp, cutoff):
-    out = TrigPoly(tp.dim_domain, tp.dim_range)
+    out = {}
     for n, c in tp.coeffs.items():
         if np.max(np.abs(c)) > cutoff:
-            out[n] = c
+            _put(out, n, c)
     return out
+
+
+def combine_per_key(tp, other, op):
+    """tp + other (op np.add) or tp - other (np.subtract): a copy of tp,
+    then op(c_n, c'_n) stored per key of other."""
+    out = dict(tp.coeffs)
+    for n, c in other.coeffs.items():
+        _put(out, n, op(out.get(n, _zero(tp)), c))
+    return out
+
+
+def scale_per_key(tp, scalar):
+    out = {}
+    for n, c in tp.coeffs.items():
+        _put(out, n, scalar * c)
+    return out
+
+
+def matrix_apply_per_key(tp, mat):
+    mat = np.asarray(mat, dtype=complex)
+    out = {}
+    for n, c in tp.coeffs.items():
+        _put(out, n, mat @ c)
+    return out
+
+
+def derivative_per_key(tp, direction):
+    v = np.asarray(direction, dtype=float)
+    out = {}
+    for n, c in tp.coeffs.items():
+        _put(out, n, (2j * np.pi * float(np.dot(n, v))) * c)
+    return out
+
+
+def compose_affine_per_key(tp, mat, shift=None):
+    """The modes of x -> f(M x + c) summed one by one into a dict.  A
+    frequency whose running sum is exactly zero before a later mode lands
+    on it moves to the end here; TrigPoly.compose_affine keeps it where it
+    was first reached."""
+    mt = np.asarray(mat, dtype=np.int64)
+    c_shift = np.zeros(tp.dim_domain) if shift is None else \
+        np.asarray(shift, dtype=float)
+    out = {}
+    for n, c in tp.coeffs.items():
+        n_arr = np.array(n, dtype=np.int64)
+        new_n = tuple(int(x) for x in (mt.T @ n_arr))
+        phase = np.exp(2j * np.pi * float(np.dot(n_arr, c_shift)))
+        _put(out, new_n, out.get(new_n, _zero(tp)) + phase * c)
+    return out
+
+
+def c0_upper_per_key(tp):
+    if not tp.coeffs:
+        return 0.0
+    total = np.zeros(tp.dim_range)
+    for c in tp.coeffs.values():
+        total += np.abs(c)
+    return float(np.max(total))
+
+
+def to_grid_per_key(tp, grid_n):
+    """Grid values of tp, each mode added at its aliased bin in turn."""
+    d = tp.dim_domain
+    arr = np.zeros((grid_n,) * d + (tp.dim_range,), dtype=complex)
+    for n, c in tp.coeffs.items():
+        idx = tuple(x % grid_n for x in n)
+        arr[idx] += c
+    return np.fft.ifftn(arr, axes=tuple(range(d))) * (grid_n ** d)
+
+
+def load_grid(path):
+    """Read back the text format of torusfn.save_grid: one JSON header
+    line, then one sample row per line."""
+    import json
+    with open(path) as fh:
+        header = json.loads(fh.readline())
+        rows = [line.split() for line in fh if line.strip()]
+    d, m, n = header["dim_domain"], header["dim_range"], header["grid_n"]
+    data = np.array(rows, dtype=float)
+    if header["complex"]:
+        vals = data[:, 0::2] + 1j * data[:, 1::2]
+    else:
+        vals = data
+    return GridFunction(vals.reshape((n,) * d + (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +517,7 @@ def solve_linearized_dict_keyed(automorphism, q, radius=None,
                                 extended_radius=None, drop_tol=1e-17):
     """twisted.solve_linearized with Python-int frequencies stepped one
     power at a time, a dict from frequency tuples to accumulator rows, h
-    and the annulus filled by __setitem__, and the residual one mode at a
+    and the annulus filled one key at a time, and the residual one mode at a
     time with exactalg.mat_vec (oracle only)."""
     sd = spectral.lyapunov_splitting(automorphism)
     d = automorphism.dim
@@ -463,20 +561,20 @@ def solve_linearized_dict_keyed(automorphism, q, radius=None,
     keys = list(index)
     values = {keys[i]: acc[i] for i in kept.tolist()}
 
-    h = TrigPoly(d, d)
-    h[(0,) * d] = h0
-    annulus = TrigPoly(d, d)
+    h, annulus = {}, {}
+    _put(h, (0,) * d, h0)
     beyond_f, beyond_fp = [], []
     for (n, c), top in zip(values.items(), peak[kept].tolist()):
         s = _sup(n)
         if s <= radius:
-            h[n] = c
+            _put(h, n, c)
             continue
         if s <= f_prime:
-            annulus[n] = c
+            _put(annulus, n, c)
         else:
             beyond_fp.append(top)
         beyond_f.append(top)
+    h, annulus = TrigPoly(d, d, h), TrigPoly(d, d, annulus)
     dropped_f, dropped_fp = math.fsum(beyond_f), math.fsum(beyond_fp)
     tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
         sigma ** max(f_prime // max(radius, 1), 1)
@@ -498,7 +596,8 @@ def solve_linearized_dict_keyed(automorphism, q, radius=None,
         res_max = max(res_max, float(np.max(np.abs(r))))
 
     return twisted.LinearizedSolution(
-        h=symmetrize_real_per_key(h) if is_real_per_key(q, 1e-12) else h,
+        h=TrigPoly(d, d, symmetrize_real_per_key(h))
+        if is_real_per_key(q, 1e-12) else h,
         annulus=annulus, radius=radius, extended_radius=f_prime,
         residual_max=res_max, dropped_beyond_f=dropped_f,
         dropped_beyond_fprime=dropped_fp, tail_bound=tail_bound,

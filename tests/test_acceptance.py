@@ -204,21 +204,21 @@ def test_criterion_6_lyapunov():
 
 def test_criterion_7_twisted_solver():
     rng = np.random.default_rng(7)
-    q = TrigPoly(2, 2)
+    coeffs = {}
     for _ in range(10):
         n = tuple(int(v) for v in rng.integers(-8, 9, size=2))
-        q[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    q = q.symmetrize_real()
+        coeffs[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    q = TrigPoly(2, 2, coeffs).symmetrize_real()
     sol = twisted.solve_linearized(CAT, q, radius=8)
     assert sol.residual_max < 1e-12
 
-    g = TrigPoly(2, 2)
+    coeffs = {}
     for _ in range(6):
         n = tuple(int(v) for v in rng.integers(-2, 3, size=2))
         if n == (0, 0):
             continue
-        g[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    g = g.symmetrize_real()
+        coeffs[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    g = TrigPoly(2, 2, coeffs).symmetrize_real()
     qg = g.matrix_apply(CAT.as_array()) - g.compose_affine(CAT.rows())
     sol_g = twisted.solve_linearized(CAT, qg, radius=8)
     recovery = max(float(np.max(np.abs(g[n] - sol_g.h[n])))

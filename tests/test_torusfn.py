@@ -4,9 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (is_real_per_key, restrict_per_key,
-                            symmetrize_real_per_key, table_memo_off,
-                            threshold_per_key, trig_eval_direct,
+from oracle_helpers import (c0_upper_per_key, combine_per_key,
+                            compose_affine_per_key, derivative_per_key,
+                            is_real_per_key, load_grid,
+                            matrix_apply_per_key, restrict_per_key,
+                            scale_per_key, symmetrize_real_per_key,
+                            table_memo_off, threshold_per_key,
+                            to_grid_per_key, trig_eval_direct,
                             trig_jacobian_direct)
 from toralab import exactalg, spectral
 from toralab import torusfn as tf
@@ -70,9 +74,13 @@ def test_roundtrip_identity_under_nyquist():
 
 
 def test_plancherel():
+    # to_trig divides by N^d: the coefficients' l2 norm is the grid's
+    # root mean square
     rng = np.random.default_rng(4)
     gf = tf.GridFunction(rng.normal(size=(32, 32, 3)))
-    assert abs(gf.to_trig().l2_norm() - gf.l2_norm()) < 1e-12
+    coef_l2 = np.sqrt(np.sum(np.abs(gf.to_trig().coefs) ** 2))
+    grid_rms = np.sqrt(np.mean(np.sum(np.abs(gf.values) ** 2, axis=-1)))
+    assert abs(coef_l2 - grid_rms) < 1e-12
 
 
 def test_compose_affine_matches_pointwise():
@@ -92,10 +100,11 @@ def test_compose_affine_matches_pointwise_for_unimodular_maps(d, count, shift,
     # compose_affine; the phases 2 pi <n, M x + c> reach about 10^3, so the
     # two sides agree to a few 1e-13 times the l1 size of f
     rng = np.random.default_rng(seed)
-    tp = tf.TrigPoly(d, 2)
+    coeffs = {}
     for _ in range(count):
-        tp[tuple(rng.integers(-3, 4, size=d))] = rng.normal(size=2) + \
+        coeffs[tuple(rng.integers(-3, 4, size=d))] = rng.normal(size=2) + \
             1j * rng.normal(size=2)
+    tp = tf.TrigPoly(d, 2, coeffs)
     mat = np.array(spectral.random_unimodular(d, steps=4 * d, rng=rng,
                                               entry_cap=6).rows())
     c = rng.uniform(-1, 1, size=d) if shift else None
@@ -107,10 +116,11 @@ def test_compose_affine_matches_pointwise_for_unimodular_maps(d, count, shift,
 
 def test_compose_affine_group_action():
     rng = np.random.default_rng(6)
-    tp = tf.TrigPoly(2, 2)
+    coeffs = {}
     for _ in range(5):
         n = tuple(int(v) for v in rng.integers(-3, 4, size=2))
-        tp[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        coeffs[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    tp = tf.TrigPoly(2, 2, coeffs)
     l1 = [[2, 1], [1, 1]]
     l2 = [[1, 1], [1, 2]]
     l12 = [[3, 4], [5, 7]]   # wrong on purpose? no: compute below
@@ -141,11 +151,11 @@ def test_derivative_simple():
 
 def test_derivative_finite_difference_oracle():
     rng = np.random.default_rng(7)
-    tp = tf.TrigPoly(2, 1)
+    coeffs = {}
     for _ in range(8):
         n = tuple(int(v) for v in rng.integers(-4, 5, size=2))
-        tp[n] = rng.normal(size=1) + 1j * rng.normal(size=1)
-    tp = tp.symmetrize_real()
+        coeffs[n] = rng.normal(size=1) + 1j * rng.normal(size=1)
+    tp = tf.TrigPoly(2, 1, coeffs).symmetrize_real()
     pts = rng.random((100, 2))
     h = 1e-5
     jac = tp.eval_jacobian(pts).real
@@ -159,10 +169,11 @@ def test_derivative_finite_difference_oracle():
 def test_derivative_commutes_with_compose():
     # chain rule for linear substitutions, coefficientwise
     rng = np.random.default_rng(8)
-    tp = tf.TrigPoly(2, 1)
+    coeffs = {}
     for _ in range(6):
         n = tuple(int(v) for v in rng.integers(-3, 4, size=2))
-        tp[n] = rng.normal(size=1) + 1j * rng.normal(size=1)
+        coeffs[n] = rng.normal(size=1) + 1j * rng.normal(size=1)
+    tp = tf.TrigPoly(2, 1, coeffs)
     m = np.array([[2, 1], [1, 1]])
     v = np.array([1.0, -2.0])
     lhs = tp.compose_affine(m).derivative(v)
@@ -246,13 +257,14 @@ def sparse_polys(draw):
     (symmetrized) or complex, where some modes have no -n partner."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
-    tp = tf.TrigPoly(d, m)
+    coeffs = {}
     parts = st.floats(-1, 1)
     for _ in range(draw(st.integers(1, 8))):
         freq = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
         re = draw(st.lists(parts, min_size=m, max_size=m))
         im = draw(st.lists(parts, min_size=m, max_size=m))
-        tp[freq] = np.array(re) + 1j * np.array(im)
+        coeffs[tuple(freq)] = np.array(re) + 1j * np.array(im)
+    tp = tf.TrigPoly(d, m, coeffs)
     return tp.symmetrize_real() if draw(st.booleans()) else tp
 
 
@@ -322,9 +334,10 @@ def _box_poly(f, m, count, seed, real):
     rng = np.random.default_rng(seed)
     cells = np.union1d(rng.choice(size * size, count, replace=False),
                        [2 * f * size + f])
-    tp = tf.TrigPoly(2, m)
+    coeffs = {}
     for i, j in zip(*np.divmod(cells, size)):
-        tp[(i - f, j - f)] = rng.normal(size=m) + 1j * rng.normal(size=m)
+        coeffs[(i - f, j - f)] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    tp = tf.TrigPoly(2, m, coeffs)
     return tp.symmetrize_real() if real else tp
 
 
@@ -353,11 +366,12 @@ def _sparse_many(d, radius, count, seed, real):
     or too sparse for the separable path), symmetrized when real."""
     rng = np.random.default_rng(seed)
     size = 2 * radius + 1
-    tp = tf.TrigPoly(d, 2)
+    coeffs = {}
     for cell in rng.choice(size ** d, count, replace=False):
         freq = np.unravel_index(cell, (size,) * d)
-        tp[np.array(freq) - radius] = rng.normal(size=2) + \
+        coeffs[tuple(np.array(freq) - radius)] = rng.normal(size=2) + \
             1j * rng.normal(size=2)
+    tp = tf.TrigPoly(d, 2, coeffs)
     return tp.symmetrize_real() if real else tp
 
 
@@ -462,11 +476,8 @@ def test_cos_sin_kernel_is_exactly_one_periodic(num, scale, m):
 def test_d4_pair_table_matches_mpmath(freqs, cells):
     # dyadic points x = j/1024 make every angle <n, x> exact, so each
     # table entry is the kernel's alone: within 5e-16 of cos and sin
-    tp = tf.TrigPoly(4, 1)
-    for n in freqs:
-        if any(n):
-            tp[n] = [0.5]
-    reps = tp._pair_arrays()[1]
+    tp = tf.TrigPoly(4, 1, {tuple(n): [0.5] for n in freqs if any(n)})
+    reps = tp._pairs[1]
     pts = np.array(cells, dtype=float) / 1024
     table = tp._pair_table(pts)
     k = len(reps)
@@ -484,19 +495,24 @@ def test_d4_pair_table_matches_mpmath(freqs, cells):
 
 
 def test_kept_table_is_dropped_when_a_coefficient_changes():
+    # a polynomial is immutable: a changed coefficient makes a new one,
+    # which keeps no table, and the old one keeps its own
     tp = tf.TrigPoly.sin_mode((1, 2), [0.5, -0.25])
     pts = np.random.default_rng(12).random((50, 2))
-    tp.eval(pts)
-    assert tp._table is not None
-    tp[(3, 0)] = [0.125, 0.0]
-    assert tp._table is None
-    assert np.array_equal(tp.eval(pts), tp.copy().eval(pts))
+    want = tp.eval(pts)
+    kept = tp._table
+    assert kept is not None
+    changed = tp + tf.TrigPoly(2, 2, {(3, 0): [0.125, 0.0]})
+    assert changed._table is None and tp._table is kept
+    fresh = tf.TrigPoly.from_arrays(2, 2, changed.freqs, changed.coefs)
+    assert np.array_equal(changed.eval(pts), fresh.eval(pts))
+    assert np.array_equal(tp.eval(pts), want)
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_box_dense_power_tables_are_shared_then_dropped(real):
     # a Newton step's f and Df at one point set share one pair of power
-    # tables, and a coefficient change drops them
+    # tables, and the polynomial a coefficient change makes has none
     tp = _box_poly(16, 2, 33 * 33, 0, real=real)
     assert tp._box_dense()
     pts = np.random.default_rng(13).random((40, 2))
@@ -505,8 +521,9 @@ def test_box_dense_power_tables_are_shared_then_dropped(real):
     assert kept is not None
     tp.eval_jacobian(pts)
     assert tp._powers is kept
-    tp[(3, 0)] = [0.125, 0.0]
-    assert tp._powers is None
+    changed = tp + tf.TrigPoly(2, 2, {(3, 0): [0.125, 0.0]})
+    assert changed._box_dense() and changed._powers is None
+    assert tp._powers is kept
 
 
 def test_to_trig_matches_per_coefficient_build():
@@ -519,14 +536,11 @@ def test_to_trig_matches_per_coefficient_build():
     coef = np.fft.fftn(vals, axes=(0, 1)) / 64
     freqs = np.fft.fftfreq(8, 1 / 8).astype(int)
     for threshold in (0.0, -1.0, 0.05):
-        want = tf.TrigPoly(2, 2)
+        want = {}
         for i, j in np.argwhere(np.max(np.abs(coef), axis=-1) > threshold):
-            want[(freqs[i], freqs[j])] = coef[i, j]
-        got = gf.to_trig(threshold)
-        assert list(got.coeffs) == list(want.coeffs)
-        assert all(np.array_equal(got.coeffs[n], c) and
-                   got.coeffs[n].dtype == complex
-                   for n, c in want.coeffs.items())
+            if np.any(coef[i, j]):
+                want[(int(freqs[i]), int(freqs[j]))] = coef[i, j]
+        _assert_same_coeffs(gf.to_trig(threshold), want)
     assert 1 < len(gf.to_trig(-1.0).coeffs) < 64
 
 
@@ -551,24 +565,27 @@ def test_eval_dtype_and_shapes():
     assert np.all(tp.eval(pts[..., :2]) == np.array([1.5, -2.0j]))
     # a full 13 x 13 box takes the separable path, with the same dtype rule
     rng = np.random.default_rng(8)
-    box = tf.TrigPoly(2, 2)
+    coeffs = {}
     for i in range(-6, 7):
         for j in range(-6, 7):
-            box[(i, j)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            coeffs[(i, j)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    box = tf.TrigPoly(2, 2, coeffs)
     x = rng.random((9, 2))
     for tp in (box, box.symmetrize_real()):
         assert tp._box_dense()
         _assert_matches_direct(tp, x)
-    tp[(6, 6)] = tp[(6, 6)] + 1j        # complex now: the box is rebuilt
+    # one coefficient off its conjugate: complex, with a box of its own
+    tp = tp + tf.TrigPoly(2, 2, {(6, 6): [1j, 1j]})
     _assert_matches_direct(tp, x)
 
 
-def test_setitem_clears_cached_modes_radius_and_pairs():
+def test_modes_radius_and_eval_dtype_of_each_polynomial():
     tp = tf.TrigPoly.sin_mode((0, 1), [1.0, 0.0])
     pts = np.random.default_rng(3).random((20, 2))
     assert tp.support_radius == 1 and len(tp.modes()[0]) == 2
     assert np.isrealobj(tp.eval(pts))
-    tp[(3, -2)] = [0.5, 0.25j]          # no (-3, 2) partner: complex now
+    # no (-3, 2) partner: complex
+    tp = tp + tf.TrigPoly(2, 2, {(3, -2): [0.5, 0.25j]})
     n, c = tp.modes()
     assert [tuple(k) for k in n] == [(0, -1), (0, 1), (3, -2)]
     assert np.array_equal(c[2], [0.5, 0.25j])
@@ -578,34 +595,54 @@ def test_setitem_clears_cached_modes_radius_and_pairs():
     assert np.max(np.abs(val - trig_eval_direct(tp, pts))) < 1e-14
     assert np.max(np.abs(tp.eval_jacobian(pts) -
                          trig_jacobian_direct(tp, pts))) < 1e-12
-    tp[(3, -2)] = [0.0, 0.0]            # removing the mode restores both
-    assert tp.support_radius == 1 and len(tp.modes()[0]) == 2
-    assert np.isrealobj(tp.eval(pts))
-    assert not tp.modes()[1].flags.writeable
+
+
+def test_stored_arrays_and_coeffs_view_are_read_only():
+    tp = tf.TrigPoly(2, 2, {(1, 0): [1.0, 2j], (-1, 0): [1.0, -2j]})
+    assert not tp.freqs.flags.writeable and not tp.coefs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tp.freqs[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        tp.coefs[0] = 0.0
+    with pytest.raises(TypeError):
+        tp.coeffs[(2, 0)] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        tp.coeffs[(1, 0)][0] = 5.0
+    assert tp.coeffs is tp.coeffs
+    assert list(tp.coeffs) == [(1, 0), (-1, 0)]
+    assert not hasattr(tp, "__setitem__")
+    # an array handed to from_arrays is copied, not frozen or aliased
+    freqs, coefs = np.array([[2, 1]]), np.array([[1.0, 0.5]])
+    built = tf.TrigPoly.from_arrays(2, 2, freqs, coefs)
+    coefs[0, 0] = 7.0
+    assert freqs.flags.writeable and built[(2, 1)][0] == 1.0
 
 
 def test_wrong_length_frequency_raises():
-    tp = tf.TrigPoly(2, 2)
+    tp = tf.TrigPoly.sin_mode((1, 0), [1.0, 0.0])
     with pytest.raises(ValueError, match="length 2"):
-        tp[(1,)] = [1.0, 0.0]
+        tp[(1,)]
     with pytest.raises(ValueError, match="length 2"):
-        tp[(1, 0, 0)] = [1.0, 0.0]
+        tp[(1, 0, 0)]
+    with pytest.raises(ValueError, match="length 2"):
+        tf.TrigPoly(2, 2, {(1,): [1.0, 0.0]})
+    with pytest.raises(ValueError, match="length 2"):
+        tf.TrigPoly(2, 2, {(1, 0): [1.0, 0.0], (1, 0, 0): [1.0, 0.0]})
     with pytest.raises(ValueError, match="shape"):
         tf.TrigPoly.from_arrays(2, 2, [[1]], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="shape"):
         tf.TrigPoly.from_arrays(2, 2, [[1.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="repeated"):
         tf.TrigPoly.from_arrays(2, 1, [[1, 0], [1, 0]], [[1.0], [2.0]])
-    assert not tp.coeffs
 
 
 @st.composite
-def coefficient_rows(draw):
+def coefficient_rows(draw, d=None, m=None):
     """(d, m, freqs, coefs) with distinct frequency rows |n|_inf <= 2 (or
     those times 2^70, beyond int64), among them all-zero rows, a complex
     c_0, and -n partners that are missing, exactly conjugate or not."""
-    d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 3))
+    d = d or draw(st.integers(1, 3))
+    m = m or draw(st.integers(1, 3))
     keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), unique=True,
                          max_size=12))
     part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
@@ -623,36 +660,55 @@ def coefficient_rows(draw):
 
 
 def _per_key(d, m, freqs, coefs):
-    tp = tf.TrigPoly(d, m)
+    """The rows stored one key at a time, as a dict."""
+    out = {}
     for n, c in zip(freqs.tolist(), coefs):
-        tp[n] = c
-    return tp
+        if np.any(c != 0):
+            out[tuple(n)] = c
+        else:
+            out.pop(tuple(n), None)
+    return out
+
+
+def _bits(c):
+    return np.ascontiguousarray(c, dtype=complex).view(np.int64)
 
 
 def _assert_same_coeffs(got, want):
-    assert (got.dim_domain, got.dim_range) == (want.dim_domain,
-                                               want.dim_range)
-    assert list(got.coeffs) == list(want.coeffs)
-    for n, c in want.coeffs.items():
+    """got's keys, their order and its coefficients, signs of zero
+    included, are want's (a dict of frequency tuples)."""
+    assert list(got.coeffs) == list(want)
+    for n, c in want.items():
         assert got.coeffs[n].dtype == complex
-        assert np.array_equal(got.coeffs[n], c)
+        assert np.array_equal(_bits(got.coeffs[n]), _bits(c))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(coefficient_rows())
 def test_from_arrays_matches_setitem(case):
+    # from_arrays against the rows stored one key at a time, and the dict
+    # constructor against from_arrays
     d, m, freqs, coefs = case
     got = tf.TrigPoly.from_arrays(d, m, freqs, coefs)
-    _assert_same_coeffs(got, _per_key(*case))
+    want = _per_key(*case)
+    _assert_same_coeffs(got, want)
     assert all(type(x) is int for n in got.coeffs for x in n)
-    _assert_same_coeffs(got.copy(), got)
+    big = any(abs(x) >= 2 ** 63 for n in want for x in n)
+    assert got.freqs.dtype == (object if big else np.int64)
+    _assert_same_coeffs(tf.TrigPoly(d, m, want), want)
+
+
+_SCALARS = st.sampled_from([0.0, -1.0, 2.5, 1j, 0.3 - 0.7j]) | \
+    st.floats(-2, 2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(coefficient_rows(), st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
-       st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9]))
-def test_bulk_operations_match_per_key_loops(case, tol, radius, cutoff):
-    tp = _per_key(*case)
+       st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9]), st.data())
+def test_bulk_operations_match_per_key_loops(case, tol, radius, cutoff,
+                                             data):
+    d, m, freqs, _ = case
+    tp = tf.TrigPoly.from_arrays(*case)
     assert tp.is_real(tol) == is_real_per_key(tp, tol)
     _assert_same_coeffs(tp.symmetrize_real(), symmetrize_real_per_key(tp))
     got, dropped = tp.restrict(radius)
@@ -660,6 +716,37 @@ def test_bulk_operations_match_per_key_loops(case, tol, radius, cutoff):
     _assert_same_coeffs(got, want)
     assert dropped == want_dropped
     _assert_same_coeffs(tp.threshold(cutoff), threshold_per_key(tp, cutoff))
+    # + and - with shared, new and cancelling keys
+    other = tf.TrigPoly.from_arrays(*data.draw(coefficient_rows(d, m)))
+    for op, got in ((np.add, tp + other), (np.subtract, tp - other)):
+        _assert_same_coeffs(got, combine_per_key(tp, other, op))
+    kept = tp.threshold(cutoff)         # cancels some keys or all of them
+    _assert_same_coeffs(tp - kept, combine_per_key(tp, kept, np.subtract))
+    scalar = data.draw(_SCALARS)
+    _assert_same_coeffs(scalar * tp, scale_per_key(tp, scalar))
+    parts = st.lists(st.floats(-2, 2), min_size=d, max_size=d)
+    out_m = data.draw(st.integers(1, 3))
+    mat = np.array([[complex(*data.draw(st.tuples(st.floats(-2, 2),
+                                                  st.floats(-2, 2))))
+                     for _ in range(m)] for _ in range(out_m)])
+    _assert_same_coeffs(tp.matrix_apply(mat), matrix_apply_per_key(tp, mat))
+    direction = data.draw(parts)
+    _assert_same_coeffs(tp.derivative(direction),
+                        derivative_per_key(tp, direction))
+    assert tp.c0_upper() == c0_upper_per_key(tp)
+    # grids of 3 and 4 points alias |n| <= 2, and 2^70 n always aliases
+    grid_n = data.draw(st.sampled_from([3, 4, 5]))
+    assert np.array_equal(_bits(tp.to_grid(grid_n, allow_alias=True).values),
+                          _bits(to_grid_per_key(tp, grid_n)))
+    if freqs.dtype == object:       # the per-key loop works in int64
+        return
+    # entries in -1..1 make many M singular, so that modes collide
+    mat = np.array(data.draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=d, max_size=d),
+        min_size=d, max_size=d)))
+    shift = data.draw(st.none() | parts)
+    _assert_same_coeffs(tp.compose_affine(mat, shift),
+                        compose_affine_per_key(tp, mat, shift))
 
 
 def test_sobolev_constant():
@@ -676,11 +763,11 @@ def test_sobolev_sin_closed_form():
 
 def test_sobolev_refinement_stability():
     rng = np.random.default_rng(10)
-    tp = tf.TrigPoly(2, 1)
+    coeffs = {}
     for _ in range(6):
         n = tuple(int(v) for v in rng.integers(-5, 6, size=2))
-        tp[n] = rng.normal(size=1)
-    tp = tp.symmetrize_real()
+        coeffs[n] = rng.normal(size=1)
+    tp = tf.TrigPoly(2, 1, coeffs).symmetrize_real()
     v1 = tf.sobolev_norm(tp, 3, grid_n=32)
     v2 = tf.sobolev_norm(tp, 3, grid_n=64)
     assert abs(v2 - v1) / max(v1, 1e-12) < 0.01
@@ -727,17 +814,10 @@ def test_holder_strict_raises_on_bad_fit():
 
 
 def test_serialization_roundtrip(tmp_path):
+    # save_grid's text format, read back by the test-side reader
     rng = np.random.default_rng(12)
-    tp = tf.TrigPoly(2, 2)
-    for _ in range(4):
-        n = tuple(int(v) for v in rng.integers(-3, 4, size=2))
-        tp[n] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    rec = tf.trig_to_record(tp)
-    back = tf.trig_from_record(rec)
-    for n in tp.coeffs:
-        assert np.allclose(back[n], tp[n], atol=0)
     gf = tf.GridFunction(rng.normal(size=(8, 8, 2)))
     path = tmp_path / "grid.txt"
     tf.save_grid(gf, str(path))
-    loaded = tf.load_grid(str(path))
+    loaded = load_grid(str(path))
     assert np.max(np.abs(loaded.values - gf.values)) < 1e-15
