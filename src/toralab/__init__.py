@@ -18,8 +18,7 @@ from .maps import (PerturbedMap, build, fixed_point_near_zero,
                    periodic_data_check, periodic_points, verify_anosov)
 from .conjugacy import (ConjugacyResult, build_counterexample, jacobian_dh,
                         periodic_covariance, regularity_metrics,
-                        residual_check, skew_phi_from_finite_psi,
-                        solve_conjugacy, solve_inverse)
+                        residual_check, solve_conjugacy)
 from .twisted import (dual_orbit_decomposition, kam_iterate, kam_step,
                       solve_linearized)
 from .cocycles import (CocycleSpec, cocycle_product, conformality_check,

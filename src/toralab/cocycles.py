@@ -624,7 +624,7 @@ def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000, seed=2):
     rep = jacobian_dh(conj_result, sample_n=sample_n)
     f = conj_result.f
     d = f.dim
-    tp = conj_result.h_grid.to_trig(threshold=1e-13)
+    tp = conj_result.h_trig
     jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
         np.asarray(p).shape[:-1] + (d * d,))
     est = estimate_holder(jac_eval, dim=d, pairs=pairs, seed=seed,

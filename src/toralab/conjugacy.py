@@ -25,8 +25,7 @@ from itertools import islice
 import numpy as np
 
 from . import exactalg
-from .errors import (NewtonDivergence, NoContraction, OrderViolation,
-                     ToleranceNotReached)
+from .errors import NoContraction, OrderViolation, ToleranceNotReached
 from .maps import PerturbedMap, fixed_point_near_zero, periodic_points
 from .spectral import IntegerAutomorphism, lyapunov_splitting
 from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
@@ -57,11 +56,22 @@ class ConjugacyResult:
     _evaluator: object = field(default=None, repr=False)
 
     @cached_property
+    def h_trig(self):
+        """h_grid's Fourier coefficients above 1e-13, formed on first
+        read: the evaluator of Dh off the grid."""
+        return self.h_grid.to_trig(threshold=1e-13)
+
+    @cached_property
+    def dh_grid(self):
+        """Dh at the grid points, shape grid + (d, d), from h_grid's
+        spectral Jacobian, formed on first read."""
+        return self.h_grid.jacobian_grid()
+
+    @cached_property
     def dh_c0(self):
-        """max over the grid of ||Dh||_2, from h_grid's spectral
-        Jacobian, formed on first read."""
-        dh = self.h_grid.jacobian_grid()
-        return float(np.max(np.linalg.norm(dh, ord=2, axis=(-2, -1))))
+        """max over the grid of ||Dh||_2."""
+        return float(np.max(np.linalg.norm(self.dh_grid, ord=2,
+                                           axis=(-2, -1))))
 
     def evaluate_h(self, points):
         return self._evaluator(np.asarray(points, dtype=float))
@@ -300,7 +310,7 @@ def regularity_metrics(result: ConjugacyResult):
     Sobolev indicator, and sup norms."""
     d = result.f.dim
     est_h = estimate_holder(result.evaluate_h, dim=d, pairs=10000, seed=1)
-    tp = result.h_grid.to_trig(threshold=1e-13)
+    tp = result.h_trig
     jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
         np.asarray(p).shape[:-1] + (d * d,))
     est_dh = estimate_holder(jac_eval, dim=d, pairs=5000, seed=2,
@@ -313,51 +323,6 @@ def regularity_metrics(result: ConjugacyResult):
         "h_c0": result.h_c0,
         "dh_c0": result.dh_c0,
     }
-
-
-# ---------------------------------------------------------------------------
-# Inverse conjugacy
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InverseConjugacy:
-    source: object
-    grid_n: int
-    composition_residual: float
-    _evaluator: object = field(default=None, repr=False)
-
-    def evaluate(self, points):
-        return self._evaluator(np.asarray(points, dtype=float))
-
-
-def solve_inverse(result, grid_n=None, tol=1e-11, max_iter=400):
-    """Pointwise inversion of H = Id + h: solve x + h(x) = y.
-
-    Fixed-point iteration x <- y - h(x); converges since ||h|| is small
-    and Lip(h) < 1 for the maps in scope; a stall raises
-    NewtonDivergence.  Reports the composition residual H o H^-1 - Id on a
-    grid.
-    """
-    grid_n = grid_n or min(result.grid_n, 64)
-
-    def evaluator(y):
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        for _ in range(max_iter):
-            x_new = y - result.evaluate_h(x)
-            if np.max(np.abs(x_new - x)) < tol:
-                return x_new
-            x = x_new
-        raise NewtonDivergence("inverse iteration stalled", points=x)
-
-    d = result.f.dim
-    grid = uniform_grid(d, grid_n)
-    inv_pts = evaluator(grid)
-    comp = inv_pts + result.evaluate_h(inv_pts) - grid
-    comp -= np.round(comp)
-    return InverseConjugacy(source=result, grid_n=grid_n,
-                            composition_residual=float(np.max(np.abs(comp))),
-                            _evaluator=evaluator)
 
 
 def periodic_covariance(result: ConjugacyResult, n_max=3):
@@ -438,7 +403,7 @@ class SkewSeries:
 
 
 class SkewConjugacy:
-    """H(x, y) = (x + psi(y) v, y) with exact algebraic inverse."""
+    """H(x, y) = (x + psi(y) v, y)."""
 
     def __init__(self, psi: SkewSeries, v):
         self.psi = psi
@@ -454,9 +419,6 @@ class SkewConjugacy:
 
     def evaluate(self, points):
         return np.asarray(points, dtype=float) + self.evaluate_h(points)
-
-    def evaluate_inverse(self, points):
-        return np.asarray(points, dtype=float) - self.evaluate_h(points)
 
 
 @dataclass
@@ -526,18 +488,6 @@ def build_counterexample(a_block, b_block, phi: TrigPoly, k_trunc=60):
                                                 np.log(abs(mu))))
 
 
-def skew_phi_from_finite_psi(psi_poly: TrigPoly, lam, b_block):
-    """phi = lam psi - psi o B for a chosen finite psi.
-
-    Feeding this phi back into the skew construction recovers psi, which
-    produces a smooth (finite-mode) conjugacy for cross-checking the
-    Jacobian diagnostics.
-    """
-    b_rows = b_block.rows() if isinstance(b_block, IntegerAutomorphism) \
-        else b_block
-    return lam * psi_poly - psi_poly.compose_affine(b_rows)
-
-
 # ---------------------------------------------------------------------------
 # Jacobian diagnostics
 # ---------------------------------------------------------------------------
@@ -548,20 +498,15 @@ class JacobianReport:
     sample_n: int
     residual_eq: float      # max |L DH(x) - DH(f x) Df(x)| over the sample
     min_det: float          # min |det DH| on the grid
-    threshold: float
-
-    def as_dict(self):
-        return self.__dict__.copy()
 
 
-def jacobian_dh(result: ConjugacyResult, sample_n=64, threshold=1e-13):
+def jacobian_dh(result: ConjugacyResult, sample_n=64):
     """DH = I + Dh by spectral differentiation, with the residual of the
     linearized equation L DH = (DH o f) Df on a subsampled point set and
     the invertibility indicator min |det DH|."""
     f = result.f
     d = f.dim
-    dh = result.h_grid.jacobian_grid()          # grid + (d, d)
-    dh_flat = dh.reshape(-1, d, d)
+    dh_flat = result.dh_grid.reshape(-1, d, d)
     det = np.linalg.det(np.eye(d) + dh_flat)
     min_det = float(np.min(np.abs(det)))
 
@@ -575,11 +520,10 @@ def jacobian_dh(result: ConjugacyResult, sample_n=64, threshold=1e-13):
 
     lmat = np.array(f.base.rows(), dtype=float)
     dh_pts = dh_flat[flat_idx]
-    tp = result.h_grid.to_trig(threshold=threshold)
     fx = f.apply(pts)
-    dh_fx = tp.eval_jacobian(fx).real
+    dh_fx = result.h_trig.eval_jacobian(fx).real
     dfx = f.jacobian(pts)
     resid = lmat @ (np.eye(d) + dh_pts) - (np.eye(d) + dh_fx) @ dfx
     return JacobianReport(grid_n=result.grid_n, sample_n=len(pts),
                           residual_eq=float(np.max(np.abs(resid))),
-                          min_det=min_det, threshold=threshold)
+                          min_det=min_det)

@@ -54,13 +54,6 @@ def scale(p, c):
     return trim([c * a for a in p])
 
 
-def poly_pow(p, k):
-    out = [1]
-    for _ in range(k):
-        out = mul(out, p)
-    return out
-
-
 def derivative(p):
     return trim([i * p[i] for i in range(1, len(p))])
 
@@ -118,35 +111,28 @@ def to_fractions(p):
     return [Fraction(c) for c in trim(p)]
 
 
-def f_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def f_divmod(a, b):
     """Euclidean division over Q."""
-    a = [Fraction(c) for c in f_trim(a)]
-    b = [Fraction(c) for c in f_trim(b)]
+    a = [Fraction(c) for c in trim(a)]
+    b = [Fraction(c) for c in trim(b)]
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     r = a[:]
     db, lb = len(b) - 1, b[-1]
-    while f_trim(r) and len(f_trim(r)) - 1 >= db:
-        r = f_trim(r)
+    while trim(r) and len(trim(r)) - 1 >= db:
+        r = trim(r)
         k = len(r) - 1 - db
         c = r[-1] / lb
         q[k] = c
         for i in range(len(b)):
             r[i + k] -= c * b[i]
         r = r[:-1]
-    return f_trim(q), f_trim(r)
+    return trim(q), trim(r)
 
 
 def f_monic(p):
-    p = f_trim([Fraction(c) for c in p])
+    p = trim([Fraction(c) for c in p])
     if not p:
         return p
     lc = p[-1]
@@ -157,7 +143,7 @@ def gcd_q(p, q):
     """Monic gcd over Q, returned with integer primitive coefficients."""
     a = [Fraction(c) for c in trim(p)]
     b = [Fraction(c) for c in trim(q)]
-    while f_trim(b):
+    while trim(b):
         _, r = f_divmod(a, b)
         a, b = b, r
     a = f_monic(a)
@@ -175,13 +161,13 @@ def divides(p, q):
     if degree(p) < 0:
         return degree(q) < 0
     _, r = f_divmod(to_fractions(q), to_fractions(p))
-    return not f_trim(r)
+    return not trim(r)
 
 
 def exact_div(q, p):
     """q // p assuming exact divisibility; returns integer coefficients."""
     quo, r = f_divmod(to_fractions(q), to_fractions(p))
-    if f_trim(r):
+    if trim(r):
         raise ValueError("division is not exact")
     out = []
     for c in quo:
@@ -221,13 +207,13 @@ def squarefree_decomposition(p):
 
 def sturm_chain(p):
     chain = [to_fractions(p), to_fractions(derivative(p))]
-    while f_trim(chain[-1]):
+    while trim(chain[-1]):
         _, r = f_divmod(chain[-2], chain[-1])
-        r = f_trim(r)
+        r = trim(r)
         if not r:
             break
         chain.append([-c for c in r])
-    return [c for c in chain if f_trim(c)]
+    return [c for c in chain if trim(c)]
 
 
 def _sign_changes_at_inf(chain, positive):

@@ -103,20 +103,6 @@ class PerturbedMap:
         jac = self.disp.eval_jacobian(x).real
         return jac + self._mat
 
-    def invert_lift(self, y, tol=1e-13, max_iter=60):
-        """Newton solve of f~(x) = y, seeded at L^-1 y."""
-        y = np.asarray(y, dtype=float)
-        x = y @ self._mat_inv.T
-        for _ in range(max_iter):
-            res = self.apply_lift(x) - y
-            if np.max(np.abs(res)) < tol:
-                return x
-            x = x - newton_step(self.jacobian(x), res)
-        res = np.max(np.abs(self.apply_lift(x) - y))
-        if not res <= 1e-8:
-            raise NewtonDivergence(f"local inverse stalled (residual {res:.2e})")
-        return x
-
     def invert(self, y):
         """Torus inverse: the x in [0,1)^d with f(x) = y mod Z^d."""
         y = np.asarray(y, dtype=float)
@@ -134,9 +120,6 @@ class PerturbedMap:
                 raise NewtonDivergence(
                     f"torus inverse stalled (residual {res:.2e})", points=x)
         return _mod1(x)
-
-    def inverse_map(self):
-        return InverseMap(self)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -191,46 +174,6 @@ class PerturbedMap:
         invariance = a * grow - shrink
         expansion = grow - 1.0
         return float(min(invariance, expansion))
-
-
-class InverseMap:
-    """f^-1 presented with the same protocol, over the base L^-1."""
-
-    def __init__(self, forward: PerturbedMap):
-        self.forward = forward
-        self.base = forward.base.inverse()
-        self.spec = lyapunov_splitting(self.base)
-        self._mat = self.base.as_array()
-        self._mat_inv = forward.base.as_array()
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def apply_lift(self, y):
-        return self.forward.invert_lift(y)
-
-    def apply(self, y):
-        return self.forward.invert(y)
-
-    def displacement_at(self, y):
-        return self.apply_lift(y) - np.asarray(y, float) @ self._mat.T
-
-    def apply_with_displacement(self, y):
-        return self.apply(y), self.displacement_at(y)
-
-    def jacobian(self, y):
-        x = self.forward.invert_lift(y)
-        return np.linalg.inv(self.forward.jacobian(x))
-
-    def invert_lift(self, x):
-        return self.forward.apply_lift(x)
-
-    def invert(self, x):
-        return self.forward.apply(x)
-
-    def inverse_map(self):
-        return self.forward
 
 
 def build(base, displacement, warn=True):

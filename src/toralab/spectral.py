@@ -195,10 +195,6 @@ class AdaptedNorm:
     n_terms: int
     contraction: float         # certified factor of the restricted map
 
-    def vector_norm(self, v):
-        coords = self.basis.T @ np.asarray(v, float).T
-        return np.linalg.norm(self.chol @ coords, axis=0)
-
 
 def _adapted_norm(basis, restricted, spectral_radius):
     sigma = 0.5 * (spectral_radius + 1.0)
@@ -239,10 +235,6 @@ class SpectralData:
     hyperbolic: bool
     basis_full: np.ndarray = field(default=None)      # [B_u | B_s]
     basis_full_inv: np.ndarray = field(default=None)
-
-    @property
-    def stable_dim(self):
-        return self.stable_basis.shape[1]
 
     @property
     def unstable_dim(self):

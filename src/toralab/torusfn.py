@@ -748,12 +748,27 @@ class HolderEstimate:
     threshold: float
 
 
-def _as_evaluator(fn):
+def _sup_increments(fn, dim, scales, pairs, seed):
+    """f at `pairs` seeded base points x, and for each scale delta the max
+    over them of |f(x + delta u) - f(x)|, with seeded unit directions u."""
     if isinstance(fn, TrigPoly):
-        return fn.dim_domain, fn.eval_real
-    if isinstance(fn, GridFunction):
-        return fn.dim_domain, fn.eval
-    raise TypeError(f"cannot evaluate {type(fn)!r}")
+        dim, evaluator = fn.dim_domain, fn.eval_real
+    elif isinstance(fn, GridFunction):
+        dim, evaluator = fn.dim_domain, fn.eval
+    elif not callable(fn):
+        raise TypeError(f"cannot evaluate {type(fn)!r}")
+    elif dim is None:
+        raise TypeError("dim required for a bare callable")
+    else:
+        evaluator = fn
+    rng = np.random.default_rng(seed)
+    base = rng.random((pairs, dim))
+    dirs = rng.normal(size=(pairs, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    f0 = np.asarray(evaluator(base))
+    sups = [np.max(np.abs(np.asarray(evaluator(base + delta * dirs)) - f0))
+            for delta in scales]
+    return f0, np.array(sups, dtype=float)
 
 
 def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
@@ -764,25 +779,8 @@ def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
     `pairs` random base points and unit directions u.  The exponent is the
     least-squares slope in log-log; an estimator, not a certificate.
     """
-    if callable(fn) and not isinstance(fn, (TrigPoly, GridFunction)):
-        if dim is None:
-            raise TypeError("dim required for a bare callable")
-        evaluator = fn
-    else:
-        dim, evaluator = _as_evaluator(fn)
-    rng = np.random.default_rng(seed)
-    base = rng.random((pairs, dim))
-    dirs = rng.normal(size=(pairs, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     scales = np.array([2.0 ** (-j) for j in range(j_min, j_max + 1)])
-    sups = []
-    f0 = np.asarray(evaluator(base))
-    for delta in scales:
-        f1 = np.asarray(evaluator(base + delta * dirs))
-        inc = np.max(np.abs(f1 - f0), axis=-1) if f1.ndim > 1 else \
-            np.abs(f1 - f0)
-        sups.append(float(np.max(inc)))
-    sups = np.array(sups)
+    f0, sups = _sup_increments(fn, dim, scales, pairs, seed)
     mask = sups > 0
     if mask.sum() < 3:
         if np.all(sups < 1e-13 * max(1.0, np.max(np.abs(f0)))):
@@ -808,21 +806,10 @@ def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
 
 
 def finite_difference_ratio(fn, dim, scale, pairs=10000, seed=0):
-    """sup over sampled pairs of |f(x + delta u) - f(x)| / delta."""
-    if isinstance(fn, (TrigPoly, GridFunction)):
-        _, evaluator = _as_evaluator(fn)
-    else:
-        evaluator = fn
-    rng = np.random.default_rng(seed)
-    base = rng.random((pairs, dim))
-    dirs = rng.normal(size=(pairs, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    f0 = np.asarray(evaluator(base))
-    f1 = np.asarray(evaluator(base + scale * dirs))
-    inc = np.abs(f1 - f0)
-    if inc.ndim > 1:
-        inc = np.max(inc, axis=-1)
-    return float(np.max(inc) / scale)
+    """sup over sampled pairs of |f(x + delta u) - f(x)| / delta: the
+    increment of estimate_holder at the one scale delta."""
+    _, sups = _sup_increments(fn, dim, [scale], pairs, seed)
+    return float(sups[0] / scale)
 
 
 def sobolev_norm(fn, q, grid_n=64):

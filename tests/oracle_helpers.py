@@ -7,7 +7,8 @@ grid values composed by trigonometric interpolation, random-restart
 optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
 over Fractions, periodic-point seeds from a bounding-box search, the
-conjugacy's orbit walk with every trig table built afresh, the KAM
+conjugacy's orbit walk with every trig table built afresh, f^-1 as a
+map over L^-1 for a second conjugacy solve, the KAM
 step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
@@ -251,6 +252,40 @@ def orbit_terms_reference(f, points):
         z = f.invert(z)
         mu = au @ mu
         ms = als @ ms
+
+
+class InverseMap:
+    """f^-1 over the base L^-1, built on f.invert, f.apply and f.jacobian
+    alone.  Since H o f^-1 = L^-1 o H, solve_conjugacy on it gives the h
+    of f.  Its displacement at y is f^-1(y) - L^-1 y reduced mod Z^d."""
+
+    def __init__(self, f):
+        self.forward = f
+        self.base = f.base.inverse()
+        self.spec = spectral.lyapunov_splitting(self.base)
+        self._mat = self.base.as_array()
+        self.dim = f.dim
+
+    def apply_with_displacement(self, y):
+        x = self.forward.invert(y)
+        r = x - np.asarray(y, dtype=float) @ self._mat.T
+        return x, r - np.round(r)
+
+    def apply(self, y):
+        return self.forward.invert(y)
+
+    def displacement_at(self, y):
+        return self.apply_with_displacement(y)[1]
+
+    def apply_lift(self, y):
+        return np.asarray(y, dtype=float) @ self._mat.T + \
+            self.displacement_at(y)
+
+    def jacobian(self, y):
+        return np.linalg.inv(self.forward.jacobian(self.forward.invert(y)))
+
+    def invert(self, x):
+        return self.forward.apply(x)
 
 
 # ---------------------------------------------------------------------------

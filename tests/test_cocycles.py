@@ -109,20 +109,29 @@ def _assert_matches_per_step(got, ref):
         assert np.max(np.abs(got[key] - ref[key])) <= 1e-12, key
 
 
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(2, 4), st.sampled_from(["derivative", "restriction",
-                                           "constant"]),
-       st.sampled_from([1, 4]), st.integers(1, 40) | st.integers(100, 600),
-       st.integers(1, 8) | st.integers(64, 600),
-       st.integers(0, 2 ** 32 - 1))
-@example(2, "derivative", 4, 600, 600, 0)
-@example(3, "derivative", 1, 600, 600, 0)
-def test_lyapunov_batch_matches_per_step_reference(d, kind, s_count, n,
-                                                   block_steps, seed):
-    # blocks of 1-8 steps cross block boundaries in most draws; blocks of
-    # 64 or more steps and n up to 600 give chunks of more than 32 steps,
-    # and the two examples chunks of about 100 steps (m = 2) and the
-    # one-step chunks of m = 3
+@given(st.tuples(st.integers(2, 4),
+                 st.sampled_from(["derivative", "restriction", "constant"]),
+                 st.sampled_from([1, 4]), st.integers(3, 40) |
+                 st.integers(100, 600), st.integers(1, 8) |
+                 st.integers(64, 600), _SEEDS) |
+       st.tuples(st.just(2), st.sampled_from(["derivative", "restriction"]),
+                 st.sampled_from([1, 4]), st.integers(400, 600),
+                 st.integers(200, 600), _SEEDS))
+@example((2, "derivative", 4, 600, 600, 0))
+@example((3, "derivative", 1, 600, 600, 0))
+@example((2, "restriction", 1, 1, 1, 0))
+def test_lyapunov_batch_matches_per_step_reference(case):
+    # blocks of 1-8 steps cross block boundaries in most draws of the first
+    # form; the second form runs m <= 2 with halves of 200 or more steps in
+    # one block, so that its chunks are as long as the log budget allows
+    # (100 to 180 steps here); the examples give chunks of about 100 steps
+    # (m = 2), the one-step chunks of m = 3, and n = 1, whose tail is the
+    # whole orbit
+    d, kind, s_count, n, block_steps, seed = case
     rng = np.random.default_rng(seed)
     spec = _random_spec(d, kind, rng)
     xs = rng.random((s_count, d))
@@ -386,8 +395,7 @@ def test_smooth_constructed_case_has_small_dh_residual():
     # residual is tiny once the grid resolves the modes
     lam, _ = conjugacy._leading_eigen([[2, 1], [1, 1]])
     psi_poly = TrigPoly.sin_mode((1, 0), 0.003)
-    phi = conjugacy.skew_phi_from_finite_psi(
-        psi_poly, lam, spectral.automorphism([[3, 1], [2, 1]]))
+    phi = lam * psi_poly - psi_poly.compose_affine([[3, 1], [2, 1]])
     ce = conjugacy.build_counterexample([[2, 1], [1, 1]], [[3, 1], [2, 1]],
                                         phi, k_trunc=80)
     # evaluate L DH - (DH o f) Df at random points with the exact skew DH

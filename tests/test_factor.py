@@ -39,7 +39,8 @@ def test_reconstitution_exact():
         facs = factor.factor_over_q(p)
         recon = [1]
         for g, mult in facs:
-            recon = intpoly.mul(recon, intpoly.poly_pow(g, mult))
+            for _ in range(mult):
+                recon = intpoly.mul(recon, g)
         assert recon == p
 
 

@@ -44,7 +44,7 @@ def test_det_and_inverse():
 
 
 def test_squarefree_decomposition():
-    p = intpoly.mul(intpoly.poly_pow([1, -3, 1], 2), [-1, 1])
+    p = intpoly.mul(intpoly.mul([1, -3, 1], [1, -3, 1]), [-1, 1])
     parts = dict()
     for fac, mult in intpoly.squarefree_decomposition(p):
         parts[tuple(fac)] = mult

@@ -62,7 +62,7 @@ def test_forbidden_pair_flag():
 
 def test_splitting_cat():
     sd = spectral.lyapunov_splitting(CAT)
-    assert sd.stable_dim == sd.unstable_dim == 1
+    assert sd.stable_basis.shape[1] == sd.unstable_dim == 1
     rho = [c.rho for c in sd.clusters]
     assert np.allclose(sorted(rho), [1 / GOLDEN, GOLDEN], atol=1e-12)
     # unstable direction is the golden-ratio eigenvector
@@ -103,11 +103,11 @@ def test_adapted_norm_contracts_on_sample():
         sd = spectral.lyapunov_splitting(m)
         mf = m.as_array()
         norm = sd.stable_norm
-        dim = sd.stable_dim
-        coords = rng.normal(size=(1000, dim))
+        coords = rng.normal(size=(1000, sd.stable_basis.shape[1]))
         vecs = coords @ norm.basis.T
-        before = norm.vector_norm(vecs.T if vecs.ndim == 1 else vecs)
-        after = norm.vector_norm((mf @ vecs.T).T)
+        before = np.linalg.norm(norm.chol @ norm.basis.T @ vecs.T, axis=0)
+        after = np.linalg.norm(norm.chol @ norm.basis.T @ mf @ vecs.T,
+                               axis=0)
         assert norm.contraction < 1.0
         assert np.all(after <= norm.contraction * before * (1 + 1e-9))
 

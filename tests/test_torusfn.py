@@ -637,14 +637,18 @@ def test_wrong_length_frequency_raises():
 
 
 @st.composite
-def coefficient_rows(draw, d=None, m=None):
-    """(d, m, freqs, coefs) with distinct frequency rows |n|_inf <= 2 (or
-    those times 2^70, beyond int64), among them all-zero rows, a complex
-    c_0, and -n partners that are missing, exactly conjugate or not."""
-    d = d or draw(st.integers(1, 3))
+def coefficient_rows(draw, d=None, m=None, dense=False):
+    """(d, m, freqs, coefs) with 1 to 12 distinct frequency rows
+    |n|_inf <= 2 (or those times 2^70, beyond int64), among them all-zero
+    rows, a complex c_0, and -n partners that are missing, exactly
+    conjugate or not.  dense draws 20 to 40 rows |n|_inf <= 5 in d >= 2,
+    where <n, v> rounds for a non-dyadic v and sums over rows round by
+    their order."""
+    d = d or draw(st.integers(2 if dense else 1, 3))
     m = m or draw(st.integers(1, 3))
-    keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), unique=True,
-                         max_size=12))
+    radius, sizes = (5, (20, 40)) if dense else (2, (1, 12))
+    keys = draw(st.lists(st.tuples(*[st.integers(-radius, radius)] * d),
+                         unique=True, min_size=sizes[0], max_size=sizes[1]))
     part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
     vec = st.lists(part, min_size=m, max_size=m)
     coefs = np.array([np.array(draw(vec)) + 1j * np.array(draw(vec))
@@ -703,7 +707,8 @@ _SCALARS = st.sampled_from([0.0, -1.0, 2.5, 1j, 0.3 - 0.7j]) | \
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(coefficient_rows(), st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
+@given(coefficient_rows() | coefficient_rows(dense=True),
+       st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
        st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9]), st.data())
 def test_bulk_operations_match_per_key_loops(case, tol, radius, cutoff,
                                              data):
