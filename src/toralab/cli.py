@@ -436,8 +436,8 @@ def run_regularity(manifest, outdir):
                                manifest.get("seed", 0), reg)
     scan = []
     for n in params.get("resolutions", [64, 128, 256]):
-        r = conjugacy.solve_conjugacy(f, tol=params.get("tol", 1e-10),
-                                      grid_n=n)
+        r = res if n == res.grid_n else conjugacy.solve_conjugacy(
+            f, tol=params.get("tol", 1e-10), grid_n=n)
         rep = conjugacy.jacobian_dh(r, sample_n=min(48, n))
         scan.append({"n": n, "jacobian_residual": rep.residual_eq,
                      "min_det": rep.min_det})

@@ -516,23 +516,15 @@ class SubbundleEstimate:
     singular_gap: float
 
 
-def _product_svd(spec, x, n):
-    """SVD factors of A(f^-n x, n), accumulated with rescaling."""
-    y = np.asarray(x, dtype=float).copy()
-    back = []
-    for _ in range(n):
-        y = spec.f.invert(y)
-        back.append(y.copy())
+def _product_svd(spec, back):
+    """SVD of A(f^-n x, n) from back = [f^-1 x, ..., f^-n x], rescaled."""
     prod = np.eye(spec.m)
-    log_scale = 0.0
     for y in reversed(back):
         prod = spec.generator(y) @ prod
         s = np.max(np.abs(prod))
         if s > 1e100 or s < 1e-100:
             prod = prod / s
-            log_scale += np.log(s)
-    u, sv, _ = np.linalg.svd(prod)
-    return u, sv, log_scale
+    return np.linalg.svd(prod)
 
 
 def oseledets_subbundle(spec: CocycleSpec, x, n, cluster_index,
@@ -572,9 +564,14 @@ def oseledets_subbundle(spec: CocycleSpec, x, n, cluster_index,
             f"exponent gap {min(gaps):.3e} below {gap_factor} x oscillation "
             f"{osc:.3e}")
 
-    u_full, sv_full, _ = _product_svd(spec, x, n)
+    y = np.asarray(x, dtype=float).copy()
+    back = []                               # f^-1 x, ..., f^-n x
+    for _ in range(max(n, 1)):
+        y = spec.f.invert(y)
+        back.append(y.copy())
+    u_full, sv_full, _ = _product_svd(spec, back[:n])
     est = u_full[:, start:start + dim_i]
-    u_half, _, _ = _product_svd(spec, x, max(n // 2, 1))
+    u_half, _, _ = _product_svd(spec, back[:max(n // 2, 1)])
     est_half = u_half[:, start:start + dim_i]
     conv = _principal_angle(est, est_half)
 

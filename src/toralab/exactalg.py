@@ -2,9 +2,10 @@
 
 Matrices are lists of lists of Python ints or Fractions.  Used wherever
 floating point would be a liability: determinants of unimodular
-matrices, characteristic polynomials, the triangular column form that
-enumerates periodic points, and the lattice searches behind the
-weak-irreducibility cross-check.  Lattice reduction is integral LLL
+matrices, characteristic polynomials, polynomials evaluated at a matrix
+(``eval_matrix``), the triangular column form that enumerates periodic
+points, and the lattice searches behind the weak-irreducibility
+cross-check.  Lattice reduction is integral LLL
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 Alg. 2.6.7), which keeps every Gram-Schmidt quantity an integer.
 """
@@ -12,6 +13,7 @@ Alg. 2.6.7), which keeps every Gram-Schmidt quantity an integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import intpoly
 
@@ -28,6 +30,17 @@ def mat_vec(a, v):
 
 def identity(d):
     return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+def eval_matrix(p, m_rows):
+    """p(M) for a square integer matrix M, exactly (Horner)."""
+    d = len(m_rows)
+    acc = [[0] * d for _ in range(d)]
+    for c in reversed(intpoly.trim(p)):
+        acc = mat_mul(acc, m_rows)
+        for i in range(d):
+            acc[i][i] += c
+    return acc
 
 
 def mat_pow(a, k):
@@ -193,19 +206,11 @@ def minimal_poly_of_vector(m, v):
             for rr, c in enumerate(rank_cols):
                 sol[c] = work[rr][k]
             coeffs = [-s for s in sol] + [Fraction(1)]
-            den = 1
-            for c in coeffs:
-                den = den * c.denominator // _gcd(den, c.denominator)
+            den = lcm(*(c.denominator for c in coeffs))
             return intpoly.primitive([int(c * den) for c in coeffs])
         krylov.append(nxt)
         if len(krylov) > d:
             raise ArithmeticError("Krylov sequence failed to close")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

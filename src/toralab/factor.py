@@ -9,6 +9,7 @@ desk scale (default 24); inputs are monic up to sign.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import intpoly
 from .errors import DegreeTooLarge
@@ -20,7 +21,8 @@ _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic mod p (coefficient lists, increasing degree)
+# Arithmetic mod m (a prime p, or p^k while lifting); coefficient lists in
+# increasing degree
 # ---------------------------------------------------------------------------
 
 def _ptrim(a):
@@ -29,7 +31,12 @@ def _ptrim(a):
     return a
 
 
-def _pmul(a, b, p):
+def _zmod(a, m):
+    """a mod m (a prime p, or p^k while lifting), trailing zeros dropped."""
+    return _ptrim([x % m for x in a])
+
+
+def _pmul(a, b, m):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -37,62 +44,62 @@ def _pmul(a, b, p):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
+            out[i + j] = (out[i + j] + x * y) % m
     return _ptrim(out)
 
 
-def _psub(a, b, p):
+def _psub(a, b, m):
     n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
+    return _zmod([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                  for i in range(n)], m)
 
 
-def _pdivmod(a, b, p):
-    a = _ptrim([x % p for x in a])
-    b = _ptrim([x % p for x in b])
+def _pdivmod(a, b, m):
+    """Quotient and remainder mod m (a prime p, or p^k while lifting).
+
+    lc(b) must be a unit mod m; it is 1 for the monic divisors of a lift.
+    """
+    a, b = _zmod(a, m), _zmod(b, m)
     if not b:
         raise ZeroDivisionError
-    inv_lb = pow(b[-1], -1, p)
+    inv_lb = pow(b[-1], -1, m)
     q = [0] * max(len(a) - len(b) + 1, 1)
     r = a[:]
     while r and len(r) >= len(b):
-        c = (r[-1] * inv_lb) % p
+        c = (r[-1] * inv_lb) % m
         k = len(r) - len(b)
         q[k] = c
         for i in range(len(b)):
-            r[i + k] = (r[i + k] - c * b[i]) % p
+            r[i + k] = (r[i + k] - c * b[i]) % m
         _ptrim(r)
     return _ptrim(q), _ptrim(r)
 
 
+def _pmonic(a, m):
+    a = _zmod(a, m)
+    if not a:
+        return a
+    inv = pow(a[-1], -1, m)
+    return [(x * inv) % m for x in a]
+
+
 def _pgcd(a, b, p):
-    a, b = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
+    a, b = _zmod(a, p), _zmod(b, p)
     while b:
         _, r = _pdivmod(a, b, p)
         a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
-    return a
+    return _pmonic(a, p)
 
 
-def _ppowmod(base, e, mod, p):
+def _ppowmod(base, e, mod, m):
     result = [1]
-    base = _pdivmod(base, mod, p)[1]
+    base = _pdivmod(base, mod, m)[1]
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            result = _pdivmod(_pmul(result, base, m), mod, m)[1]
+        base = _pdivmod(_pmul(base, base, m), mod, m)[1]
         e >>= 1
     return result
-
-
-def _pmonic(a, p):
-    a = _ptrim([x % p for x in a])
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +164,6 @@ def factor_mod_p(f, p, seed=12345):
 # Hensel lifting
 # ---------------------------------------------------------------------------
 
-def _zmod(a, m):
-    return _ptrim([x % m for x in a])
-
-
 def _zsym(a, m):
     """Symmetric representative mod m."""
     out = []
@@ -172,33 +175,6 @@ def _zsym(a, m):
     return intpoly.trim(out)
 
 
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _ptrim(out)
-
-
-def _zdivmod_monic(a, b, m):
-    """Division by monic b with coefficients mod m."""
-    a = _zmod(a, m)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    r = a[:]
-    while r and len(r) >= len(b):
-        c = r[-1] % m
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            r[i + k] = (r[i + k] - c * b[i]) % m
-        _ptrim(r)
-    return _ptrim(q), _ptrim(r)
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = gh, sg+th = 1 (mod m) to mod m^2.
 
@@ -206,23 +182,22 @@ def _hensel_step(f, g, h, s, t, m):
     """
     m2 = m * m
     e = _zmod(intpoly.sub(f, intpoly.mul(g, h)), m2)
-    q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
-    g_star = _zmod(intpoly.add(intpoly.add(g, _zmul(t, e, m2)),
-                               _zmul(q, g, m2)), m2)
+    q, r = _pdivmod(_pmul(s, e, m2), h, m2)
+    g_star = _zmod(intpoly.add(intpoly.add(g, _pmul(t, e, m2)),
+                               _pmul(q, g, m2)), m2)
     h_star = _zmod(intpoly.add(h, r), m2)
-    b = _zmod(intpoly.sub(intpoly.add(_zmul(s, g_star, m2),
-                                      _zmul(t, h_star, m2)), [1]), m2)
-    c, d = _zdivmod_monic(_zmul(s, b, m2), h_star, m2)
+    b = _zmod(intpoly.sub(intpoly.add(_pmul(s, g_star, m2),
+                                      _pmul(t, h_star, m2)), [1]), m2)
+    c, d = _pdivmod(_pmul(s, b, m2), h_star, m2)
     s_star = _zmod(intpoly.sub(s, d), m2)
-    t_star = _zmod(intpoly.sub(intpoly.sub(t, _zmul(t, b, m2)),
-                               _zmul(c, g_star, m2)), m2)
+    t_star = _zmod(intpoly.sub(intpoly.sub(t, _pmul(t, b, m2)),
+                               _pmul(c, g_star, m2)), m2)
     return g_star, h_star, s_star, t_star
 
 
 def _pegcd(a, b, p):
     """Extended gcd over GF(p): returns (g, s, t) with sa + tb = g, g monic."""
-    r0 = _ptrim([x % p for x in a])
-    r1 = _ptrim([x % p for x in b])
+    r0, r1 = _zmod(a, p), _zmod(b, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
@@ -287,7 +262,7 @@ def _good_prime(f):
     for p in _SMALL_PRIMES:
         if lc % p == 0:
             continue
-        fp = _ptrim([c % p for c in f])
+        fp = _zmod(f, p)
         if len(fp) - 1 != len(f) - 1:
             continue
         if len(_pgcd(fp, intpoly.derivative(fp), p)) == 1:
@@ -325,10 +300,10 @@ def factor_squarefree(f):
         found = True
         while found:
             found = False
-            for subset in _subsets(remaining, size):
+            for subset in combinations(remaining, size):
                 cand = [1]
                 for idx in subset:
-                    cand = _zmul(cand, lifted[idx], m)
+                    cand = _pmul(cand, lifted[idx], m)
                 cand = _zsym(cand, m)
                 if cand and abs(cand[-1]) == 1 and intpoly.divides(cand, current):
                     result.append(intpoly.primitive(cand))
@@ -342,11 +317,6 @@ def factor_squarefree(f):
     if intpoly.degree(current) > 0:
         result.append(intpoly.primitive(current))
     return sorted(result)
-
-
-def _subsets(pool, size):
-    from itertools import combinations
-    return combinations(pool, size)
 
 
 def factor_over_q(f, max_degree=MAX_DEGREE):

@@ -9,7 +9,7 @@ to a few dozen.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 
 def trim(p):
@@ -63,27 +63,6 @@ def eval_at(p, x):
     acc = 0 * x if p else 0
     for c in reversed(trim(p)):
         acc = acc * x + c
-    return acc
-
-
-def eval_matrix(p, m_rows):
-    """Evaluate p at a square integer matrix (list-of-lists), exactly."""
-    d = len(m_rows)
-    zero = [[0] * d for _ in range(d)]
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def mat_mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
-                for i in range(d)]
-
-    def mat_add(a, b):
-        return [[a[i][j] + b[i][j] for j in range(d)] for i in range(d)]
-
-    acc = zero
-    for c in reversed(trim(p)):
-        acc = mat_mul(acc, m_rows)
-        if c:
-            acc = mat_add(acc, [[c * e for e in row] for row in ident])
     return acc
 
 
@@ -150,9 +129,7 @@ def gcd_q(p, q):
     if not a:
         return []
     # clear denominators -> primitive integer polynomial
-    den = 1
-    for c in a:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in a))
     return primitive([int(c * den) for c in a])
 
 

@@ -364,24 +364,18 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
 
     x = np.array(seeds, dtype=float)
     kv = np.array(kept_k, dtype=float)
-    iterations = 0
-    for _ in range(max_iter):
+    # the walk of the last iterate gives the final residuals
+    for iterations in range(max_iter + 1):
         y = x.copy()
         prod = np.broadcast_to(np.eye(d), (len(x), d, d)).copy()
         for _step in range(n):
             prod = f.jacobian(y) @ prod
             y = f.apply_lift(y)
         res = y - x - kv
-        if np.max(np.abs(res)) < newton_tol:
+        if iterations == max_iter or np.max(np.abs(res)) < newton_tol:
             break
         x = x - newton_step(prod - np.eye(d), res)
-        iterations += 1
-
-    # final residuals
-    y = x.copy()
-    for _step in range(n):
-        y = f.apply_lift(y)
-    res = np.linalg.norm(y - x - kv, axis=1)
+    res = np.linalg.norm(res, axis=1)
 
     good = np.flatnonzero(res <= 100 * newton_tol)
     failures = len(x) - len(good)

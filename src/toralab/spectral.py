@@ -380,18 +380,25 @@ def _spectral_cached(entries, tol, dps, retries):
         for idx in c.root_indices:
             rs.extend([certified[idx].value] * certified[idx].multiplicity)
         cluster_polys.append(_real_poly_from_roots(rs))
-    bases = []
-    for i, c in enumerate(clusters):
+    cluster_mats = [_eval_poly_matrix(q, mf) for q in cluster_polys]
+
+    def _annihilated(skip):
+        """SVD of the normalized product of the unskipped clusters' q(M)."""
         t = np.eye(d)
-        for j, q in enumerate(cluster_polys):
-            if j == i:
+        for j, q_m in enumerate(cluster_mats):
+            if skip(j):
                 continue
-            t = _eval_poly_matrix(q, mf) @ t
+            t = q_m @ t
             nrm = np.linalg.norm(t, 2)
             if nrm > 0:
                 t = t / nrm
-        dim_i = c.total_multiplicity
         u, s, _ = np.linalg.svd(t)
+        return u, s
+
+    bases = []
+    for i, c in enumerate(clusters):
+        dim_i = c.total_multiplicity
+        u, s = _annihilated(lambda j: j == i)
         if dim_i < d and s[dim_i] > 1e-6 * s[0]:
             raise Indeterminate("cluster subspace rank not well separated")
         basis = u[:, :dim_i]
@@ -401,20 +408,10 @@ def _spectral_cached(entries, tol, dps, retries):
         bases.append(basis)
 
     def _side_basis(selector):
-        cols = [bases[i] for i, c in enumerate(clusters) if selector(c.rho)]
-        if not cols:
-            return np.zeros((d, 0))
-        t = np.eye(d)
-        for i, c in enumerate(clusters):
-            if selector(c.rho):
-                continue
-            t = _eval_poly_matrix(cluster_polys[i], mf) @ t
-            nrm = np.linalg.norm(t, 2)
-            if nrm > 0:
-                t = t / nrm
         k = sum(c.total_multiplicity for c in clusters if selector(c.rho))
-        u, s, _ = np.linalg.svd(t)
-        return u[:, :k]
+        if not k:
+            return np.zeros((d, 0))
+        return _annihilated(lambda j: selector(clusters[j].rho))[0][:, :k]
 
     stable_basis = _side_basis(lambda rho: rho < 1.0 - tol)
     unstable_basis = _side_basis(lambda rho: rho > 1.0 + tol)
@@ -511,7 +508,7 @@ def classify(m, tol=MODULUS_TOL):
     radical = [1]
     for coeffs, _ in facs.factors:
         radical = intpoly.mul(radical, list(coeffs))
-    diag = all(x == 0 for row in intpoly.eval_matrix(radical, m.rows())
+    diag = all(x == 0 for row in exactalg.eval_matrix(radical, m.rows())
                for x in row)
 
     return ClassificationFlags(

@@ -370,3 +370,28 @@ def test_bad_mode_record_is_schema_error(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert "bad mode record" in capsys.readouterr().err
     assert not (tmp_path / f"{scenario}_result.json").exists()
+
+
+def test_regularity_scan_reuses_the_main_solve(tmp_path, monkeypatch):
+    # a resolution equal to n_grid reads the record's solve, and its scan
+    # entry is the one a fresh solve at that grid gives
+    grids = []
+    solve = conjugacy.solve_conjugacy
+
+    def spied(f, **kwargs):
+        grids.append(kwargs["grid_n"])
+        return solve(f, **kwargs)
+
+    monkeypatch.setattr(cli.conjugacy, "solve_conjugacy", spied)
+    params = {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+              "modes": [{"freq": [0, 1], "amplitude": [1.0]}],
+              "n_grid": 16, "samples": 40, "resolutions": [8, 16]}
+    out, _ = cli.run_regularity({"scenario": "regularity", "seed": 0,
+                                 "params": params}, str(tmp_path))
+    assert grids == [16, 8]
+    scan = out["jacobian_scan"]
+    fresh = conjugacy.jacobian_dh(
+        solve(cli._build_map(params), tol=1e-10, grid_n=16), sample_n=16)
+    assert [s["n"] for s in scan] == [8, 16]
+    assert scan[1] == {"n": 16, "jacobian_residual": fresh.residual_eq,
+                       "min_det": fresh.min_det}

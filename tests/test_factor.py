@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracle_helpers import kronecker_factor
 from toralab import factor, intpoly
@@ -74,3 +76,43 @@ def test_cyclotomic_product():
     facs = factor.factor_over_q([-1, 0, 0, 0, 1])
     degs = sorted(intpoly.degree(g) for g, _ in facs)
     assert degs == [1, 1, 2]
+
+
+def _reduce(a, m):
+    return intpoly.trim([x % m for x in a])
+
+
+def _modular_product(parts, m):
+    out = [1]
+    for part in parts:
+        out = factor._pmul(out, part, m)
+    return out
+
+
+_MONIC = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(
+    lambda low: low + [1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(_MONIC, min_size=2, max_size=4))
+def test_modular_factors_and_hensel_lifts_multiply_to_f(parts):
+    # the Cantor-Zassenhaus factors multiply to f mod p; the Hensel lifts
+    # multiply to f mod p^k and each reduces mod p to its modular factor
+    f = [1]
+    for part in parts:
+        f = intpoly.mul(f, part)
+    assume(intpoly.degree(intpoly.gcd_q(f, intpoly.derivative(f))) == 0)
+    p = factor._good_prime(f)
+    modular = factor.factor_mod_p(f, p)
+    assert all(g[-1] == 1 and all(0 <= c < p for c in g) for g in modular)
+    assert _modular_product(modular, p) == _reduce(f, p)
+    # division by a non-monic multiple of a factor is exact mod p
+    q, r = factor._pdivmod(f, [2 * c for c in modular[0]], p)
+    assert r == [] and _modular_product([q, modular[0], [2]], p) == \
+        _reduce(f, p)
+    target = 2 * factor._mignotte_bound(f) + 1
+    m = factor._next_power(p, target)
+    assert m >= target
+    lifted = factor._hensel_lift_tree(_reduce(f, m), modular, p, target)
+    assert _modular_product(lifted, m) == _reduce(f, m)
+    assert [_reduce(g, p) for g in lifted] == modular

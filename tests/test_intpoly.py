@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import lll_reduce_fraction
-from toralab import intpoly
+from toralab import exactalg, intpoly
 from toralab.exactalg import charpoly, det_bareiss, inverse_unimodular, \
     lll_reduce, minimal_poly_of_vector
 
@@ -30,7 +30,7 @@ def test_cayley_hamilton_exact():
     for _ in range(10):
         m = [[int(x) for x in row] for row in rng.integers(-4, 5, size=(4, 4))]
         p = charpoly(m)
-        val = intpoly.eval_matrix(p, m)
+        val = exactalg.eval_matrix(p, m)
         assert all(x == 0 for row in val for x in row)
 
 

@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (c0_upper_per_key, combine_per_key,
@@ -706,7 +706,10 @@ _SCALARS = st.sampled_from([0.0, -1.0, 2.5, 1j, 0.3 - 0.7j]) | \
     st.floats(-2, 2)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+# no shrinking: a failure on a dense draw (20-40 rows) cannot shrink to a
+# small draw, and shrinking it ran for minutes before the report
+@settings(derandomize=True, deadline=None, max_examples=150,
+          phases=(Phase.explicit, Phase.generate))
 @given(coefficient_rows() | coefficient_rows(dense=True),
        st.sampled_from([0.0, 1e-12, 0.5, 3.0]),
        st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9]), st.data())
