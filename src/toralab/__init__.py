@@ -13,7 +13,7 @@ from .spectral import (IntegerAutomorphism, automorphism, block_diagonal,
                        lyapunov_splitting, spectral_data,
                        weakly_irreducible_definitional)
 from .torusfn import (GridFunction, TrigPoly, c0_norm, estimate_holder,
-                      sobolev_norm, weierstrass_type)
+                      sobolev_norm)
 from .maps import (PerturbedMap, build, fixed_point_near_zero,
                    periodic_data_check, periodic_points, verify_anosov)
 from .conjugacy import (ConjugacyResult, build_counterexample, jacobian_dh,

@@ -105,7 +105,7 @@ class _OrbitSeries:
         self.w = sd.basis_full
         self.w_inv = sd.basis_full_inv
         self.du = sd.unstable_dim
-        self.au = np.linalg.inv(sd.restricted_unstable())
+        self.au = sd.restricted_unstable_inv
         self.als = sd.restricted_stable()
         self.n_terms = None          # set by the grid solve
         self.shift = np.zeros(f.dim)  # set by the anchor normalization
@@ -205,6 +205,9 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
     arbitrary points.  h is normalized so that H(p) is the L-fixed point
     nearest p, for the f-fixed point p near 0 (anchor_residual is the
     distance left).  The residual at other points is residual_check's.
+    Raises NoContraction if rounding puts L's adapted contraction factor
+    at or above 1, which its Stein-equation norms rule out for every
+    hyperbolic L.
     """
     sd = f.spec
     sigma_u = sd.unstable_norm.contraction

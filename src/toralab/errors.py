@@ -43,8 +43,9 @@ class NewtonDivergence(ToralabError):
 
 
 class NoContraction(ToralabError):
-    """The conjugacy fixed-point map is not a contraction in the adapted
-    norm (perturbation too large)."""
+    """L's adapted contraction factor, as computed in floating point, is
+    not below 1.  The Stein-equation norms put it below 1 for every
+    hyperbolic L, so this guards against rounding only."""
 
 
 class ToleranceNotReached(ToralabError):

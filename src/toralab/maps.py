@@ -152,17 +152,9 @@ class PerturbedMap:
                                dr_lipschitz=dr_lip,
                                cone_ok=margin > 0, cone_margin=margin)
 
-    def _adapted_transform(self):
-        sd = self.spec
-        du = sd.unstable_dim
-        t = np.zeros((self.dim, self.dim))
-        t[:du, :] = sd.unstable_norm.chol @ sd.basis_full_inv[:du, :]
-        t[du:, :] = sd.stable_norm.chol @ sd.basis_full_inv[du:, :]
-        return t, np.linalg.inv(t), du
-
     def _cone_margin_global(self, dr_upper, aperture=0.25):
         """Margin of the cone conditions using only coefficient bounds."""
-        t, t_inv, du = self._adapted_transform()
+        (t, t_inv), du = self.spec.adapted_transform, self.spec.unstable_dim
         kappa = np.linalg.norm(t, 2) * np.linalg.norm(t_inv, 2)
         eps = kappa * dr_upper
         lam = t @ self._mat @ t_inv
@@ -216,7 +208,7 @@ def verify_anosov(f: PerturbedMap, grid_n=24, aperture=0.25):
     VerificationInconclusive when the bounds do not close; that is not a
     verdict that f fails to be Anosov.
     """
-    t, t_inv, du = f._adapted_transform()
+    (t, t_inv), du = f.spec.adapted_transform, f.spec.unstable_dim
     d = f.dim
     a = aperture
     kappa = np.linalg.norm(t, 2) * np.linalg.norm(t_inv, 2)

@@ -9,10 +9,9 @@ modulus comparison is ever decided inside its own error bar.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import exactalg, factor, intpoly, roots
 from .errors import ConvergenceFailure, Indeterminate, NotHyperbolic
@@ -182,47 +181,39 @@ class ModulusCluster:
 
 @dataclass
 class AdaptedNorm:
-    """Inner-product norm |v|^2 = c^T G c on a subspace (c = coords in basis).
+    """Inner-product norm |c|_G^2 = c^T G c = |R c|^2 on a subspace, in the
+    coordinates c of its basis, that makes A strictly contract.
 
-    Built as G = sum_k sigma^(-2k) (A^k)^T A^k with A the restricted map
-    (or its inverse on an expanding subspace), which makes A a strict
-    contraction with the reported factor; handles Jordan blocks.
+    A is the restricted map (or its inverse on an expanding subspace) and
+    sigma = (rho(A) + 1) / 2.  G = sum_k sigma^(-2k) (A^k)^T A^k is the
+    unique solution of the Stein equation G - B^T G B = I with B = A/sigma,
+    so |A c|_G^2 = sigma^2 (|c|_G^2 - |c|^2) < sigma^2 |c|_G^2, Jordan
+    blocks included.
     """
-    basis: np.ndarray          # d x k, orthonormal columns
-    gram: np.ndarray           # k x k SPD
     chol: np.ndarray           # upper-triangular R with G = R^T R
-    sigma: float               # target contraction rate
-    n_terms: int
-    contraction: float         # certified factor of the restricted map
+    contraction: float         # factor of A in the G-norm, below sigma
 
 
-def _adapted_norm(basis, restricted, spectral_radius):
+def _adapted_norm(restricted, spectral_radius):
+    """The adapted norm of `restricted` from one Stein solve:
+    (I - kron(B^T, B^T)) vec G = vec I, with B = restricted / sigma."""
     sigma = 0.5 * (spectral_radius + 1.0)
     k = restricted.shape[0]
-    power = np.eye(k)
-    n_terms = 1
-    for n in range(1, 121):
-        power = power @ restricted
-        if np.linalg.norm(power, 2) < sigma ** n:
-            n_terms = n
-            break
-    else:
-        raise Indeterminate("adapted norm power bound not reached")
-    gram = np.zeros((k, k))
-    pk = np.eye(k)
-    for j in range(n_terms):
-        gram += (sigma ** (-2 * j)) * (pk.T @ pk)
-        pk = restricted @ pk
-    chol = scipy.linalg.cholesky(gram, lower=False)
+    bt = restricted.T / sigma
+    gram = np.linalg.solve(np.eye(k * k) - np.kron(bt, bt),
+                           np.eye(k).ravel()).reshape(k, k)
+    chol = np.linalg.cholesky(0.5 * (gram + gram.T), upper=True)
     # contraction of `restricted` in the G-norm = 2-norm of R A R^-1
     contraction = float(np.linalg.norm(chol @ restricted @
                                        np.linalg.inv(chol), 2))
-    return AdaptedNorm(basis=basis, gram=gram, chol=chol, sigma=float(sigma),
-                       n_terms=n_terms, contraction=contraction)
+    return AdaptedNorm(chol=chol, contraction=contraction)
 
 
 @dataclass
 class SpectralData:
+    """Certified spectral data of one automorphism.  The cached properties
+    (adapted norms, splitting basis) are built on first read, and are read
+    only for a hyperbolic automorphism: classification never reads them."""
     automorphism: IntegerAutomorphism
     factorization: CharPolyFactorization
     roots: list
@@ -230,11 +221,7 @@ class SpectralData:
     cluster_bases: list            # real orthonormal basis per cluster
     stable_basis: np.ndarray
     unstable_basis: np.ndarray
-    stable_norm: AdaptedNorm | None
-    unstable_norm: AdaptedNorm | None
     hyperbolic: bool
-    basis_full: np.ndarray = field(default=None)      # [B_u | B_s]
-    basis_full_inv: np.ndarray = field(default=None)
 
     @property
     def unstable_dim(self):
@@ -255,6 +242,42 @@ class SpectralData:
     def restricted_stable(self):
         b = self.stable_basis
         return b.T @ self.automorphism.as_array() @ b
+
+    @functools.cached_property
+    def restricted_unstable_inv(self):
+        """L_u^-1 on E^u, in the coordinates of unstable_basis."""
+        return np.linalg.inv(self.restricted_unstable())
+
+    @functools.cached_property
+    def stable_norm(self):
+        """Adapted norm of L_s on E^s."""
+        rho = max(c.rho for c in self.clusters if c.rho < 1.0)
+        return _adapted_norm(self.restricted_stable(), rho)
+
+    @functools.cached_property
+    def unstable_norm(self):
+        """Adapted norm of L_u^-1 on E^u."""
+        rho = min(c.rho for c in self.clusters if c.rho > 1.0)
+        return _adapted_norm(self.restricted_unstable_inv, 1.0 / rho)
+
+    @functools.cached_property
+    def basis_full(self):
+        """[B_u | B_s]: splitting coordinates to standard ones."""
+        return np.concatenate([self.unstable_basis, self.stable_basis], 1)
+
+    @functools.cached_property
+    def basis_full_inv(self):
+        return np.linalg.inv(self.basis_full)
+
+    @functools.cached_property
+    def adapted_transform(self):
+        """(T, T^-1), T = diag(R_u, R_s) [B_u | B_s]^-1: standard
+        coordinates to adapted ones, where both norms are Euclidean."""
+        du = self.unstable_dim
+        t = np.zeros((self.automorphism.dim,) * 2)
+        t[:du, :] = self.unstable_norm.chol @ self.basis_full_inv[:du, :]
+        t[du:, :] = self.stable_norm.chol @ self.basis_full_inv[du:, :]
+        return t, np.linalg.inv(t)
 
 
 def _real_poly_from_roots(root_list):
@@ -416,29 +439,14 @@ def _spectral_cached(entries, tol, dps, retries):
     stable_basis = _side_basis(lambda rho: rho < 1.0 - tol)
     unstable_basis = _side_basis(lambda rho: rho > 1.0 + tol)
 
-    stable_norm = unstable_norm = None
-    basis_full = basis_full_inv = None
-    if hyperbolic and stable_basis.shape[1] and unstable_basis.shape[1]:
-        ls = stable_basis.T @ mf @ stable_basis
-        rho_s = max(c.rho for c in clusters if c.rho < 1.0 - tol)
-        stable_norm = _adapted_norm(stable_basis, ls, rho_s)
-        lu = unstable_basis.T @ mf @ unstable_basis
-        rho_u_min = min(c.rho for c in clusters if c.rho > 1.0 + tol)
-        unstable_norm = _adapted_norm(unstable_basis, np.linalg.inv(lu),
-                                      1.0 / rho_u_min)
-        basis_full = np.concatenate([unstable_basis, stable_basis], axis=1)
-        basis_full_inv = np.linalg.inv(basis_full)
-    elif hyperbolic:
+    if hyperbolic and not (stable_basis.size and unstable_basis.size):
         # purely expanding or purely contracting cannot happen for |det|=1
         raise Indeterminate("hyperbolic automorphism with one-sided spectrum")
 
     return SpectralData(automorphism=m, factorization=facs, roots=certified,
                         clusters=clusters, cluster_bases=bases,
                         stable_basis=stable_basis,
-                        unstable_basis=unstable_basis,
-                        stable_norm=stable_norm, unstable_norm=unstable_norm,
-                        hyperbolic=hyperbolic, basis_full=basis_full,
-                        basis_full_inv=basis_full_inv)
+                        unstable_basis=unstable_basis, hyperbolic=hyperbolic)
 
 
 def spectral_data(m, tol=MODULUS_TOL, dps=30, retries=3):
@@ -584,7 +592,11 @@ def weakly_irreducible_definitional(m, radius=LATTICE_RADIUS, tol=1e-6):
         if not others:
             continue
         hat = np.concatenate(others, axis=1)
-        projector = scipy.linalg.null_space(hat.T).T   # rows span (hat E)^perp
+        # rows span (hat E)^perp: scipy's null_space rank rule on hat^T
+        _, sv, vh = np.linalg.svd(hat.T, full_matrices=True)
+        rank = int(np.sum(sv > max(hat.shape) * np.finfo(float).eps *
+                          sv.max(initial=0.0)))
+        projector = vh[rank:]
         if projector.size == 0:
             continue
         for v in _lattice_candidates(projector):

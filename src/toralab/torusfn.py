@@ -848,20 +848,3 @@ def save_grid(gf, path, extra_header=None):
                                   for v in row) + "\n")
             else:
                 fh.write(" ".join(f"{float(v):.17g}" for v in row) + "\n")
-
-
-def weierstrass_type(alpha, base=3, terms=30):
-    """Self-similar profile sum_k base^(-alpha k) sin(2 pi base^k x).
-
-    Classical lacunary series with Holder exponent alpha by construction
-    (matched amplitude/frequency base); the standard test family for the
-    exponent estimator.
-    """
-    def fn(points):
-        pts = np.asarray(points, dtype=float)
-        x = pts[..., 0] if pts.ndim > 1 else pts
-        out = np.zeros_like(x)
-        for k in range(terms):
-            out += base ** (-alpha * k) * np.sin(TWO_PI * (base ** k) * x)
-        return out[..., None]
-    return fn

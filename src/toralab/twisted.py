@@ -190,7 +190,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     zero_res = float(np.max(np.abs((lmat - np.eye(d)) @ h0 - q0)))
 
     # one (K_q, d) block of contributions per step of each side
-    au = np.linalg.inv(sd.restricted_unstable())
+    au = sd.restricted_unstable_inv
     q_split = q_arr @ sd.basis_full_inv.T
     blocks, counts = [np.zeros((0, d), dtype=complex)], []
     for factor, power, cols in (

@@ -13,7 +13,8 @@ step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
 bulk operations as per-key loops into dicts, the twisted equation keyed
-by a dict of frequency tuples, and the reader of save_grid's text format.
+by a dict of frequency tuples, the reader of save_grid's text format, and
+a lacunary Weierstrass-type profile with a known Holder exponent.
 """
 
 import contextlib
@@ -538,6 +539,24 @@ def load_grid(path):
     else:
         vals = data
     return GridFunction(vals.reshape((n,) * d + (m,)))
+
+
+def weierstrass_type(alpha, base=3, terms=30):
+    """Self-similar profile sum_k base^(-alpha k) sin(2 pi base^k x).
+
+    Classical lacunary series with Holder exponent alpha by construction
+    (matched amplitude/frequency base); the standard test family for the
+    exponent estimator.
+    """
+    def fn(points):
+        pts = np.asarray(points, dtype=float)
+        x = pts[..., 0] if pts.ndim > 1 else pts
+        out = np.zeros_like(x)
+        for k in range(terms):
+            out += base ** (-alpha * k) * np.sin(
+                2.0 * np.pi * (base ** k) * x)
+        return out[..., None]
+    return fn
 
 
 # ---------------------------------------------------------------------------

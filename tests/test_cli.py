@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,29 @@ def _read(path):
 
 
 def test_classify_subcommand(tmp_path):
-    rc = cli.main(["classify", "--matrix", "[[2,1],[1,1]]",
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    rec = _read(tmp_path / "classify_result.json")
-    flags = rec["results"]["classification"]["flags"]
-    assert flags["hyperbolic"] and flags["irreducible"]
-    assert rec["provenance"]["manifest_sha256"]
+    # the second matrix's smallest unstable modulus is 1.0051, and
+    # classify reads no adapted norm
+    for matrix in ("[[2,1],[1,1]]", "[[0,0,0,-1,0],[-1,-4,0,4,-2],"
+                   "[4,2,2,-2,1],[0,-1,0,1,0],[-2,0,-1,0,0]]"):
+        rc = cli.main(["classify", "--matrix", matrix,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        rec = _read(tmp_path / "classify_result.json")
+        flags = rec["results"]["classification"]["flags"]
+        assert flags["hyperbolic"] and flags["irreducible"]
+        assert rec["provenance"]["manifest_sha256"]
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, toralab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_schema_error_exit_code(tmp_path):

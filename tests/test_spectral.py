@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,13 @@ from toralab.errors import NotHyperbolic
 CAT = spectral.automorphism([[2, 1], [1, 1]])
 B_BLOCK = spectral.automorphism([[3, 1], [2, 1]])
 GOLDEN = (3 + np.sqrt(5)) / 2
+# smallest unstable modulus 1.0051: L_u^-1 contracts by a factor near 1,
+# and its adapted norm's Gram matrix has condition number 912
+SLOW_UNSTABLE = spectral.automorphism(
+    [[0, 0, 0, -1, 0], [-1, -4, 0, 4, -2], [4, 2, 2, -2, 1],
+     [0, -1, 0, 1, 0], [-2, 0, -1, 0, 0]])
+# unstable moduli 1.555 and 3.247: a non-conformal E^u
+NONCONFORMAL_3 = spectral.automorphism([[1, 1, 0], [1, 2, 1], [0, 1, 2]])
 
 
 def test_validation():
@@ -98,18 +107,41 @@ def test_splitting_growth_rates():
 
 
 def test_adapted_norm_contracts_on_sample():
+    # on E^s (A = L_s) and on E^u (A = L_u^-1): G = R^T R solves the Stein
+    # equation G - B^T G B = I with B = A / sigma, and A contracts by the
+    # reported factor, below sigma, on random vectors
     rng = np.random.default_rng(0)
-    for m in [CAT, spectral.block_upper_identity(CAT)]:
+    for m in [CAT, spectral.block_upper_identity(CAT), SLOW_UNSTABLE,
+              NONCONFORMAL_3]:
         sd = spectral.lyapunov_splitting(m)
-        mf = m.as_array()
-        norm = sd.stable_norm
-        coords = rng.normal(size=(1000, sd.stable_basis.shape[1]))
-        vecs = coords @ norm.basis.T
-        before = np.linalg.norm(norm.chol @ norm.basis.T @ vecs.T, axis=0)
-        after = np.linalg.norm(norm.chol @ norm.basis.T @ mf @ vecs.T,
-                               axis=0)
-        assert norm.contraction < 1.0
-        assert np.all(after <= norm.contraction * before * (1 + 1e-9))
+        rhos = [c.rho for c in sd.clusters]
+        for basis, mf, norm, rho in (
+                (sd.stable_basis, m.as_array(), sd.stable_norm,
+                 max(r for r in rhos if r < 1)),
+                (sd.unstable_basis, m.inverse().as_array(), sd.unstable_norm,
+                 1 / min(r for r in rhos if r > 1))):
+            sigma = (rho + 1) / 2
+            b = basis.T @ mf @ basis / sigma
+            gram = norm.chol.T @ norm.chol
+            stein = gram - b.T @ gram @ b - np.eye(len(b))
+            assert np.linalg.norm(stein, 2) <= 1e-12 * np.linalg.cond(gram)
+            coords = rng.normal(size=(1000, basis.shape[1]))
+            vecs = coords @ basis.T
+            before = np.linalg.norm(norm.chol @ basis.T @ vecs.T, axis=0)
+            after = np.linalg.norm(norm.chol @ basis.T @ mf @ vecs.T, axis=0)
+            assert norm.contraction < sigma
+            assert np.all(after <= norm.contraction * before * (1 + 1e-9))
+
+
+def test_classify_builds_no_adapted_norm():
+    # no cached property of SpectralData (adapted norms, splitting basis)
+    # is built by the classification
+    spectral._spectral_cached.cache_clear()
+    flags = spectral.classify(SLOW_UNSTABLE)
+    spectral.classification_report(SLOW_UNSTABLE)
+    assert flags.hyperbolic
+    sd = spectral.spectral_data(SLOW_UNSTABLE)
+    assert sd.__dict__.keys() == {f.name for f in dataclasses.fields(sd)}
 
 
 def test_jordan_adapted_norm_handles_defect():

@@ -11,7 +11,7 @@ from oracle_helpers import (c0_upper_per_key, combine_per_key,
                             scale_per_key, symmetrize_real_per_key,
                             table_memo_off, threshold_per_key,
                             to_grid_per_key, trig_eval_direct,
-                            trig_jacobian_direct)
+                            trig_jacobian_direct, weierstrass_type)
 from toralab import exactalg, spectral
 from toralab import torusfn as tf
 from toralab.errors import UnreliableFit
@@ -789,7 +789,7 @@ def test_holder_smooth_saturates():
 
 
 def test_holder_weierstrass_family():
-    w = tf.weierstrass_type(0.5, base=3, terms=25)
+    w = weierstrass_type(0.5, base=3, terms=25)
     est = tf.estimate_holder(w, dim=1, pairs=5000, seed=1)
     assert 0.45 <= est.exponent <= 0.55
 
@@ -798,7 +798,7 @@ def test_holder_scale_stability():
     # halving the scale range (keeping the finer half, where the Holder
     # behavior lives) moves the estimate by < 0.05
     for alpha in (0.4, 0.7):
-        w = tf.weierstrass_type(alpha, base=3, terms=25)
+        w = weierstrass_type(alpha, base=3, terms=25)
         full = tf.estimate_holder(w, dim=1, pairs=4000, seed=2)
         half = tf.estimate_holder(w, dim=1, pairs=4000, seed=2,
                                   j_min=10, j_max=16)
@@ -809,7 +809,7 @@ def test_holder_strict_raises_on_bad_fit():
     # two regimes (smooth at coarse scales, alpha = 0.2 roughness below
     # the crossover): the log-log increments are kinked, no single power
     # law fits
-    rough = tf.weierstrass_type(0.2, base=3, terms=25)
+    rough = weierstrass_type(0.2, base=3, terms=25)
 
     def kinked(p):
         x = np.asarray(p)[..., 0]

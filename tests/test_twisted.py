@@ -315,7 +315,7 @@ def test_q_on_the_grid_matches_the_walked_q(case, seed):
     tol = 1e-11
     conj = conjugacy.solve_conjugacy(f, tol=tol, grid_n=grid_n)
     stop_at = tol * (1 - sigma) / (2 * sigma)
-    t_inv = f._adapted_transform()[1]
+    t_inv = sd.adapted_transform[1]
     bound = 2 * np.linalg.norm(t_inv, 2) * stop_at
     q = twisted._q_on_grid(conj.h_grid, f.base)
     assert np.max(np.abs(q - kam_q_walked(f, conj, grid_n))) <= bound
