@@ -286,7 +286,7 @@ def _chunk_products(a, starts):
     widths = np.array([1 << (int(k) - 1).bit_length() for k in lengths])
     out = np.empty((len(starts),) + a.shape[1:])
     eye = np.eye(a.shape[-1])
-    for w in np.unique(widths).tolist():
+    for w in sorted(set(widths.tolist())):
         sel = np.flatnonzero(widths == w)
         ks = lengths[sel]
         offset = np.repeat(np.cumsum(ks) - ks, ks)

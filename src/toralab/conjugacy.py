@@ -26,7 +26,8 @@ import numpy as np
 
 from . import exactalg
 from .errors import NoContraction, OrderViolation, ToleranceNotReached
-from .maps import PerturbedMap, fixed_point_near_zero, periodic_points
+from .maps import (PerturbedMap, fixed_point_near_zero, max_norm2,
+                   periodic_points)
 from .spectral import IntegerAutomorphism, lyapunov_splitting
 from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
                       sobolev_norm, uniform_grid)
@@ -70,8 +71,7 @@ class ConjugacyResult:
     @cached_property
     def dh_c0(self):
         """max over the grid of ||Dh||_2."""
-        return float(np.max(np.linalg.norm(self.dh_grid, ord=2,
-                                           axis=(-2, -1))))
+        return max_norm2(self.dh_grid)
 
     def evaluate_h(self, points):
         return self._evaluator(np.asarray(points, dtype=float))

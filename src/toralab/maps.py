@@ -18,7 +18,7 @@ from . import exactalg
 from .errors import (NewtonDivergence, NotHyperbolic,
                      VerificationInconclusive)
 from .spectral import IntegerAutomorphism, lyapunov_splitting
-from .torusfn import TrigPoly, _mod1, c0_norm, uniform_grid
+from .torusfn import TrigPoly, _chunks, _mod1, c0_norm, uniform_grid
 
 
 def newton_step(jac, res):
@@ -142,8 +142,7 @@ class PerturbedMap:
         dr_upper = float(np.sum(2 * np.pi * fl * norms))
         dr_lip = float(np.sum((2 * np.pi * fl) ** 2 * norms))
         grid = uniform_grid(self.dim, 16 if self.dim <= 2 else 6)
-        dr_grid = float(np.max(np.linalg.norm(
-            self.disp.eval_jacobian(grid).real, ord=2, axis=(-2, -1)))) \
+        dr_grid = max_norm2(self.disp.eval_jacobian(grid).real) \
             if len(freqs) else 0.0
 
         margin = self._cone_margin_global(dr_upper)
@@ -233,7 +232,7 @@ def verify_anosov(f: PerturbedMap, grid_n=24, aperture=0.25):
     p_us = jti[:, :du, du:]
     q_su = jti[:, du:, :du]
     q_ss = jti[:, du:, du:]
-    slack_i = slack * float(np.max(_norm2(jti)) ** 2)
+    slack_i = slack * max_norm2(jti) ** 2
     m_s = _sigma_min(q_ss) - a * _norm2(q_su) - slack_i * (1 + a)
     b_u = _norm2(p_us) + a * _norm2(p_uu) + slack_i * (1 + a)
     grow_s = float(np.min(m_s))
@@ -251,6 +250,39 @@ def verify_anosov(f: PerturbedMap, grid_n=24, aperture=0.25):
                         expansion_min=grow_u, inverse_expansion_min=grow_s,
                         invariance_margin=margin, slack=slack,
                         theta=float(theta), k_const=float(kappa))
+
+
+# Matrices per block of max_norm2's SVDs.  On a smooth stack the largest
+# 2-norm sits among the largest Frobenius norms, so one or two blocks
+# decide: on a 12^4 grid of 4 x 4 Jacobians, blocks of 64 take 2.6 ms,
+# of 1024 6.4 ms, against 76 ms for the SVDs of the whole stack.
+NORM2_BLOCK = 64
+
+
+def max_norm2(stack):
+    """max over a stack (..., p, q) of the spectral norms ||A||_2, with the
+    bits of float(np.max(np.linalg.norm(stack, ord=2, axis=(-2, -1)))).
+
+    ||A||_2 <= ||A||_F, so the SVDs run on blocks of NORM2_BLOCK matrices
+    taken in descending Frobenius order, and stop once the next F times
+    1 + 1e-12, which covers the rounding of both norms, is below the best
+    2-norm so far.  Each matrix's SVD is its own, so the max is the same
+    number.  An empty stack or a non-finite F takes the full expression,
+    which raises or returns what it always has.
+    """
+    a = np.asarray(stack)
+    fro = np.linalg.norm(a, axis=(-2, -1)).reshape(-1)
+    if not a.size or not np.isfinite(fro).all():
+        return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
+    flat = a.reshape((len(fro),) + a.shape[-2:])
+    order = np.argsort(fro)[::-1]
+    best = 0.0
+    for sl in _chunks(len(order), NORM2_BLOCK):
+        if fro[order[sl.start]] * (1 + 1e-12) < best:
+            break
+        best = max(best, float(np.max(np.linalg.norm(
+            flat[order[sl]], ord=2, axis=(-2, -1)))))
+    return best
 
 
 def _norm2(batch):
@@ -390,7 +422,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
         kept.setdefault(min(map(tuple, rounded[:per, j].tolist())), j)
     kept = np.array(list(kept.values()), dtype=int)
     deriv = {}
-    for per in np.unique(period[kept]):
+    for per in sorted(set(period[kept].tolist())):
         sel = kept[period[kept] == per]
         dp = np.broadcast_to(np.eye(d), (len(sel), d, d))
         for k in range(per):

@@ -30,6 +30,9 @@ BOX_CHUNK = 1 << 18
 # walk's tables, 10^4 points times a few pairs, fit, and so do the power
 # tables of a KAM grid, 36^2 points times 33 rows.
 TABLE_MEMO = 1 << 17
+# Grid values per block of grid_sup's max: a 512 KB |v| temporary, so a
+# 64^3 grid is read in 4 blocks and a 64^2 grid in one.
+SUP_BLOCK = 1 << 16
 
 
 def _mod1(x):
@@ -621,6 +624,12 @@ class TrigPoly:
                                     self.freqs[keep], self.coefs[keep])
 
     def to_grid(self, grid_n, allow_alias=False):
+        """Values at the N^d grid points k/N, as one GridFunction.
+
+        The one array allocated, N^d * m complex, is transformed and
+        scaled in place, so the peak is that array alone; the bits are
+        those of ifftn(arr) * N^d.
+        """
         if not allow_alias and 2 * self.support_radius >= grid_n:
             raise ValueError("grid too coarse for the support radius "
                              f"({self.support_radius} vs N={grid_n})")
@@ -629,14 +638,28 @@ class TrigPoly:
         # add.at adds aliased modes one by one, in stored order
         np.add.at(arr, tuple((self.freqs % grid_n).astype(np.intp).T),
                   self.coefs)
-        vals = np.fft.ifftn(arr, axes=tuple(range(d))) * (grid_n ** d)
-        return GridFunction(vals)
+        np.fft.ifftn(arr, axes=tuple(range(d)), out=arr)
+        arr *= grid_n ** d
+        return GridFunction(arr)
 
 
 def uniform_grid(d, n):
     """The N^d points k/N of the uniform grid, as a flat (N^d, d) array."""
     axes = [np.arange(n) / n] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _abs_max(vals, real):
+    """max |v| (|Re v| when real) over the array vals, in blocks of
+    SUP_BLOCK entries: the max of exact block maxima, so the bits are
+    those of one np.max over the whole array, and no temporary the size
+    of vals is made."""
+    flat = vals.reshape(-1)
+    flat = flat.real if real else flat
+    best = np.float64(0.0)
+    for sl in _chunks(len(flat), SUP_BLOCK):
+        best = np.maximum(best, np.max(np.abs(flat[sl])))
+    return best
 
 
 def grid_sup(tp, grid_n=64):
@@ -649,20 +672,25 @@ def grid_sup(tp, grid_n=64):
     multiset, and g depends on j_1..j_r only; aliased sampling is exact at
     grid points, so the sup is that of an r-dimensional N^r grid.  When
     r = d the full d-dimensional grid is used unchanged.
+
+    Each nonzero range component goes through to_grid on its own, with a
+    running max, so one N^r complex grid is alive at a time, not m of
+    them.  Every value and the max are the same floating-point operations
+    as on all m components at once: the bits are unchanged.
     """
-    d, m = tp.dim_domain, tp.dim_range
+    d = tp.dim_domain
+    real = tp.is_real(1e-9)
     u, r = exactalg.column_reduce(tp.modes()[0].tolist(), d)
-    if r == d:
-        vals = tp.to_grid(grid_n, allow_alias=2 * tp.support_radius >= grid_n)
-        vals = vals.values
-    elif r == 0:
-        vals = tp[(0,) * d][None, :]
-    else:
-        g = tp.compose_affine(u)
-        low = TrigPoly.from_arrays(r, m, g.freqs[:, :r], g.coefs)
-        vals = low.to_grid(grid_n, allow_alias=True).values
-    return np.max(np.abs(vals.real)) if tp.is_real(1e-9) else \
-        np.max(np.abs(vals))
+    if r == 0:
+        return _abs_max(tp[(0,) * d], real)
+    low = tp if r == d else tp.compose_affine(u)
+    freqs = low.freqs[:, :r]
+    best = np.float64(0.0)
+    for i in np.flatnonzero(np.any(low.coefs != 0, axis=0)).tolist():
+        col = TrigPoly.from_arrays(r, 1, freqs, low.coefs[:, i:i + 1])
+        best = np.maximum(best, _abs_max(
+            col.to_grid(grid_n, allow_alias=True).values, real))
+    return best
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 from . import exactalg
 from .conjugacy import solve_conjugacy
 from .errors import ToleranceNotReached, TruncationInsufficient
-from .maps import PerturbedMap
+from .maps import PerturbedMap, max_norm2
 from .spectral import lyapunov_splitting
 from .torusfn import GridFunction, TrigPoly, _mod1, _row_keys, uniform_grid
 
@@ -313,7 +313,7 @@ def _map_distances(f, grid_pts):
     disp = f.displacement_at(grid_pts)
     c0 = float(np.max(np.abs(disp)))
     jac = f.disp.eval_jacobian(grid_pts).real
-    c1 = c0 + float(np.max(np.linalg.norm(jac, ord=2, axis=(-2, -1))))
+    c1 = c0 + max_norm2(jac)
     return c0, c1
 
 
@@ -404,8 +404,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
 
     out_c0, out_c1 = _map_distances(f_prime, pts)
     hp_c0 = float(np.max(np.abs(hp_pts)))
-    hp_c1 = hp_c0 + float(np.max(np.linalg.norm(
-        hp.eval_jacobian(pts).real, ord=2, axis=(-2, -1))))
+    hp_c1 = hp_c0 + max_norm2(hp.eval_jacobian(pts).real)
     report = KamStepReport(
         input_c0=in_c0, input_c1=in_c1, output_c0=out_c0, output_c1=out_c1,
         hprime_c0=hp_c0, hprime_c1=hp_c1, truncation_radius=radius,

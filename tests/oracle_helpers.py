@@ -12,7 +12,8 @@ map over L^-1 for a second conjugacy solve, the KAM
 step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
-bulk operations as per-key loops into dicts, the twisted equation keyed
+bulk operations as per-key loops into dicts, the grid sup with all range
+components on one grid, the twisted equation keyed
 by a dict of frequency tuples, the reader of save_grid's text format, and
 a lacunary Weierstrass-type profile with a known Holder exponent.
 """
@@ -523,6 +524,22 @@ def to_grid_per_key(tp, grid_n):
         idx = tuple(x % grid_n for x in n)
         arr[idx] += c
     return np.fft.ifftn(arr, axes=tuple(range(d))) * (grid_n ** d)
+
+
+def grid_sup_all_columns(tp, grid_n):
+    """grid_sup with every range component on one grid: the rank reduction
+    of exactalg.column_reduce, then all m columns through to_grid_per_key
+    at once and one max over the whole grid."""
+    d, m = tp.dim_domain, tp.dim_range
+    u, r = exactalg.column_reduce(tp.modes()[0].tolist(), d)
+    if r == 0:
+        vals = tp[(0,) * d][None, :]
+    else:
+        g = tp if r == d else tp.compose_affine(u)
+        vals = to_grid_per_key(
+            TrigPoly.from_arrays(r, m, g.freqs[:, :r], g.coefs), grid_n)
+    return np.max(np.abs(vals.real)) if tp.is_real(1e-9) else \
+        np.max(np.abs(vals))
 
 
 def load_grid(path):

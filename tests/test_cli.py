@@ -30,16 +30,42 @@ def test_classify_subcommand(tmp_path):
         assert rec["provenance"]["manifest_sha256"]
 
 
-def test_cli_import_loads_no_scipy():
+def _run_python(code, *args):
+    """stdout of `python -c code args` with this checkout's toralab."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
     code = ("import sys, toralab.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
+
+
+def test_conjugate_and_lyapunov_runs_load_no_numpy_ma(tmp_path):
+    # np.unique's first call in a process imports numpy.ma (11-18 ms on a
+    # 2-core Xeon); periodic_points (conjugate) and the chunked products
+    # (lyapunov) iterate over sorted sets instead
+    mode = [{"freq": [0, 1], "amplitude": [1.0], "kind": "sin"}]
+    manifests = {
+        "conjugate": {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                      "modes": mode, "n_grid": 16},
+        "lyapunov": {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                     "modes": mode, "n": 300, "grid_per_axis": 3}}
+    for scenario, params in manifests.items():
+        (tmp_path / f"{scenario}.json").write_text(json.dumps(
+            {"scenario": scenario, "seed": 0, "params": params}))
+    code = ("import sys; from toralab import cli\n"
+            "for s in ('conjugate', 'lyapunov'):\n"
+            "    assert cli.main([s, '--manifest', f'{sys.argv[1]}/{s}.json',"
+            " '--out', f'{sys.argv[1]}/{s}']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _run_python(code, str(tmp_path)).splitlines()[-1] == "False"
 
 
 def test_schema_error_exit_code(tmp_path):

@@ -100,8 +100,10 @@ def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
         amp = 1e-4 * rng.uniform(-1, 1, size=d)
         disp = disp + TrigPoly.sin_mode(freq, amp) + \
             TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
-    # check=False skips the smallness report, whose 64^d grid sup costs
-    # seconds when the frequencies span all of Z^4
+    # check=False skips the smallness report.  When the frequencies span
+    # all of Z^4, its grid sup transforms one 64^4 grid per nonzero range
+    # component: a cat (+) cat build took 0.9 s with one component and
+    # 3.2-4.2 s with all four, as here, on a 2-core Xeon
     f = maps.PerturbedMap(base, disp, check=False)
     y = rng.random((300, d))
     x = f.invert(y)
@@ -132,6 +134,58 @@ def test_newton_step_closed_form_matches_solve():
     jac[3] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
         maps.newton_step(jac, res)
+
+
+def _max_norm2_full(stack):
+    return float(np.max(np.linalg.norm(stack, ord=2, axis=(-2, -1))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["plain", "ties", "zeros", "rank1", "rank1 ties",
+                        "complex"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_max_norm2_is_the_full_stack_max_bit_for_bit(p, q, kind, batch, seed):
+    # stacks past one block of SVDs, 1 x 1 matrices, repeated and
+    # transposed tops (equal 2-norms), zero matrices, and rank-1 matrices,
+    # whose 2-norm is their Frobenius norm; permuted copies of a rank-1
+    # top tie across blocks up to the last bits of both norms
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 400))
+    stack = rng.normal(size=(k, p, q)) * rng.uniform(0, 2, size=(k, 1, 1))
+    if kind.startswith("rank1"):
+        stack = rng.normal(size=(k, p, 1)) * rng.normal(size=(k, 1, q))
+    if kind.endswith("ties"):
+        top = stack[np.argmax(np.linalg.norm(stack, axis=(-2, -1)))]
+        for j in np.flatnonzero(rng.random(k) < 0.5):
+            stack[j] = top[rng.permutation(p)][:, rng.permutation(q)]
+            if p == q and rng.random() < 0.5:
+                stack[j] = stack[j].T
+        stack[rng.random(k) < 0.2] *= -1
+    elif kind == "zeros":
+        stack[rng.random(k) < 0.5] = 0.0
+    elif kind == "complex":
+        stack = stack + 1j * rng.normal(size=(k, p, q))
+    if batch and k % 2 == 0:
+        stack = stack.reshape(2, k // 2, p, q)
+    assert maps.max_norm2(stack).hex() == _max_norm2_full(stack).hex()
+
+
+def test_max_norm2_empty_and_non_finite_stacks_as_before():
+    with pytest.raises(ValueError):
+        _max_norm2_full(np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError):
+        maps.max_norm2(np.zeros((0, 2, 2)))
+    assert maps.max_norm2(np.zeros((3, 0, 0))) == \
+        _max_norm2_full(np.zeros((3, 0, 0))) == 0.0
+    inf = np.ones((70, 2, 2))
+    inf[5, 0, 1] = np.inf
+    assert np.isnan(maps.max_norm2(inf)) and np.isnan(_max_norm2_full(inf))
+    nan = np.ones((70, 2, 2))
+    nan[69, 1, 1] = np.nan
+    for fn in (maps.max_norm2, _max_norm2_full):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(nan)
 
 
 def test_mod1_is_numpy_remainder_bit_for_bit():

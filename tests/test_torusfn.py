@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracle_helpers import (c0_upper_per_key, combine_per_key,
                             compose_affine_per_key, derivative_per_key,
-                            is_real_per_key, load_grid,
+                            grid_sup_all_columns, is_real_per_key, load_grid,
                             matrix_apply_per_key, restrict_per_key,
                             scale_per_key, symmetrize_real_per_key,
                             table_memo_off, threshold_per_key,
@@ -249,6 +251,63 @@ def test_grid_sup_low_rank_d4_map():
     assert tf.grid_sup(tp, 16) == pytest.approx(_full_grid_sup(tp, 16),
                                                 rel=1e-13)
     assert tf.c0_norm(tp, 64).lower == pytest.approx(3e-3, rel=1e-13)
+
+
+@st.composite
+def grid_sup_cases(draw):
+    """(TrigPoly, N): d in 1..4, m in 1..4; frequencies of full rank, in
+    the span of fewer than d random rows, or none but 0 (a constant), or
+    no mode at all; complex coefficients, or their real symmetrization,
+    with some range components zero; N in 2..9, aliased when N <= 2 |n|."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full", "deficient", "constant", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = int(rng.integers(1, 7))
+    if kind == "full":
+        freqs = rng.integers(-3, 4, size=(k + d, d))
+    elif kind == "deficient" and d > 1:
+        rank = int(rng.integers(1, d))
+        freqs = rng.integers(-2, 3, size=(k, rank)) @ \
+            rng.integers(-2, 3, size=(rank, d))
+    else:
+        freqs = np.zeros((1, d), dtype=int)
+    live = rng.random(m) < 0.6
+    live[rng.integers(m)] = True
+    coeffs = {} if kind == "zero" else {
+        tuple(n): (rng.normal(size=m) + 1j * rng.normal(size=m)) * live
+        for n in freqs.tolist()}
+    tp = tf.TrigPoly(d, m, coeffs)
+    if draw(st.booleans()):
+        tp = tp.symmetrize_real()
+    return tp, draw(st.integers(2, 9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(grid_sup_cases())
+def test_grid_sup_one_column_at_a_time_changes_no_bit(case):
+    tp, grid_n = case
+    assert float(tf.grid_sup(tp, grid_n)).hex() == \
+        float(grid_sup_all_columns(tp, grid_n)).hex()
+
+
+def test_c0_norm_of_d4_displacement_holds_one_grid():
+    # orbit's conjugate4 displacement: rank-3 frequencies and one nonzero
+    # component of four, so grid_sup transforms one 64^3 complex grid
+    # (4.2 MB); on all four components at once it peaked at 50.3 MB
+    e = [1e-3, 0, 0, 0]
+    tp = (tf.TrigPoly.sin_mode((0, 1, 0, 0), e) +
+          tf.TrigPoly.sin_mode((0, 0, 0, 1), e) +
+          tf.TrigPoly.cos_mode((1, 0, 1, 0), e)).symmetrize_real()
+    expected = tf.c0_norm(tp, 64)       # forms the cached pairs and keys
+    tracemalloc.start()
+    try:
+        got = tf.c0_norm(tp, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak <= 1.5 * 64 ** 3 * np.dtype(complex).itemsize
 
 
 @st.composite
