@@ -93,9 +93,9 @@ def manifest_hash(manifest):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _matrix(params, key="matrix"):
+def _matrix(params):
     try:
-        return spectral.automorphism(params[key])
+        return spectral.automorphism(params["matrix"])
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
 
@@ -144,21 +144,21 @@ def trigpoly_from_modes(dim, dim_range, modes):
     return out
 
 
-def _round_sig(x, digits=12):
+def _round_sig(x):
     if isinstance(x, float):
         if x == 0 or not np.isfinite(x):
             return x
-        return float(f"{x:.{digits}g}")
+        return float(f"{x:.12g}")
     if isinstance(x, dict):
-        return {k: _round_sig(v, digits) for k, v in x.items()}
+        return {k: _round_sig(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_round_sig(v, digits) for v in x]
+        return [_round_sig(v) for v in x]
     if isinstance(x, (np.floating,)):
-        return _round_sig(float(x), digits)
+        return _round_sig(float(x))
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):
-        return _round_sig(x.tolist(), digits)
+        return _round_sig(x.tolist())
     return x
 
 
@@ -218,6 +218,11 @@ def _build_map(params):
     return maps.build(base, disp, warn=False)
 
 
+def _solve(f, params):
+    return conjugacy.solve_conjugacy(f, tol=params.get("tol", 1e-10),
+                                     grid_n=params.get("n_grid", 128))
+
+
 def run_classify(manifest, outdir):
     params = manifest["params"]
     m = _matrix(params)
@@ -245,8 +250,7 @@ def _conjugacy_record(res, samples, seed, reg):
 def run_conjugate(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
-    res = conjugacy.solve_conjugacy(
-        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128))
+    res = _solve(f, params)
     reg = conjugacy.regularity_metrics(res) \
         if params.get("regularity", False) else None
     record = _conjugacy_record(res, params.get("samples", 10000),
@@ -429,15 +433,13 @@ def run_cocycle(manifest, outdir):
 def run_regularity(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
-    res = conjugacy.solve_conjugacy(
-        f, tol=params.get("tol", 1e-10), grid_n=params.get("n_grid", 128))
+    res = _solve(f, params)
     reg = conjugacy.regularity_metrics(res)
     record = _conjugacy_record(res, params.get("samples", 2000),
                                manifest.get("seed", 0), reg)
     scan = []
     for n in params.get("resolutions", [64, 128, 256]):
-        r = res if n == res.grid_n else conjugacy.solve_conjugacy(
-            f, tol=params.get("tol", 1e-10), grid_n=n)
+        r = res if n == res.grid_n else _solve(f, {**params, "n_grid": n})
         rep = conjugacy.jacobian_dh(r, sample_n=min(48, n))
         scan.append({"n": n, "jacobian_residual": rep.residual_eq,
                      "min_det": rep.min_det})
@@ -522,9 +524,7 @@ def run_compare(manifest_paths, outdir):
             raise IncomparableManifests(
                 "compare supports conjugate or kam manifests")
         f = _build_map(m["params"])
-        res = conjugacy.solve_conjugacy(
-            f, tol=m["params"].get("tol", 1e-10),
-            grid_n=m["params"].get("n_grid", 128))
+        res = _solve(f, m["params"])
         eps_list.append(float(m["params"]["eps"]))
         norms.append(res.h_c0)
     ratios = [h / e for h, e in zip(norms, eps_list)]

@@ -56,8 +56,8 @@ class CocycleSpec:
         jac = self.f.jacobian(x)
         return np.einsum("ia,...ij,jb->...ab", self.basis, jac, self.basis)
 
-    def invertibility_report(self, grid_n=24):
-        pts = uniform_grid(self.f.dim, grid_n)
+    def invertibility_report(self):
+        pts = uniform_grid(self.f.dim, 24)
         dets = np.linalg.det(self.generator(pts))
         return float(np.min(np.abs(dets)))
 
@@ -143,6 +143,7 @@ def _qr_positive(mats):
 
 
 MAX_ITER = 10 ** 4
+BIRKHOFF_FACTOR = 8     # lyapunov_volume's Birkhoff orbit: 8 n steps
 # Matrix entries of the largest block of generator values _lyapunov_batch
 # holds at once (256 KB): n steps at S points take about n S m^2 / 2^15
 # generator calls, never one (n, S, m, m) stack.  Blocks of 2^17 entries
@@ -159,20 +160,17 @@ LYAPUNOV_BLOCK = 1 << 15
 CHUNK_LOG_BUDGET = 500 * np.log(2.0)
 
 
-def lyapunov_qr(spec: CocycleSpec, x, n, reference=None):
+def lyapunov_qr(spec: CocycleSpec, x, n):
     """Finite-time exponents at one point by QR reorthogonalization."""
     if n > MAX_ITER:
         raise ValueError(f"n exceeds the configured bound {MAX_ITER}")
     if n < 1:
         raise ValueError(f"n must be at least 1, not {n}")
     rep = _lyapunov_batch(spec, np.asarray(x, float)[None, :], n)
-    report = ExponentReport(exponents=rep["exps"][0], n=n,
-                            oscillation=rep["osc"],
-                            det_consistency=rep["det"][0],
-                            full_average=rep["full"][0])
-    if reference is not None:
-        report.compare(reference)
-    return report
+    return ExponentReport(exponents=rep["exps"][0], n=n,
+                          oscillation=rep["osc"],
+                          det_consistency=rep["det"][0],
+                          full_average=rep["full"][0])
 
 
 def _lyapunov_batch(spec, xs, n):
@@ -301,17 +299,16 @@ def _chunk_products(a, starts):
 
 
 def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
-                    birkhoff_factor=8, seed=0):
+                    seed=0):
     """Volume proxy: exponents averaged over a uniform grid of seeds.
 
-    Also runs one long Birkhoff orbit (birkhoff_factor * n steps from a
+    Also runs one long Birkhoff orbit (BIRKHOFF_FACTOR * n steps from a
     seeded random point) as an independent estimate; both are reported.
     """
     if n > MAX_ITER:
         raise ValueError(f"n exceeds the configured bound {MAX_ITER}")
-    if n < 1 or birkhoff_factor * n < 1:
-        raise ValueError(f"n and birkhoff_factor * n must be at least 1, "
-                         f"not {n} and {birkhoff_factor * n}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     d = spec.f.dim
     xs = uniform_grid(d, grid_per_axis) + 0.5 / grid_per_axis
     batch = _lyapunov_batch(spec, xs, n)
@@ -324,7 +321,8 @@ def lyapunov_volume(spec: CocycleSpec, n, grid_per_axis=8, reference=None,
         report.compare(reference)
     rng = np.random.default_rng(seed)
     x0 = rng.random((1, d))
-    report.birkhoff = _lyapunov_batch(spec, x0, birkhoff_factor * n)["exps"][0]
+    report.birkhoff = _lyapunov_batch(spec, x0,
+                                      BIRKHOFF_FACTOR * n)["exps"][0]
     return report
 
 
@@ -377,13 +375,14 @@ class ConformalityVerdict:
     details: str = ""
 
 
-def conformality_check(matrix, tol=1e-8):
+def conformality_check(matrix):
     """Is the matrix similar to a scalar multiple of an orthogonal one?
 
-    Requires all eigenvalue moduli equal (within tol) and semisimplicity
-    (rank test); when both hold the real canonical conjugator C_p is
-    returned with its condition number.
+    Requires all eigenvalue moduli equal (within tol = 1e-8) and
+    semisimplicity (rank test); when both hold the real canonical
+    conjugator C_p is returned with its condition number.
     """
+    tol = 1e-8
     m = np.asarray(matrix, dtype=float)
     k = m.shape[0]
     eig, vec = np.linalg.eig(m)
@@ -462,12 +461,11 @@ def conformality_check(matrix, tol=1e-8):
                                "conformality residual near tolerance")
 
 
-def conformality_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
-                             tol=1e-8):
+def conformality_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit):
     """conformality_check of the product around orbit, which must come
     from periodic_points(spec.f, ...); for the derivative kind that is the
     orbit's deriv_product, tested for singularity as a whole."""
-    return conformality_check(_periodic_product(spec, orbit), tol=tol)
+    return conformality_check(_periodic_product(spec, orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +482,20 @@ class FiberBunchingReport:
     grid_n: int
 
 
-def fiber_bunching_check(spec: CocycleSpec, beta=1.0, theta=None, grid_n=16,
-                         anosov_report=None):
-    """sup_x ||A(x)|| ||A(x)^-1|| theta^beta against 1."""
-    if theta is None:
-        if anosov_report is None:
-            anosov_report = verify_anosov(spec.f)
-        theta = anosov_report.theta
-    d = spec.f.dim
-    pts = uniform_grid(d, grid_n)
+def fiber_bunching_check(spec: CocycleSpec, beta=1.0, anosov_report=None):
+    """sup_x ||A(x)|| ||A(x)^-1|| theta^beta against 1, on a grid of 16^d
+    points, theta read off anosov_report (verify_anosov(spec.f) if None)."""
+    if anosov_report is None:
+        anosov_report = verify_anosov(spec.f)
+    theta = anosov_report.theta
+    pts = uniform_grid(spec.f.dim, 16)
     a = spec.generator(pts)
     na = np.linalg.norm(a, ord=2, axis=(-2, -1))
     nai = np.linalg.norm(np.linalg.inv(a), ord=2, axis=(-2, -1))
     value = float(np.max(na * nai) * theta ** beta)
     return FiberBunchingReport(value=value, margin=1.0 - value,
                                bunched=value < 1.0, theta=float(theta),
-                               beta=beta, grid_n=grid_n)
+                               beta=beta, grid_n=16)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +609,7 @@ class CocycleConjugacyReport:
                 "grid_n": self.grid_n}
 
 
-def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000, seed=2):
+def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000):
     """Residual of L DH(x) = DH(f x) Df(x) plus a modulus-of-continuity
     fit for DH (the numerical counterpart of Holder continuity of the
     transfer map)."""
@@ -624,7 +620,7 @@ def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000, seed=2):
     tp = conj_result.h_trig
     jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
         np.asarray(p).shape[:-1] + (d * d,))
-    est = estimate_holder(jac_eval, dim=d, pairs=pairs, seed=seed,
+    est = estimate_holder(jac_eval, dim=d, pairs=pairs, seed=2,
                           j_max=max(6, int(np.log2(conj_result.grid_n)) - 1))
     return CocycleConjugacyReport(residual=rep.residual_eq,
                                   min_det=rep.min_det, holder_dh=est,

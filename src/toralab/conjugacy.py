@@ -32,6 +32,8 @@ from .spectral import IntegerAutomorphism, lyapunov_splitting
 from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
                       sobolev_norm, uniform_grid)
 
+MAX_TERMS = 400     # orbit-series sweeps before ToleranceNotReached
+
 
 @dataclass
 class ConjugacyResult:
@@ -195,7 +197,7 @@ class _OrbitSeries:
         return self.combine(acc_u, acc_s).reshape(pts.shape)
 
 
-def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
+def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256):
     """Solve L o H = H o f for H = Id + h close to the identity.
 
     Returns a ConjugacyResult whose h is sampled on an N^d grid and whose
@@ -228,7 +230,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
     term_norms_u, term_norms_s = [], []
     stop_at = tol * (1.0 - sigma) / (2.0 * max(sigma, 1e-6))
     for k, (term_u, term_s) in enumerate(
-            islice(evaluator.terms(grid), max_terms)):
+            islice(evaluator.terms(grid), MAX_TERMS)):
         acc_u += term_u
         acc_s -= term_s
         tn_u = float(np.max(np.linalg.norm(term_u @ chol_u.T, axis=1))) \
@@ -243,7 +245,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256, max_terms=400):
     else:
         raise ToleranceNotReached(
             f"term norms {max(term_norms_u[-1], term_norms_s[-1]):.2e} "
-            f"after {max_terms} sweeps (target {stop_at:.2e})")
+            f"after {MAX_TERMS} sweeps (target {stop_at:.2e})")
     tail = max(term_norms_u[-1], term_norms_s[-1]) * sigma / (1.0 - sigma)
 
     # normalization: H(p) must be the L-fixed point nearest p (usually 0)

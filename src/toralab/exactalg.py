@@ -225,7 +225,7 @@ def _round_div(a, m):
     return r
 
 
-def lll_reduce(rows, delta=Fraction(3, 4)):
+def lll_reduce(rows):
     """LLL-reduce a basis of integer rows; returns a new list of rows.
 
     Integral LLL (Cohen, GTM 138, Alg. 2.6.7, after de Weger): with the
@@ -233,14 +233,13 @@ def lll_reduce(rows, delta=Fraction(3, 4)):
     lam[k][j] = dd[j+1] mu_kj, every quantity stays an integer and each
     size reduction or swap updates them in O(n).  Each visit to row k
     size-reduces it against rows k-1, ..., 0 before the Lovasz test
-    q dd[k+1] dd[k-1] >= p dd[k]^2 - q lam[k][k-1]^2 for delta = p / q.
+    4 dd[k+1] dd[k-1] >= 3 dd[k]^2 - 4 lam[k][k-1]^2 for delta = 3/4.
     Raises ValueError if the rows are linearly dependent.
     """
     b = [[int(x) for x in r] for r in rows]
     n = len(b)
     if n <= 1:
         return b
-    p, q = delta.numerator, delta.denominator
     dd = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
 
@@ -285,8 +284,8 @@ def lll_reduce(rows, delta=Fraction(3, 4)):
             gram_schmidt(k)
         for j in range(k - 1, -1, -1):
             size_reduce(k, j)
-        if q * dd[k + 1] * dd[k - 1] >= \
-                p * dd[k] ** 2 - q * lam[k][k - 1] ** 2:
+        if 4 * dd[k + 1] * dd[k - 1] >= \
+                3 * dd[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             k += 1
         else:
             swap(k, k_max)

@@ -3,7 +3,7 @@
 Pipeline: squarefree decomposition, Cantor-Zassenhaus factorization
 modulo a good odd prime, quadratic Hensel lifting past the Mignotte
 coefficient bound, then subset recombination.  Degrees are capped at
-desk scale (default 24); inputs are monic up to sign.
+desk scale (MAX_DEGREE = 24); inputs are monic up to sign.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ def _equal_degree_factor(f, d, p, rng):
         _equal_degree_factor(_pmonic(h, p), d, p, rng)
 
 
-def factor_mod_p(f, p, seed=12345):
+def factor_mod_p(f, p):
     """Monic irreducible factors of a monic squarefree f over GF(p)."""
-    rng = random.Random(seed)
+    rng = random.Random(12345)
     out = []
     for g, d in _distinct_degree(_pmonic(f, p), p):
         out.extend(_equal_degree_factor(g, d, p, rng))
@@ -319,7 +319,7 @@ def factor_squarefree(f):
     return sorted(result)
 
 
-def factor_over_q(f, max_degree=MAX_DEGREE):
+def factor_over_q(f):
     """Factor a monic-up-to-sign integer polynomial over Q.
 
     Returns a sorted list of (irreducible primitive factor, multiplicity);
@@ -328,8 +328,8 @@ def factor_over_q(f, max_degree=MAX_DEGREE):
     """
     f = intpoly.trim(f)
     n = intpoly.degree(f)
-    if n > max_degree:
-        raise DegreeTooLarge(f"degree {n} exceeds bound {max_degree}")
+    if n > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {n} exceeds bound {MAX_DEGREE}")
     if n <= 0:
         return []
     out = []

@@ -20,6 +20,7 @@ from .errors import (NewtonDivergence, NotHyperbolic,
 from .spectral import IntegerAutomorphism, lyapunov_splitting
 from .torusfn import TrigPoly, _chunks, _mod1, c0_norm, uniform_grid
 
+CONE_APERTURE = 0.25    # adapted-norm aperture of the stable/unstable cones
 
 def newton_step(jac, res):
     """Solve jac @ step = res for a stack of d x d systems.
@@ -123,13 +124,13 @@ class PerturbedMap:
 
     # -- diagnostics -------------------------------------------------------
 
-    def _check_lift_equivariance(self, tol=1e-12):
+    def _check_lift_equivariance(self):
         rng = np.random.default_rng(1234)
         x = rng.random((8, self.dim))
         k = rng.integers(-2, 3, size=(8, self.dim)).astype(float)
         resid = self.apply_lift(x + k) - self.apply_lift(x) - k @ self._mat.T
         scale = 1.0 + float(np.max(np.abs(self.apply_lift(x))))
-        if np.max(np.abs(resid)) > tol * scale:
+        if np.max(np.abs(resid)) > 1e-12 * scale:
             raise ValueError("displacement is not Z^d-periodic: lift "
                              "equivariance fails")
 
@@ -151,7 +152,7 @@ class PerturbedMap:
                                dr_lipschitz=dr_lip,
                                cone_ok=margin > 0, cone_margin=margin)
 
-    def _cone_margin_global(self, dr_upper, aperture=0.25):
+    def _cone_margin_global(self, dr_upper):
         """Margin of the cone conditions using only coefficient bounds."""
         (t, t_inv), du = self.spec.adapted_transform, self.spec.unstable_dim
         kappa = np.linalg.norm(t, 2) * np.linalg.norm(t_inv, 2)
@@ -159,7 +160,7 @@ class PerturbedMap:
         lam = t @ self._mat @ t_inv
         m_u = 1.0 / np.linalg.norm(np.linalg.inv(lam[:du, :du]), 2)
         c_s = np.linalg.norm(lam[du:, du:], 2)
-        a = aperture
+        a = CONE_APERTURE
         grow = m_u - eps * (1 + a)
         shrink = eps * (1 + a) + a * c_s
         invariance = a * grow - shrink
@@ -197,19 +198,19 @@ class AnosovReport:
         return self.__dict__.copy()
 
 
-def verify_anosov(f: PerturbedMap, grid_n=24, aperture=0.25):
+def verify_anosov(f: PerturbedMap, grid_n=24):
     """Finite-grid cone-field check with Lipschitz slack.
 
-    Verifies that Df maps the unstable cone (adapted-norm aperture `a`
-    around E^u) into itself and expands it, and mirror conditions for
-    Df^-1 on the stable cone, at every grid point with a slack covering
-    the variation of DR inside each grid cell.  Raises
+    Verifies that Df maps the unstable cone (adapted-norm aperture
+    a = CONE_APERTURE around E^u) into itself and expands it, and mirror
+    conditions for Df^-1 on the stable cone, at every grid point with a
+    slack covering the variation of DR inside each grid cell.  Raises
     VerificationInconclusive when the bounds do not close; that is not a
     verdict that f fails to be Anosov.
     """
     (t, t_inv), du = f.spec.adapted_transform, f.spec.unstable_dim
     d = f.dim
-    a = aperture
+    a = CONE_APERTURE
     kappa = np.linalg.norm(t, 2) * np.linalg.norm(t_inv, 2)
     cell = np.sqrt(d) / (2 * grid_n)
     slack = kappa * f.smallness.dr_lipschitz * cell
@@ -324,6 +325,8 @@ class PeriodicSearch:
 
 
 MAX_SEARCH_PERIOD = 16
+PERIODIC_TOL = 1e-12    # sup residual that ends periodic_points' Newton
+PERIODIC_ITER = 60      # and the most Newton steps it takes
 
 
 def _periodic_seeds(lni, det):
@@ -352,8 +355,7 @@ def _periodic_seeds(lni, det):
     return [k for k, _ in found], [x for _, x in found]
 
 
-def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
-                    max_iter=60, period_cap=MAX_SEARCH_PERIOD):
+def periodic_points(f: PerturbedMap, n):
     """All period-n points of f, seeded at the periodic points of L.
 
     The seeds are the |det(L^n - I)| points (L^n - I)^{-1} k in [0,1)^d,
@@ -366,15 +368,15 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
     The orbits of the P converged seeds are recorded together, as one
     (n, P, d) array of the points f^k(p), k < n, filled by one batched
     f.apply per step: n P d floats.  Each seed's minimal period is the
-    least divisor m of n with f^m(p) = p to dedupe_tol, and its key the
-    least of its period's points rounded to 8 digits; the first seed of
-    each key, in the order of k, gives the orbit.  D_p f^period is the
+    least divisor m of n with f^m(p) = p to 1e-8, and its key the least
+    of its period's points rounded to 8 digits; the first seed of each
+    key, in the order of k, gives the orbit.  D_p f^period is the
     product of batched Jacobians along the kept orbits, one period at a
     time.
     """
-    if n > period_cap:
+    if n > MAX_SEARCH_PERIOD:
         raise ValueError(f"period {n} exceeds the configured cap "
-                         f"{period_cap} (the seed count grows like "
+                         f"{MAX_SEARCH_PERIOD} (the seed count grows like "
                          "|det(L^n - I)|)")
     d = f.dim
     ln = f.base.power(n).rows()
@@ -389,19 +391,19 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
     x = np.array(seeds, dtype=float)
     kv = np.array(kept_k, dtype=float)
     # the walk of the last iterate gives the final residuals
-    for iterations in range(max_iter + 1):
+    for iterations in range(PERIODIC_ITER + 1):
         y = x.copy()
         prod = np.broadcast_to(np.eye(d), (len(x), d, d)).copy()
         for _step in range(n):
             prod = f.jacobian(y) @ prod
             y = f.apply_lift(y)
         res = y - x - kv
-        if iterations == max_iter or np.max(np.abs(res)) < newton_tol:
+        if iterations == PERIODIC_ITER or np.max(np.abs(res)) < PERIODIC_TOL:
             break
         x = x - newton_step(prod - np.eye(d), res)
     res = np.linalg.norm(res, axis=1)
 
-    good = np.flatnonzero(res <= 100 * newton_tol)
+    good = np.flatnonzero(res <= 100 * PERIODIC_TOL)
     failures = len(x) - len(good)
     # the orbits of the converged seeds, one batched step at a time
     pts = np.empty((n, len(good), d))
@@ -415,7 +417,7 @@ def periodic_points(f: PerturbedMap, n, newton_tol=1e-12, dedupe_tol=1e-8,
             dd = pts[m] - pts[0]
             dd -= np.round(dd)
             period[(period == n) &
-                   (np.max(np.abs(dd), axis=1) < dedupe_tol)] = m
+                   (np.max(np.abs(dd), axis=1) < 1e-8)] = m
     rounded = _mod1(np.round(_mod1(pts), 8))
     kept = {}                   # key -> index into good, first in k order
     for j, per in enumerate(period.tolist()):
@@ -467,9 +469,8 @@ class PeriodicDataVerdict:
     details: str = ""
 
 
-def periodic_data_check(f: PerturbedMap, orbit: PeriodicOrbit, n=None,
-                        tol=1e-8, seed=0, trials=400):
-    """Compare D_p f^n with L^n up to similarity.
+def periodic_data_check(f: PerturbedMap, orbit: PeriodicOrbit):
+    """Compare D_p f^n with L^n up to similarity, n the orbit's period.
 
     Checks the characteristic polynomials coefficientwise, then searches
     the intertwiner space {X : L^n X = X D} for a well-conditioned
@@ -477,10 +478,9 @@ def periodic_data_check(f: PerturbedMap, orbit: PeriodicOrbit, n=None,
     When found, returns the conjugator C_p with its condition number.
     """
     d = f.dim
-    n = n or orbit.period
-    if n % orbit.period:
-        raise ValueError("n must be a multiple of the orbit's minimal period")
-    dmat = np.linalg.matrix_power(orbit.deriv_product, n // orbit.period)
+    n = orbit.period
+    dmat = orbit.deriv_product
+    tol = 1e-8
     ln_exact = f.base.power(n).rows()
     ln = np.array(ln_exact, dtype=float)
 
@@ -500,10 +500,10 @@ def periodic_data_check(f: PerturbedMap, orbit: PeriodicOrbit, n=None,
         return PeriodicDataVerdict("not_conjugate", n, dist, None, None,
                                    "no intertwiner (Jordan structures differ)")
     basis = vh[-null_dim:]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = None
     best_smin = 0.0
-    for _ in range(trials):
+    for _ in range(400):
         c = rng.normal(size=null_dim)
         x = (c @ basis).reshape(d, d)
         x /= np.linalg.norm(x)

@@ -43,7 +43,7 @@ def _initial_guesses(coeffs):
     return guesses + off * (0.5 + 0.5j)
 
 
-def certified_roots(coeffs, dps=30, max_iter=400):
+def certified_roots(coeffs, dps=30):
     """Roots with certified isolating discs for a squarefree integer polynomial.
 
     Returns a list of RootDisc sorted by (real, imag) of the centers.
@@ -62,7 +62,7 @@ def certified_roots(coeffs, dps=30, max_iter=400):
             z = [mp.mpc(mp.cos(2 * mp.pi * k / n), mp.sin(2 * mp.pi * k / n))
                  for k in range(n)]
         tol = mp.mpf(10) ** (-dps + 3)
-        for _ in range(max_iter):
+        for _ in range(400):
             moved = mp.mpf(0)
             for i in range(n):
                 pv = intpoly.eval_at(coeffs, z[i])

@@ -18,6 +18,7 @@ from .errors import ConvergenceFailure, Indeterminate, NotHyperbolic
 
 MODULUS_TOL = 1e-9          # moduli closer than this are one Lyapunov cluster
 RADIUS_TARGET = 1e-12       # certification radius required before deciding
+PRECISION_RETRIES = 3       # doublings of the root discs' 30 digits
 LATTICE_RADIUS = 20         # search ball for the definitional cross-check
 
 
@@ -322,7 +323,7 @@ def _certify_roots_all(facs, dps):
     return out
 
 
-def _try_cluster(certified, tol):
+def _try_cluster(certified):
     """Group certified roots by modulus; None if any decision is uncertified."""
     order = sorted(range(len(certified)), key=lambda i: certified[i].modulus)
     groups = []
@@ -332,10 +333,10 @@ def _try_cluster(certified, tol):
             prev = certified[groups[-1][-1]]
             gap = abs(r.modulus - prev.modulus)
             margin = r.radius + prev.radius
-            if gap + margin <= tol:
+            if gap + margin <= MODULUS_TOL:
                 groups[-1].append(i)
                 continue
-            if gap - margin <= tol:
+            if gap - margin <= MODULUS_TOL:
                 return None  # ambiguous at this precision
         groups.append([i])
     clusters = []
@@ -351,7 +352,7 @@ def _try_cluster(certified, tol):
     return clusters
 
 
-def _hyperbolicity(certified, tol):
+def _hyperbolicity(certified):
     """True/False when certified, None when ambiguous."""
     verdict = True
     for r in certified:
@@ -359,9 +360,9 @@ def _hyperbolicity(certified, tol):
             verdict = False
             continue
         lo, hi = r.modulus_interval
-        if hi <= 1.0 + tol and lo >= 1.0 - tol:
+        if hi <= 1.0 + MODULUS_TOL and lo >= 1.0 - MODULUS_TOL:
             verdict = False
-        elif lo > 1.0 + tol or hi < 1.0 - tol:
+        elif lo > 1.0 + MODULUS_TOL or hi < 1.0 - MODULUS_TOL:
             continue
         else:
             return None
@@ -369,24 +370,24 @@ def _hyperbolicity(certified, tol):
 
 
 @functools.lru_cache(maxsize=256)
-def _spectral_cached(entries, tol, dps, retries):
+def _spectral_cached(entries):
     m = IntegerAutomorphism(entries)
     facs = factorization(m)
     certified = clusters = None
     hyperbolic = None
-    for attempt in range(retries + 1):
-        cur_dps = dps * (2 ** attempt)
+    for attempt in range(PRECISION_RETRIES + 1):
+        cur_dps = 30 * (2 ** attempt)
         try:
             certified = _certify_roots_all(facs.factors, cur_dps)
         except ConvergenceFailure:
-            if attempt == retries:
+            if attempt == PRECISION_RETRIES:
                 raise
             continue
         if max((r.radius for r in certified), default=0.0) > RADIUS_TARGET \
-                and attempt < retries:
+                and attempt < PRECISION_RETRIES:
             continue
-        clusters = _try_cluster(certified, tol)
-        hyperbolic = _hyperbolicity(certified, tol)
+        clusters = _try_cluster(certified)
+        hyperbolic = _hyperbolicity(certified)
         if clusters is not None and hyperbolic is not None:
             break
     if clusters is None or hyperbolic is None:
@@ -436,8 +437,8 @@ def _spectral_cached(entries, tol, dps, retries):
             return np.zeros((d, 0))
         return _annihilated(lambda j: selector(clusters[j].rho))[0][:, :k]
 
-    stable_basis = _side_basis(lambda rho: rho < 1.0 - tol)
-    unstable_basis = _side_basis(lambda rho: rho > 1.0 + tol)
+    stable_basis = _side_basis(lambda rho: rho < 1.0 - MODULUS_TOL)
+    unstable_basis = _side_basis(lambda rho: rho > 1.0 + MODULUS_TOL)
 
     if hyperbolic and not (stable_basis.size and unstable_basis.size):
         # purely expanding or purely contracting cannot happen for |det|=1
@@ -449,14 +450,14 @@ def _spectral_cached(entries, tol, dps, retries):
                         unstable_basis=unstable_basis, hyperbolic=hyperbolic)
 
 
-def spectral_data(m, tol=MODULUS_TOL, dps=30, retries=3):
+def spectral_data(m):
     """Certified roots, modulus clusters, and invariant subspaces of m."""
-    return _spectral_cached(m.entries, tol, dps, retries)
+    return _spectral_cached(m.entries)
 
 
-def lyapunov_splitting(m, tol=MODULUS_TOL):
+def lyapunov_splitting(m):
     """SpectralData of a hyperbolic automorphism; raises NotHyperbolic."""
-    sd = spectral_data(m, tol=tol)
+    sd = spectral_data(m)
     if not sd.hyperbolic:
         raise NotHyperbolic("automorphism has eigenvalues on the unit circle")
     return sd
@@ -490,9 +491,9 @@ class ClassificationFlags:
         }
 
 
-def classify(m, tol=MODULUS_TOL):
+def classify(m):
     """All hypothesis flags used downstream, from certified spectral data."""
-    sd = spectral_data(m, tol=tol)
+    sd = spectral_data(m)
     facs = sd.factorization
     d = m.dim
 
@@ -535,17 +536,17 @@ def classify(m, tol=MODULUS_TOL):
 # Definitional weak-irreducibility cross-check (lattice search)
 # ---------------------------------------------------------------------------
 
-def _lattice_candidates(projector_rows, scale=10 ** 10):
+def _lattice_candidates(projector_rows):
     """Integer vectors likely to lie near the kernel of the projector.
 
-    LLL on the embedding {(v, scale * P v)}; returns the reduced basis
+    LLL on the embedding {(v, 10^10 P v)}; returns the reduced basis
     vectors plus small pairwise combinations.
     """
     p = np.asarray(projector_rows, float)
     m, d = p.shape
     rows = []
     for j in range(d):
-        emb = [int(round(p[i, j] * scale)) for i in range(m)]
+        emb = [int(round(p[i, j] * 10 ** 10)) for i in range(m)]
         rows.append([1 if t == j else 0 for t in range(d)] + emb)
     reduced = exactalg.lll_reduce(rows)
     cands = []
@@ -576,10 +577,10 @@ def _vector_in_hat_subspace_exact(m, v, facs, cluster_factor_indices):
     return True
 
 
-def weakly_irreducible_definitional(m, radius=LATTICE_RADIUS, tol=1e-6):
+def weakly_irreducible_definitional(m):
     """Lattice-search verdict on weak irreducibility, with witness.
 
-    Heuristic search (LLL + small combinations, sup-norm ball `radius`)
+    Heuristic search (LLL + small combinations, sup-norm ball LATTICE_RADIUS)
     for a nonzero integer vector inside some hat E^i; every candidate is
     verified exactly before being accepted.  Returns (verdict, witness).
     """
@@ -602,10 +603,10 @@ def weakly_irreducible_definitional(m, radius=LATTICE_RADIUS, tol=1e-6):
         for v in _lattice_candidates(projector):
             if all(x == 0 for x in v):
                 continue
-            if max(abs(x) for x in v) > radius:
+            if max(abs(x) for x in v) > LATTICE_RADIUS:
                 continue
             vf = np.array(v, float)
-            if np.linalg.norm(projector @ vf) > tol * max(
+            if np.linalg.norm(projector @ vf) > 1e-6 * max(
                     1.0, np.linalg.norm(vf)):
                 continue
             if _vector_in_hat_subspace_exact(m, v, facs,
@@ -618,10 +619,10 @@ def weakly_irreducible_definitional(m, radius=LATTICE_RADIUS, tol=1e-6):
 # Structured text records
 # ---------------------------------------------------------------------------
 
-def classification_report(m, tol=MODULUS_TOL):
+def classification_report(m):
     """JSON-compatible record with all flags and certified moduli."""
-    sd = spectral_data(m, tol=tol)
-    flags = classify(m, tol=tol)
+    sd = spectral_data(m)
+    flags = classify(m)
     return {
         "matrix": [list(r) for r in m.entries],
         "dim": m.dim,

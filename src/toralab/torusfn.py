@@ -24,12 +24,16 @@ TWO_PI = 2.0 * np.pi
 # complex products.  Blocks of 16-32 MB left the orbit benchmark's peak
 # RSS 13-22% higher, and larger blocks are no faster.
 BOX_CHUNK = 1 << 18
+# Points times pairs per [cos | sin] block of eval and of eval_jacobian.
+EVAL_CHUNK = 1 << 22
+JACOBIAN_CHUNK = 1 << 21
 # Points times pairs of the largest [cos | sin] table a TrigPoly keeps for
 # its next evaluation (2 MB), and points times box rows (2F + 1) of the
 # largest pair of box-dense power tables it keeps (at most 4 MB).  An orbit
 # walk's tables, 10^4 points times a few pairs, fit, and so do the power
 # tables of a KAM grid, 36^2 points times 33 rows.
 TABLE_MEMO = 1 << 17
+HOLDER_RESIDUAL = 0.2   # largest log-log residual of a reliable Holder fit
 # Grid values per block of grid_sup's max: a 512 KB |v| temporary, so a
 # 64^3 grid is read in 4 blocks and a 64^2 grid in one.
 SUP_BLOCK = 1 << 16
@@ -150,6 +154,21 @@ def _chunks(n, size):
         yield slice(i, min(i + size, n))
 
 
+def _kept(slot, pts, size, build):
+    """(slot, table) at the points pts: slot's table when its key, the bytes
+    and strides of the points, is that of pts, else build()'s, kept
+    read-only in a new slot when it has at most TABLE_MEMO entries (size)."""
+    key = (pts.tobytes(), pts.strides) if size <= TABLE_MEMO else None
+    if key is not None and slot is not None and slot[0] == key:
+        return slot, slot[1]
+    value = build()
+    if key is None:
+        return slot, value
+    for arr in value if isinstance(value, tuple) else (value,):
+        arr.setflags(write=False)
+    return (key, value), value
+
+
 class TrigPoly:
     """Finite Fourier series with integer frequency support.
 
@@ -225,14 +244,12 @@ class TrigPoly:
         return cls(dim_domain, dim_range)
 
     @classmethod
-    def _mode(cls, freq, amplitude, dim_range, divisor, op):
+    def _mode(cls, freq, amplitude, divisor, op):
         """vec / divisor at freq and op(0, vec / divisor) at -freq, with vec
-        the amplitude padded to dim_range; at freq = 0 the two halves meet
-        as op(vec / divisor, vec / divisor)."""
+        the amplitude as a vector; at freq = 0 the two halves meet as
+        op(vec / divisor, vec / divisor)."""
         freq = [int(x) for x in freq]
-        amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        vec = np.zeros(dim_range or amp.size, dtype=complex)
-        vec[:amp.size] = amp
+        vec = np.atleast_1d(np.asarray(amplitude, float)).astype(complex)
         half = vec / divisor
         if not any(freq):
             return cls.from_arrays(len(freq), len(vec), [freq],
@@ -242,13 +259,13 @@ class TrigPoly:
                                [half, op(0, half)])
 
     @classmethod
-    def sin_mode(cls, freq, amplitude, dim_range=None):
+    def sin_mode(cls, freq, amplitude):
         """amplitude * sin(2 pi <freq, x>) as a real trig polynomial."""
-        return cls._mode(freq, amplitude, dim_range, 2j, np.subtract)
+        return cls._mode(freq, amplitude, 2j, np.subtract)
 
     @classmethod
-    def cos_mode(cls, freq, amplitude, dim_range=None):
-        return cls._mode(freq, amplitude, dim_range, 2, np.add)
+    def cos_mode(cls, freq, amplitude):
+        return cls._mode(freq, amplitude, 2, np.add)
 
     # -- structure ---------------------------------------------------------
 
@@ -320,25 +337,19 @@ class TrigPoly:
 
         _cos_sin fills the rows of a (2K, P) array from the angles in turns
         U = n x^T, and the transpose of the array enters the products,
-        because numpy's vectorized loops need contiguous output.  A table
-        of at most TABLE_MEMO points times pairs is kept with the bytes and
-        strides of its points and handed out again for the same points, so
-        it is the table a rebuild would give.  A Newton step takes f and Df at one point set,
-        and an orbit walk reads R at the point the Newton inverse returns:
+        because numpy's vectorized loops need contiguous output.  _kept
+        keeps the table: a Newton step takes f and Df at one point set, and
+        an orbit walk reads R at the point the Newton inverse returns, and
         each builds one table, not two.
         """
         freqs = self._pairs[1]
         k = len(freqs)
-        key = (pts.tobytes(), pts.strides) if k * len(pts) <= TABLE_MEMO \
-            else None
-        if key is not None and self._table is not None and \
-                self._table[0] == key:
-            return self._table[1]
-        trig = np.empty((2 * k, len(pts)))
-        _cos_sin(freqs @ pts.T, trig[:k], trig[k:])
-        if key is not None:
-            trig.setflags(write=False)
-            self._table = (key, trig)
+
+        def build():
+            trig = np.empty((2 * k, len(pts)))
+            _cos_sin(freqs @ pts.T, trig[:k], trig[k:])
+            return trig
+        self._table, trig = _kept(self._table, pts, k * len(pts), build)
         return trig
 
     def _pair_sum(self, flat, coef, chunk):
@@ -474,24 +485,15 @@ class TrigPoly:
     def _power_tables(self, pts, real):
         """The power tables (e_1, e_2) of _box_sum at the points pts.
 
-        Like the [cos | sin] table of _pair_table, the tables of at most
-        TABLE_MEMO points times box rows are kept with the bytes and strides
-        of their points and handed out again for the same points: a Newton
-        step's f and Df, and the walk's R after the Newton inverse, share
-        one pair of tables.
+        Like the [cos | sin] table of _pair_table, the pair is kept by
+        _kept: a Newton step's f and Df, and the walk's R after the Newton
+        inverse, share one pair of tables.
         """
         f = self.support_radius
-        key = (pts.tobytes(), pts.strides) \
-            if len(pts) * (2 * f + 1) <= TABLE_MEMO else None
-        if key is not None and self._powers is not None and \
-                self._powers[0] == key:
-            return self._powers[1]
-        tables = (self._power_table(pts[:, 0], f, 0 if real else -f),
-                  self._power_table(pts[:, 1], f, -f))
-        if key is not None:
-            for e in tables:
-                e.setflags(write=False)
-            self._powers = (key, tables)
+        self._powers, tables = _kept(
+            self._powers, pts, len(pts) * (2 * f + 1),
+            lambda: (self._power_table(pts[:, 0], f, 0 if real else -f),
+                     self._power_table(pts[:, 1], f, -f)))
         return tables
 
     def _box_sum(self, flat, box):
@@ -511,7 +513,7 @@ class TrigPoly:
             out[sl] = 2.0 * part.real if real else part
         return out
 
-    def eval(self, points, chunk=1 << 22):
+    def eval(self, points):
         """Evaluate at points of shape (..., d); returns (..., m).
 
         The result is float64 when the polynomial is real (c_{-n} =
@@ -529,8 +531,8 @@ class TrigPoly:
         conjugates for k < 0).  One matrix product of e_1 with the
         coefficient box reshaped to 2F + 1 rows contracts n_1, and a
         per-point dot with e_2 contracts n_2.  A real polynomial keeps the
-        rows n_1 >= 0 only and is summed as 2 Re.  chunk bounds the points
-        times pairs held at once on the sparse path.
+        rows n_1 >= 0 only and is summed as 2 Re.  EVAL_CHUNK bounds the
+        points times pairs held at once on the sparse path.
         """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, self.dim_domain)
@@ -538,7 +540,7 @@ class TrigPoly:
         c0, _, ab, _ = self._pairs
         if self._box_dense():
             return self._box_sum(flat, self._dense[0]).reshape(shape)
-        out = self._pair_sum(flat, ab, chunk)
+        out = self._pair_sum(flat, ab, EVAL_CHUNK)
         if c0 is not None:
             out += c0
         return out.reshape(shape)
@@ -565,7 +567,7 @@ class TrigPoly:
         if self._box_dense():
             return self._box_sum(flat, self._dense[1]).reshape(shape)
         return self._pair_sum(flat, self._pairs[3],
-                              1 << 21).reshape(shape)
+                              JACOBIAN_CHUNK).reshape(shape)
 
     # -- calculus ----------------------------------------------------------
 
@@ -800,12 +802,13 @@ def _sup_increments(fn, dim, scales, pairs, seed):
 
 
 def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
-                    residual_threshold=0.2, strict=False):
+                    strict=False):
     """Estimate a Holder exponent from sup-increments at dyadic scales.
 
     The increment at scale 2^-j is the max of |f(x + delta u) - f(x)| over
     `pairs` random base points and unit directions u.  The exponent is the
-    least-squares slope in log-log; an estimator, not a certificate.
+    least-squares slope in log-log; an estimator, not a certificate.  The
+    fit is reliable when its residual is at most HOLDER_RESIDUAL.
     """
     scales = np.array([2.0 ** (-j) for j in range(j_min, j_max + 1)])
     f0, sups = _sup_increments(fn, dim, scales, pairs, seed)
@@ -816,21 +819,21 @@ def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
             return HolderEstimate(exponent=1.0, constant=0.0, residual=0.0,
                                   scales=scales, increments=sups,
                                   n_pairs=pairs, reliable=True,
-                                  threshold=residual_threshold)
+                                  threshold=HOLDER_RESIDUAL)
         raise UnreliableFit("increments vanish at almost every scale")
     x = np.log(scales[mask])
     y = np.log(sups[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
-    reliable = resid <= residual_threshold
+    reliable = resid <= HOLDER_RESIDUAL
     if strict and not reliable:
         raise UnreliableFit(f"log-log fit residual {resid:.3f} exceeds "
-                            f"{residual_threshold}")
+                            f"{HOLDER_RESIDUAL}")
     return HolderEstimate(exponent=float(min(max(slope, 0.0), 1.5)),
                           constant=float(np.exp(intercept)),
                           residual=resid, scales=scales, increments=sups,
                           n_pairs=pairs, reliable=reliable,
-                          threshold=residual_threshold)
+                          threshold=HOLDER_RESIDUAL)
 
 
 def finite_difference_ratio(fn, dim, scale, pairs=10000, seed=0):

@@ -30,6 +30,8 @@ from .maps import PerturbedMap, max_norm2
 from .spectral import lyapunov_splitting
 from .torusfn import GridFunction, TrigPoly, _mod1, _row_keys, uniform_grid
 
+DROP_TOL = 1e-17    # a dual-orbit walk stops below this coefficient size
+
 
 def _sup(n):
     return max(abs(x) for x in n)
@@ -136,14 +138,14 @@ class LinearizedSolution:
 
 
 def solve_linearized(automorphism, q: TrigPoly, radius=None,
-                     extended_radius=None, drop_tol=1e-17, tol=None):
+                     extended_radius=None, tol=None):
     """Solve L h' - h' o L = Q coefficientwise along dual orbits.
 
     The solution is the superposition of one contribution per nonzero
     mode s of Q, with q^u_s, q^s_s its splitting coordinates: the
     unstable part L_u^-(k+1) q^u_s lands at (L^T)^k s for k >= 0, the
     stable part -L_s^(k-1) q^s_s at (L^T)^-k s for k >= 1.  A side stops
-    at the first k whose running power A has ||A||_2 * max|Q_s| < drop_tol,
+    at the first k whose running power A has ||A||_2 * max|Q_s| < DROP_TOL,
     so the step counts are fixed before any frequency moves.  All modes of
     Q then step together as exact integer frequencies.
 
@@ -169,8 +171,6 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     radius = radius or max(q.support_radius, 1)
     if q.support_radius > radius:
         raise ValueError("Q support exceeds the declared radius")
-    if not drop_tol > 0:
-        raise ValueError("drop_tol must be positive")
     f_prime = extended_radius or 4 * radius
 
     w, du = sd.basis_full, sd.unstable_dim
@@ -197,7 +197,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
             (au, au, slice(None, du)),
             (sd.restricted_stable(), -np.eye(d - du), slice(du, None))):
         count = 0
-        while np.linalg.norm(power, 2) * q_scale >= drop_tol:
+        while np.linalg.norm(power, 2) * q_scale >= DROP_TOL:
             blocks.append(q_split[:, cols] @ (w[:, cols] @ power).T)
             power = factor @ power
             count += 1
@@ -235,9 +235,9 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     acc = np.zeros((len(keys), d), dtype=complex)
     np.add.at(acc, keyed.inverse, np.concatenate(blocks))
     peak = np.abs(acc).max(axis=1, initial=0.0)
-    # sums below drop_tol / 10 are rounding-level and not retained; the
+    # sums below DROP_TOL / 10 are rounding-level and not retained; the
     # rest are listed in the order the walk first reached them
-    kept = np.flatnonzero(peak >= drop_tol / 10)
+    kept = np.flatnonzero(peak >= DROP_TOL / 10)
     kept = kept[np.argsort(keyed.first[kept])]
     sup = np.abs(keys[kept]).max(axis=1)
     inside, beyond = sup <= radius, sup > f_prime
@@ -252,7 +252,7 @@ def solve_linearized(automorphism, q: TrigPoly, radius=None,
     dropped_fp = math.fsum(peak[kept[beyond]])
     tail_geo = q_scale * (sigma / max(1.0 - sigma, 1e-9)) * \
         sigma ** max(f_prime // max(radius, 1), 1)
-    tail_bound = dropped_fp + len(support) * drop_tol / max(1 - sigma, 1e-9) \
+    tail_bound = dropped_fp + len(support) * DROP_TOL / max(1 - sigma, 1e-9) \
         + tail_geo
     if tol is not None and dropped_fp + tail_geo > tol:
         raise TruncationInsufficient(
@@ -351,8 +351,7 @@ def _q_on_grid(h_grid, base):
     return q - np.round(q)
 
 
-def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
-             drop_tol=1e-17):
+def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None):
     """One improvement step: solve the linearized equation and conjugate.
 
     Q = R + (h o f - h o L) is projected to the ball |n| <= radius, the
@@ -383,8 +382,7 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None,
     q_tp, proj_q = q_full.restrict(radius)
     q_tp = q_tp.symmetrize_real()
 
-    sol = solve_linearized(el, q_tp, radius=radius, drop_tol=drop_tol,
-                           tol=tol)
+    sol = solve_linearized(el, q_tp, radius=radius, tol=tol)
     hp = sol.h
 
     # function-level residual of the linearized equation on the grid

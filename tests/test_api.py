@@ -1,0 +1,91 @@
+"""The keyword options of the public API, pinned.
+
+A library keyword option exists only where some caller sets it; a limit
+or tolerance that every caller leaves at its default is a module constant
+(MAX_TERMS, MAX_SEARCH_PERIOD, MODULUS_TOL, ...).  A new option therefore
+shows up here as a reviewed change of OPTIONS.
+"""
+
+import dataclasses
+import inspect
+
+import toralab
+
+OPTIONS = {
+    ("CocycleSpec.__init__", "cluster_index"),
+    ("CocycleSpec.__init__", "kind"),
+    ("CocycleSpec.__init__", "matrix"),
+    ("GridFunction.to_trig", "threshold"),
+    ("PerturbedMap.__init__", "check"),
+    ("PerturbedMap.__init__", "warn"),
+    ("TrigPoly.__init__", "coeffs"),
+    ("TrigPoly.compose_affine", "shift"),
+    ("TrigPoly.is_real", "tol"),
+    ("TrigPoly.to_grid", "allow_alias"),
+    ("build", "warn"),
+    ("build_counterexample", "k_trunc"),
+    ("c0_norm", "grid_n"),
+    ("dh_as_cocycle_conjugacy", "pairs"),
+    ("dh_as_cocycle_conjugacy", "sample_n"),
+    ("dual_orbit_decomposition", "extended_radius"),
+    ("dual_orbit_decomposition", "max_walk"),
+    ("estimate_holder", "dim"),
+    ("estimate_holder", "j_max"),
+    ("estimate_holder", "j_min"),
+    ("estimate_holder", "pairs"),
+    ("estimate_holder", "seed"),
+    ("estimate_holder", "strict"),
+    ("exponents_at_periodic", "reference"),
+    ("fiber_bunching_check", "anosov_report"),
+    ("fiber_bunching_check", "beta"),
+    ("jacobian_dh", "sample_n"),
+    ("kam_iterate", "grid_n"),
+    ("kam_iterate", "radius"),
+    ("kam_iterate", "steps"),
+    ("kam_iterate", "tol"),
+    ("kam_step", "grid_n"),
+    ("kam_step", "radius"),
+    ("kam_step", "tol"),
+    ("lyapunov_volume", "grid_per_axis"),
+    ("lyapunov_volume", "reference"),
+    ("lyapunov_volume", "seed"),
+    ("oseledets_subbundle", "gap_factor"),
+    ("periodic_covariance", "n_max"),
+    ("sobolev_norm", "grid_n"),
+    ("solve_conjugacy", "grid_n"),
+    ("solve_conjugacy", "tol"),
+    ("solve_linearized", "extended_radius"),
+    ("solve_linearized", "radius"),
+    ("solve_linearized", "tol"),
+    ("verify_anosov", "grid_n"),
+}
+
+
+def _public_callables():
+    """(qualname, function) for every function in toralab.__all__ and
+    every public method, classmethod and hand-written __init__ of its
+    classes (a dataclass's generated __init__ takes record fields)."""
+    for name in toralab.__all__:
+        obj = getattr(toralab, name)
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        if not inspect.isclass(obj):
+            continue
+        for attr, value in vars(obj).items():
+            if attr.startswith("_") and (
+                    attr != "__init__" or dataclasses.is_dataclass(obj)):
+                continue
+            if isinstance(value, (classmethod, staticmethod)):
+                value = value.__func__
+            if inspect.isfunction(value):
+                yield f"{obj.__name__}.{attr}", value
+
+
+def test_keyword_options_are_pinned():
+    found = {(qualname, p.name)
+             for qualname, fn in _public_callables()
+             for p in inspect.signature(fn).parameters.values()
+             if p.default is not inspect.Parameter.empty}
+    assert found == OPTIONS, (
+        f"new options: {sorted(found - OPTIONS)}; "
+        f"gone: {sorted(OPTIONS - found)}")

@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oracle_helpers import (InverseMap, conformal_bundles,
                             interpolated_conjugacy, orbit_terms_reference,
                             shadow_conjugacy, table_memo_off)
 from toralab import cli, conjugacy, maps, spectral
-from toralab.errors import NotHyperbolic, OrderViolation
+from toralab.errors import NotHyperbolic, OrderViolation, ToleranceNotReached
 from toralab.torusfn import TrigPoly, estimate_holder, uniform_grid
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -26,6 +27,18 @@ def test_trivial_identity():
     res = conjugacy.solve_conjugacy(f, grid_n=16)
     assert res.h_c0 == 0.0
     assert conjugacy.residual_check(res, 100, 0)["residual_max"] == 0.0
+
+
+def test_solve_past_max_terms_raises_and_the_cli_exits_3(tmp_path):
+    # the stopping rule needs a third term, so a cap of two sweeps is
+    # never met: the solve raises, and a conjugate run exits 3 unwritten
+    with mock.patch.object(conjugacy, "MAX_TERMS", 2):
+        with pytest.raises(ToleranceNotReached, match="after 2 sweeps"):
+            conjugacy.solve_conjugacy(small_map(), grid_n=16)
+        rc = cli.main(["conjugate", "--eps", "1e-3", "--n-grid", "16",
+                       "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "conjugate_result.json").exists()
 
 
 def test_solver_residual_small_perturbation():

@@ -18,6 +18,17 @@ def small_map(eps=EPS):
     return maps.build(CAT, TrigPoly.sin_mode((0, 1), [eps, 0.0]), warn=False)
 
 
+def test_periodic_points_refuses_periods_past_the_cap(monkeypatch):
+    # the seed count grows like |det(L^n - I)|: a period past
+    # MAX_SEARCH_PERIOD is refused before any seed is enumerated
+    calls = []
+    monkeypatch.setattr(maps, "_periodic_seeds",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="configured cap"):
+        maps.periodic_points(small_map(), maps.MAX_SEARCH_PERIOD + 1)
+    assert calls == []
+
+
 def test_build_trivial():
     f = maps.build(CAT, TrigPoly.zero(2, 2))
     assert f.smallness.r_c0 == 0 and f.smallness.dr_c0 == 0
