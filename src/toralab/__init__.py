@@ -7,6 +7,8 @@ KAM-style improvement step, and linear-cocycle diagnostics.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .spectral import (IntegerAutomorphism, automorphism, block_diagonal,
                        block_upper_identity, char_poly, classify,
                        classification_report, factorization,
@@ -27,4 +29,8 @@ from .cocycles import (CocycleSpec, cocycle_product, conformality_check,
                        lyapunov_qr, lyapunov_volume, oseledets_subbundle)
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; importing a submodule also binds it here, and
+# of those only errors is exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and
+                 (name == "errors" or not isinstance(value, _ModuleType)))

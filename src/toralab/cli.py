@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 manifest/schema error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -585,7 +586,10 @@ def _manifest_from_args(args, scenario):
     return {"scenario": scenario, "seed": args.seed, "params": params}
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="toralab",
         description="numerical laboratory for hyperbolic toral "
@@ -597,7 +601,11 @@ def main(argv=None):
     comp = subs.add_parser("compare")
     comp.add_argument("manifests", nargs="+")
     comp.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     outdir = args.out or os.environ.get("TORALAB_OUT", "toralab_out")
     try:

@@ -75,7 +75,7 @@ def cocycle_product(spec: CocycleSpec, x, n):
     if n < 0:
         y = x.copy()
         for _ in range(-n):
-            y = spec.f.invert(y)
+            y = spec.f.invert(y)[0]
         return np.linalg.inv(cocycle_product(spec, y, -n))
     pts = np.empty((n,) + x.shape)
     pts[0] = x
@@ -563,7 +563,7 @@ def oseledets_subbundle(spec: CocycleSpec, x, n, cluster_index,
     y = np.asarray(x, dtype=float).copy()
     back = []                               # f^-1 x, ..., f^-n x
     for _ in range(max(n, 1)):
-        y = spec.f.invert(y)
+        y = spec.f.invert(y)[0]
         back.append(y.copy())
     u_full, sv_full, _ = _product_svd(spec, back[:n])
     est = u_full[:, start:start + dim_i]

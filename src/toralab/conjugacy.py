@@ -98,7 +98,9 @@ class _OrbitSeries:
 
     `_walk` is the one walk.  The grid solve consumes its `terms` until its
     stopping rule holds, a call at other points consumes `n_terms` of them,
-    and `with_image` reads h(x) and h(f x) off one walk from x.
+    and `with_image` reads h(x) and h(f x) off one walk from x.  Points,
+    terms and sums are component-major, one contiguous row per coordinate,
+    and `combine` transposes h back to rows of points.
     """
 
     def __init__(self, f):
@@ -117,33 +119,40 @@ class _OrbitSeries:
         points x, in splitting coordinates: the forward and backward orbits
         alternately, each point computed when its value is asked for.
 
+        Component-major: points is (d, P) and so is every yielded array.
         R is evaluated once per orbit point: f(y) is formed from R(y), and
-        R at f^-1(z) is read right after the Newton inverse, whose last
-        iterate left its trig table behind (see TrigPoly._pair_table).
+        the Newton inverse returns R at the point it returns.
         """
         f = self.f
         y = z = points
         while True:
             y, r_y = f.apply_with_displacement(y)
-            yield r_y @ self.w_inv.T
-            z = f.invert(z)
-            yield f.displacement_at(z) @ self.w_inv.T
+            yield self.w_inv @ r_y
+            z, r_z = f.invert(z)
+            yield self.w_inv @ r_z
 
     def terms(self, points):
         """Yield the k-th unstable and stable terms at points, k = 0, 1, ...
 
         In splitting coordinates: L_u^-(k+1) R^u(f^k x) and
-        L_s^k R^s(f^-(k+1) x).  Term k takes the walk to f^k x forward and
-        f^-(k+1) x backward.
+        L_s^k R^s(f^-(k+1) x), as (du, P) and (d - du, P) rows for (d, P)
+        points.  Term k takes the walk to f^k x forward and f^-(k+1) x
+        backward.
         """
         du = self.du
         walk = self._walk(points)
         mu = self.au.copy()
         ms = np.eye(self.f.dim - du)
         for r_fwd in walk:
-            yield (r_fwd[:, :du] @ mu.T, next(walk)[:, du:] @ ms.T)
+            yield mu @ r_fwd[:du], ms @ next(walk)[du:]
             mu = self.au @ mu
             ms = self.als @ ms
+
+    def _rows(self, points):
+        """Points of shape (..., d) reduced mod 1, as their (d, P)
+        transpose."""
+        return _mod1(np.asarray(points, dtype=float)
+                     .reshape(-1, self.f.dim).T)
 
     def with_image(self, points):
         """h(x) and h(f x) from one walk of n_terms + 1 forward and n_terms
@@ -158,43 +167,44 @@ class _OrbitSeries:
         bit; h(f x) differs from evaluate_h(f x) by the rounding of the
         Newton inverse that a walk from f x would take back to x.
         """
-        pts = np.asarray(points, dtype=float)
-        flat = _mod1(pts.reshape(-1, self.f.dim))
+        shape = np.shape(points)
+        rows = self._rows(points)
         du, n = self.du, self.n_terms
-        walk = self._walk(flat)
+        walk = self._walk(rows)
         r_fwd = next(walk)                       # R(x)
-        hx_u = np.zeros((flat.shape[0], du))
-        hx_s = np.zeros((flat.shape[0], self.f.dim - du))
+        hx_u = np.zeros((du, rows.shape[1]))
+        hx_s = np.zeros((self.f.dim - du, rows.shape[1]))
         hf_u = np.zeros_like(hx_u)
-        hf_s = -r_fwd[:, du:]                    # L_s^0 R^s(x)
+        hf_s = -r_fwd[du:]                       # L_s^0 R^s(x)
         mu = self.au.copy()                      # L_u^-(k+1)
         ms = np.eye(self.f.dim - du)             # L_s^k
         for k in range(n):
-            hx_u += r_fwd[:, :du] @ mu.T
+            hx_u += mu @ r_fwd[:du]
             r_bwd = next(walk)                   # R(f^-(k+1) x)
-            hx_s -= r_bwd[:, du:] @ ms.T
+            hx_s -= ms @ r_bwd[du:]
             r_fwd = next(walk)                   # R(f^(k+1) x)
-            hf_u += r_fwd[:, :du] @ mu.T
+            hf_u += mu @ r_fwd[:du]
             ms = self.als @ ms
             if k + 1 < n:
-                hf_s -= r_bwd[:, du:] @ ms.T
+                hf_s -= ms @ r_bwd[du:]
             mu = self.au @ mu
-        return (self.combine(hx_u, hx_s).reshape(pts.shape),
-                self.combine(hf_u, hf_s).reshape(pts.shape))
+        return (self.combine(hx_u, hx_s).reshape(shape),
+                self.combine(hf_u, hf_s).reshape(shape))
 
     def combine(self, acc_u, acc_s):
-        """h from the accumulated coordinates of its two parts."""
-        return np.concatenate([acc_u, acc_s], axis=1) @ self.w.T - self.shift
+        """h as (P, d) rows of points from the accumulated (du, P) and
+        (d - du, P) coordinates of its two parts: the one transpose back
+        from component-major."""
+        return np.concatenate([acc_u, acc_s]).T @ self.w.T - self.shift
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        flat = _mod1(pts.reshape(-1, self.f.dim))
-        acc_u = np.zeros((flat.shape[0], self.du))
-        acc_s = np.zeros((flat.shape[0], self.f.dim - self.du))
-        for term_u, term_s in islice(self.terms(flat), self.n_terms):
+        rows = self._rows(points)
+        acc_u = np.zeros((self.du, rows.shape[1]))
+        acc_s = np.zeros((self.f.dim - self.du, rows.shape[1]))
+        for term_u, term_s in islice(self.terms(rows), self.n_terms):
             acc_u += term_u
             acc_s -= term_s
-        return self.combine(acc_u, acc_s).reshape(pts.shape)
+        return self.combine(acc_u, acc_s).reshape(np.shape(points))
 
 
 def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256):
@@ -225,17 +235,18 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256):
     chol_s = sd.stable_norm.chol
 
     evaluator = _OrbitSeries(f)
-    acc_u = np.zeros((grid.shape[0], du))
-    acc_s = np.zeros((grid.shape[0], d - du))
+    acc_u = np.zeros((du, grid.shape[0]))
+    acc_s = np.zeros((d - du, grid.shape[0]))
     term_norms_u, term_norms_s = [], []
     stop_at = tol * (1.0 - sigma) / (2.0 * max(sigma, 1e-6))
+    # the walk reads the grid's transpose, a view: no second copy of it
     for k, (term_u, term_s) in enumerate(
-            islice(evaluator.terms(grid), MAX_TERMS)):
+            islice(evaluator.terms(grid.T), MAX_TERMS)):
         acc_u += term_u
         acc_s -= term_s
-        tn_u = float(np.max(np.linalg.norm(term_u @ chol_u.T, axis=1))) \
+        tn_u = float(np.max(np.linalg.norm(chol_u @ term_u, axis=0))) \
             if du else 0.0
-        tn_s = float(np.max(np.linalg.norm(term_s @ chol_s.T, axis=1))) \
+        tn_s = float(np.max(np.linalg.norm(chol_s @ term_s, axis=0))) \
             if d - du else 0.0
         term_norms_u.append(tn_u)
         term_norms_s.append(tn_s)

@@ -23,23 +23,67 @@ from .torusfn import TrigPoly, _chunks, _mod1, c0_norm, uniform_grid
 CONE_APERTURE = 0.25    # adapted-norm aperture of the stable/unstable cones
 
 def newton_step(jac, res):
-    """Solve jac @ step = res for a stack of d x d systems.
+    """Solve jac @ step = res for a component-major stack of d x d systems.
 
-    jac has shape (..., d, d) and res (..., d).  For d = 2 the step is
-    Cramer's rule in closed form, which avoids a batched LAPACK call per
-    point; other d use np.linalg.solve.  An exactly singular system raises
-    LinAlgError, as np.linalg.solve does.
+    jac has shape (d, d, P), res and the returned step (d, P): entry
+    (i, j) of the P systems is the contiguous row jac[i, j].  For d = 2
+    the step is Cramer's rule on those rows.  For d >= 3 it is Gaussian
+    elimination with partial pivoting per point, vectorised over the
+    points, which overwrites jac and res.  An exactly singular system
+    raises LinAlgError, as np.linalg.solve does.
     """
-    if jac.shape[-1] != 2:
-        return np.linalg.solve(jac, res[..., None])[..., 0]
-    a, b = jac[..., 0, 0], jac[..., 0, 1]
-    c, e = jac[..., 1, 0], jac[..., 1, 1]
-    det = a * e - b * c
+    if jac.shape[0] != 2:
+        return _eliminate(jac, res)
+    a, b = jac[0]
+    c, e = jac[1]
+    det = a * e
+    det -= b * c
     if not np.all(det):
         raise np.linalg.LinAlgError("Singular matrix")
-    r0, r1 = res[..., 0], res[..., 1]
-    return np.stack(((e * r0 - b * r1) / det, (a * r1 - c * r0) / det),
-                    axis=-1)
+    r0, r1 = res
+    step = np.empty_like(res)   # each row rounds as (e r0 - b r1) / det
+    np.multiply(e, r0, out=step[0])
+    step[0] -= b * r1
+    np.multiply(a, r1, out=step[1])
+    step[1] -= c * r0
+    step /= det
+    return step
+
+
+def _eliminate(a, b):
+    """Solve a @ x = b in place for a (d, d, P) stack and (d, P) rows.
+
+    Column k takes as pivot, per point, the entry of largest modulus on or
+    below the diagonal.  Rows are swapped, by mask over the points, only
+    where some point's pivot is off the diagonal: near a hyperbolic L that
+    pivots on its own, no swap runs.  A zero pivot means a zero column
+    below the diagonal, a singular system.  b is overwritten by x.
+    """
+    d = a.shape[0]
+    for k in range(d):
+        off = np.argmax(np.abs(a[k:, k]), axis=0)
+        if off.any():
+            for i in range(k + 1, d):
+                swap = off == i - k
+                if not swap.any():
+                    continue
+                # rows i and k of a, from column k on, and of b
+                for rows in (a[:, k:], b[:, None]):
+                    top = np.where(swap, rows[i], rows[k])
+                    rows[i] = np.where(swap, rows[k], rows[i])
+                    rows[k] = top
+        pivot = a[k, k]
+        if not np.all(pivot):
+            raise np.linalg.LinAlgError("Singular matrix")
+        for i in range(k + 1, d):
+            lower = a[i, k] / pivot
+            a[i, k + 1:] -= lower * a[k, k + 1:]
+            b[i] -= lower * b[k]
+    for k in range(d - 1, -1, -1):
+        for j in range(k + 1, d):
+            b[k] -= a[k, j] * b[j]
+        b[k] /= a[k, k]
+    return b
 
 
 @dataclass
@@ -94,33 +138,66 @@ class PerturbedMap:
         return _mod1(self.apply_lift(x))
 
     def apply_with_displacement(self, x):
-        """(f(x), R(x)) from one evaluation of R."""
+        """(f(x), R(x)) from one evaluation of R, component-major: x and
+        both results have shape (d, P) (or (d,) for one point)."""
         x = np.asarray(x, dtype=float)
-        r = self.displacement_at(x)
-        return _mod1(x @ self._mat.T + r), r
+        r = self.displacement_at(x.T).T
+        return _mod1(self._mat @ x + r), r
 
     def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        jac = self.disp.eval_jacobian(x).real
-        return jac + self._mat
+        """Df at points x of shape (..., d), as (..., d, d).
+
+        L is added in place to the fresh DR of eval_jacobian, so for flat
+        points the result is the (P, d, d) transpose of a contiguous
+        component-major (d, d, P) array, as newton_step reads it.
+        """
+        jac = self.disp.eval_jacobian(np.asarray(x, dtype=float)).real
+        jac += self._mat
+        return jac
+
+    def _residual(self, x, y):
+        """R(x) and the lift residual f~(x) - y reduced mod Z^d, both
+        component-major (d, P)."""
+        r = self.displacement_at(x.T).T
+        res = self._mat @ x
+        res += r
+        res -= y
+        res -= np.round(res)
+        return r, res
 
     def invert(self, y):
-        """Torus inverse: the x in [0,1)^d with f(x) = y mod Z^d."""
+        """Torus inverse, component-major: for y of shape (d, P) (or (d,)),
+        the x in [0,1)^d with f(x) = y mod Z^d, and R(x), both shaped like y.
+
+        Newton's method from L^-1 y.  Each step solves the (d, d, P) stack
+        of Df systems with newton_step, on the rows of the Jacobian as
+        self.jacobian lays them out.  R(x) is the one the last residual
+        evaluation made, as apply_with_displacement makes R for f, unless
+        the final reduction mod 1 changes a bit of x (a coordinate 1.0
+        becomes 0.0): then R is evaluated again, at the returned x.
+        """
         y = np.asarray(y, dtype=float)
-        x = _mod1(y @ self._mat_inv.T)
+        rows = y.reshape(self.dim, -1)
+        x = _mod1(self._mat_inv @ rows)
         for _ in range(60):
-            res = self.apply_lift(x) - y
-            res = res - np.round(res)
+            r, res = self._residual(x, rows)
             if np.max(np.abs(res)) < 1e-13:
                 break
-            x = _mod1(x - newton_step(self.jacobian(x), res))
+            x = x - newton_step(self.jacobian(x.T).transpose(1, 2, 0), res)
+            x -= np.floor(x)                            # _mod1, in place
         else:
-            res = self.apply_lift(x) - y
-            res = np.max(np.abs(res - np.round(res)))
+            r, res = self._residual(x, rows)
+            res = np.max(np.abs(res))
             if not res <= 1e-8:
                 raise NewtonDivergence(
-                    f"torus inverse stalled (residual {res:.2e})", points=x)
-        return _mod1(x)
+                    f"torus inverse stalled (residual {res:.2e})",
+                    points=x.reshape(y.shape))
+        # x is a reduction already, in [0, 1] and never -0.0: only a 1.0
+        # changes in the final one
+        out = _mod1(x)
+        if not np.array_equal(out, x):
+            r = self.displacement_at(out.T).T
+        return out.reshape(y.shape), r.reshape(y.shape)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -330,7 +407,8 @@ PERIODIC_ITER = 60      # and the most Newton steps it takes
 
 
 def _periodic_seeds(lni, det):
-    """Integer k and seeds x = (L^n - I)^{-1} k in [0,1)^d, k sorted.
+    """Integer k and seeds x = (L^n - I)^{-1} k in [0,1)^d, k sorted: two
+    (det, d) arrays, one row per seed, k integer and x float.
 
     The k are one representative per coset of Z^d / A Z^d, A = L^n - I.
     column_reduce gives a unimodular U with A U lower triangular (a Hermite
@@ -338,21 +416,31 @@ def _periodic_seeds(lni, det):
     with 0 <= k'_i < |(A U)_ii| are a full set of coset representatives
     (det = |det A| of them).  Each maps exactly to the canonical
     k = A frac(A^-1 k') = k' - A floor(A^-1 k'), in integers via
-    A^-1 = adj / det.
+    A^-1 = adj / det, for all k' in one array expression.  The integers
+    are int64 when no product or partial sum can reach 2^63: |adj k'| <=
+    d max|adj| max k', each term of A floor(adj k' / det) is at most
+    max|A| (|adj k'| + 1), and |det floor(adj k' / det)| is below
+    |adj k'| + det.  Otherwise they are Python ints (object dtype),
+    as in torusfn._int_rows.  Each x_i is (adj k' - det floor) / det, an
+    integer in [0, det) over det, both exact in float64, so its one
+    rounding is that of the exact quotient.
     """
     d = len(lni)
     adj = [[int(c * det) for c in row]
            for row in exactalg.inverse_fraction(lni)]
     tri = exactalg.mat_mul(lni, exactalg.column_reduce(lni, d)[0])
-    found = []
-    for kp in itertools.product(*(range(abs(tri[i][i])) for i in range(d))):
-        y = [sum(a * v for a, v in zip(row, kp)) for row in adj]
-        fl = [v // det for v in y]
-        k = tuple(kp[i] - sum(lni[i][j] * fl[j] for j in range(d))
-                  for i in range(d))
-        found.append((k, [(v - det * f) / det for v, f in zip(y, fl)]))
-    found.sort()
-    return [k for k, _ in found], [x for _, x in found]
+    sizes = [abs(tri[i][i]) for i in range(d)]
+    y_max = d * max(map(abs, itertools.chain(*adj))) * (max(sizes) - 1)
+    big = d * max(map(abs, itertools.chain(*lni))) * (y_max + 1) + \
+        y_max + det
+    dtype = np.int64 if big < 2 ** 63 else object
+    kp = np.indices(sizes).reshape(d, -1).T.astype(dtype)
+    y = kp @ np.array(adj, dtype=dtype).T
+    fl = y // det
+    k = kp - fl @ np.array(lni, dtype=dtype).T
+    x = np.asarray((y - det * fl) / det, dtype=float)
+    order = np.lexsort(k.T[::-1])
+    return k[order], x[order]
 
 
 def periodic_points(f: PerturbedMap, n):
@@ -383,13 +471,11 @@ def periodic_points(f: PerturbedMap, n):
     lni = [[ln[i][j] - (1 if i == j else 0) for j in range(d)]
            for i in range(d)]
     expected = abs(exactalg.det_bareiss(lni))
-    kept_k, seeds = _periodic_seeds(lni, expected)
-    if len(seeds) != expected:
+    kept_k, x = _periodic_seeds(lni, expected)
+    if len(x) != expected:
         raise ArithmeticError(
-            f"seed enumeration found {len(seeds)} != |det| = {expected}")
-
-    x = np.array(seeds, dtype=float)
-    kv = np.array(kept_k, dtype=float)
+            f"seed enumeration found {len(x)} != |det| = {expected}")
+    kv = kept_k.astype(float)
     # the walk of the last iterate gives the final residuals
     for iterations in range(PERIODIC_ITER + 1):
         y = x.copy()
@@ -400,7 +486,7 @@ def periodic_points(f: PerturbedMap, n):
         res = y - x - kv
         if iterations == PERIODIC_ITER or np.max(np.abs(res)) < PERIODIC_TOL:
             break
-        x = x - newton_step(prod - np.eye(d), res)
+        x = x - newton_step((prod - np.eye(d)).transpose(1, 2, 0), res.T).T
     res = np.linalg.norm(res, axis=1)
 
     good = np.flatnonzero(res <= 100 * PERIODIC_TOL)

@@ -290,7 +290,8 @@ class TrigPoly:
 
     @functools.cached_property
     def _pairs(self):
-        """Coefficients of f on the +-n pairs: (c_0, n, [A; B], [B w; -A w]).
+        """Coefficients of f on the +-n pairs:
+        (c_0, n, [A; B]^T, [B w; -A w]^T).
 
         Each frequency pair +-n is listed once, by its representative n
         with first nonzero coordinate > 0 (lexicographically n > 0), in
@@ -299,13 +300,16 @@ class TrigPoly:
             c_n e^{i theta} + c_{-n} e^{-i theta} = A cos theta + B sin theta,
             A = c_n + c_{-n},   B = i (c_n - c_{-n}),
 
-        so f = c_0 + [cos Theta | sin Theta] [A; B] over the K pairs, and
-        its Jacobian is [cos Theta | sin Theta] [B w; -A w] (A w stands for
-        A_n (x) w_n, flattened to m * d columns).  When c_{-n} = conj(c_n)
+        so f = c_0 + [A; B]^T [cos Theta; sin Theta] over the K pairs, and
+        its Jacobian is [B w; -A w]^T [cos Theta; sin Theta] (A w stands for
+        A_n (x) w_n, flattened to m * d rows).  Both matrices are stored
+        transposed and contiguous, (m, 2K) and (m d, 2K), as the
+        component-major kernel reads them.  When c_{-n} = conj(c_n)
         exactly and c_0 is real, A, B and c_0 have zero imaginary part and
         are stored as float64, so a real polynomial is evaluated in real
-        arithmetic: [A; B] is float64 exactly then.  A zero c_0 is stored
-        as None, so eval skips it without testing it on every call.
+        arithmetic: [A; B] is float64 exactly then.  c_0 is stored as an
+        (m, 1) column, and a zero c_0 as None, so eval skips it without
+        testing it on every call.
         """
         d, m = self.dim_domain, self.dim_range
         freqs, coefs = self.freqs, self.coefs
@@ -329,36 +333,36 @@ class TrigPoly:
         rep_f = reps[order].astype(float).reshape(k, d)
         w = (TWO_PI * rep_f)[:, None, :]
         jw = np.concatenate([b[:, :, None] * w, -a[:, :, None] * w])
-        return (c0 if np.any(c0) else None, rep_f, np.concatenate([a, b]),
-                jw.reshape(2 * k, m * d))
+        return (c0[:, None] if np.any(c0) else None, rep_f,
+                np.ascontiguousarray(np.concatenate([a, b]).T),
+                np.ascontiguousarray(jw.reshape(2 * k, m * d).T))
 
-    def _pair_table(self, pts):
-        """[cos Theta | sin Theta] at the points pts (Theta = 2 pi x n^T).
+    def _pair_table(self, xs):
+        """[cos Theta; sin Theta] at the points xs, component-major (d, P):
+        a (2K, P) array, Theta = 2 pi n x.
 
-        _cos_sin fills the rows of a (2K, P) array from the angles in turns
-        U = n x^T, and the transpose of the array enters the products,
-        because numpy's vectorized loops need contiguous output.  _kept
-        keeps the table: a Newton step takes f and Df at one point set, and
-        an orbit walk reads R at the point the Newton inverse returns, and
-        each builds one table, not two.
+        _cos_sin fills its rows from the angles in turns U = n x, one
+        product of the pair frequencies with the coordinate rows.  _kept
+        keeps the table: a Newton step takes f and Df at one point set,
+        and each builds one table, not two.
         """
         freqs = self._pairs[1]
         k = len(freqs)
 
         def build():
-            trig = np.empty((2 * k, len(pts)))
-            _cos_sin(freqs @ pts.T, trig[:k], trig[k:])
+            trig = np.empty((2 * k, xs.shape[1]))
+            _cos_sin(freqs @ xs, trig[:k], trig[k:])
             return trig
-        self._table, trig = _kept(self._table, pts, k * len(pts), build)
+        self._table, trig = _kept(self._table, xs, k * xs.shape[1], build)
         return trig
 
-    def _pair_sum(self, flat, coef, chunk):
-        """[cos Theta | sin Theta] coef at the points flat, in blocks of at
-        most chunk points times pairs."""
+    def _pair_sum(self, xs, coef_t, chunk):
+        """coef_t [cos Theta; sin Theta] at the points xs (d, P), a
+        (columns, P) array, in blocks of at most chunk points times pairs."""
         k = len(self._pairs[1])
-        out = np.empty((flat.shape[0], coef.shape[1]), dtype=coef.dtype)
-        for sl in _chunks(flat.shape[0], max(1, chunk // max(k, 1))):
-            np.matmul(self._pair_table(flat[sl]).T, coef, out=out[sl])
+        out = np.empty((coef_t.shape[0], xs.shape[1]), dtype=coef_t.dtype)
+        for sl in _chunks(xs.shape[1], max(1, chunk // max(k, 1))):
+            np.matmul(coef_t, self._pair_table(xs[:, sl]), out=out[:, sl])
         return out
 
     def _box_dense(self):
@@ -482,47 +486,73 @@ class TrigPoly:
             np.conj(out[:zero:-1], out=out[:zero])
         return out.T
 
-    def _power_tables(self, pts, real):
-        """The power tables (e_1, e_2) of _box_sum at the points pts.
+    def _power_tables(self, xs, real):
+        """The power tables (e_1, e_2) of _box_sum at the points xs (d, P).
 
         Like the [cos | sin] table of _pair_table, the pair is kept by
-        _kept: a Newton step's f and Df, and the walk's R after the Newton
-        inverse, share one pair of tables.
+        _kept: a Newton step's f and Df share one pair of tables.
         """
         f = self.support_radius
         self._powers, tables = _kept(
-            self._powers, pts, len(pts) * (2 * f + 1),
-            lambda: (self._power_table(pts[:, 0], f, 0 if real else -f),
-                     self._power_table(pts[:, 1], f, -f)))
+            self._powers, xs, xs.shape[1] * (2 * f + 1),
+            lambda: (self._power_table(xs[0], f, 0 if real else -f),
+                     self._power_table(xs[1], f, -f)))
         return tables
 
-    def _box_sum(self, flat, box):
-        """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] per point,
-        with e_i the power tables of axis i (see _dense for the rows),
-        in blocks of BOX_CHUNK points times box columns.
+    def _box_sum(self, xs, box):
+        """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] at the
+        points xs (d, P), as a (columns, P) array, with e_i the power
+        tables of axis i (see _dense for the rows), in blocks of BOX_CHUNK
+        points times box columns.
         """
         f = self.support_radius
         real = self._pairs[2].dtype != complex
         size, cols = 2 * f + 1, box.shape[1]
-        out = np.empty((flat.shape[0], cols // size),
+        out = np.empty((cols // size, xs.shape[1]),
                        dtype=float if real else complex)
-        for sl in _chunks(flat.shape[0], max(1, BOX_CHUNK // cols)):
-            e1, e2 = self._power_tables(flat[sl], real)
+        for sl in _chunks(xs.shape[1], max(1, BOX_CHUNK // cols)):
+            e1, e2 = self._power_tables(xs[:, sl], real)
             part = (e1 @ box).reshape(len(e1), size, -1)
             part = np.matmul(e2[:, None, :], part)[:, 0]
-            out[sl] = 2.0 * part.real if real else part
+            if real:
+                np.multiply(part.real.T, 2.0, out=out[:, sl])
+            else:
+                out[:, sl] = part.T
         return out
+
+    def _eval_rows(self, xs):
+        """f at the points xs, component-major: (d, P) -> (m, P).  The one
+        evaluation kernel; eval is a view around it."""
+        if self._box_dense():
+            return self._box_sum(xs, self._dense[0])
+        c0, _, ab_t, _ = self._pairs
+        out = self._pair_sum(xs, ab_t, EVAL_CHUNK)
+        if c0 is not None:
+            out += c0
+        return out
+
+    def _jacobian_rows(self, xs):
+        """Df at the points xs, component-major: (d, P) -> (m, d, P).  The
+        one Jacobian kernel; eval_jacobian is a view around it."""
+        if self._box_dense():
+            out = self._box_sum(xs, self._dense[1])
+        else:
+            out = self._pair_sum(xs, self._pairs[3], JACOBIAN_CHUNK)
+        return out.reshape(self.dim_range, self.dim_domain, -1)
 
     def eval(self, points):
         """Evaluate at points of shape (..., d); returns (..., m).
 
         The result is float64 when the polynomial is real (c_{-n} =
         conj(c_n) exactly, as symmetrize_real leaves it) and complex
-        otherwise.  Sparse polynomials are summed over +-n pairs, one cos
-        and one sin per pair and point: f = c_0 + cos(Theta) A +
-        sin(Theta) B with Theta = 2 pi x n^T (see _pairs), as one
-        matrix product over the stacked [cos | sin] columns.  Every table
-        entry, here and on the box-dense path, comes from _cos_sin.
+        otherwise.  It is the transpose of the component-major kernel's
+        (m, P) rows, a view for flat points: the points are read as their
+        (d, P) transpose, and eval(x.T).T is the kernel at the rows x.
+        Sparse polynomials are summed over +-n pairs, one cos and one sin
+        per pair and point: f = c_0 + A^T cos(Theta) + B^T sin(Theta) with
+        Theta = 2 pi n x (see _pairs), as one matrix product with the
+        stacked [cos; sin] rows.  Every table entry, here and on the
+        box-dense path, comes from _cos_sin.
 
         Box-dense d = 2 polynomials (support radius F) are separable:
         f(x) = sum_{n_1} e_1[n_1] sum_{n_2} c_n e_2[n_2] with the power
@@ -535,15 +565,9 @@ class TrigPoly:
         points times pairs held at once on the sparse path.
         """
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range,)
-        c0, _, ab, _ = self._pairs
-        if self._box_dense():
-            return self._box_sum(flat, self._dense[0]).reshape(shape)
-        out = self._pair_sum(flat, ab, EVAL_CHUNK)
-        if c0 is not None:
-            out += c0
-        return out.reshape(shape)
+        return self._eval_rows(
+            pts.reshape(-1, self.dim_domain).T).T.reshape(shape)
 
     def eval_real(self, points):
         return self.eval(points).real
@@ -551,10 +575,12 @@ class TrigPoly:
     def eval_jacobian(self, points):
         """Jacobian at points: shape (..., m, d).
 
-        Float64 for a real polynomial and complex otherwise, as for eval.
-        On the sparse path, differentiating A cos theta + B sin theta gives
-        J = cos(Theta) (B x 2 pi n) - sin(Theta) (A x 2 pi n), one matrix
-        product over the stacked [cos | sin] columns.
+        Float64 for a real polynomial and complex otherwise, as for eval,
+        and like eval a view around the component-major kernel: for flat
+        points, the (P, m, d) transpose of its (m, d, P) rows.  On the
+        sparse path, differentiating A cos theta + B sin theta gives
+        J = (B x 2 pi n)^T cos(Theta) - (A x 2 pi n)^T sin(Theta), one
+        matrix product with the stacked [cos; sin] rows.
 
         On the box-dense d = 2 path the same power tables e_1, e_2 as in
         eval contract a box whose entries are c_n 2 pi i n_1 and
@@ -562,12 +588,9 @@ class TrigPoly:
         matrix product and one per-point dot.
         """
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, self.dim_domain)
         shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)
-        if self._box_dense():
-            return self._box_sum(flat, self._dense[1]).reshape(shape)
-        return self._pair_sum(flat, self._pairs[3],
-                              JACOBIAN_CHUNK).reshape(shape)
+        return self._jacobian_rows(pts.reshape(-1, self.dim_domain).T) \
+            .transpose(2, 0, 1).reshape(shape)
 
     # -- calculus ----------------------------------------------------------
 

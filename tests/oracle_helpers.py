@@ -6,9 +6,11 @@ solve for orbit shadowing, the conjugacy as the fixed point of a sweep on
 grid values composed by trigonometric interpolation, random-restart
 optimization for conformal
 similarity, the direct complex-exponential sum for trig polynomials, LLL
-over Fractions, periodic-point seeds from a bounding-box search, the
+over Fractions, periodic-point seeds from a bounding-box search and one
+coset representative at a time, the
 conjugacy's orbit walk with every trig table built afresh, f^-1 as a
-map over L^-1 for a second conjugacy solve, the KAM
+map over L^-1 for a second conjugacy solve, the Newton inverse and the
+orbit walk on row-major points, an exact Fraction linear solve, the KAM
 step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
@@ -136,7 +138,7 @@ def shadow_conjugacy(f, x, window=40):
         orbit.append(f.apply(orbit[-1]))
     back = [orbit[0]]
     for _ in range(m):
-        back.append(f.invert(back[-1]))
+        back.append(f.invert(back[-1])[0])
     points = back[::-1][:-1] + orbit          # w_{-M} ... w_{M}
     defects = [-f.displacement_at(w) for w in points[:-1]]
 
@@ -185,7 +187,7 @@ def interpolated_conjugacy(f, grid_n, tol, initial=None, max_sweeps=400,
     als = sd.restricted_stable()
     chol_u, chol_s = sd.unstable_norm.chol, sd.stable_norm.chol
     y1 = f.apply(grid)
-    z1 = f.invert(grid)
+    z1 = f.invert(grid.T)[0].T
     r_grid = f.displacement_at(grid)
     r_z = f.displacement_at(z1)
     h_vals = np.zeros((grid.shape[0], d)) if initial is None else \
@@ -244,22 +246,24 @@ def orbit_terms_reference(f, points):
     au = np.linalg.inv(sd.restricted_unstable())
     als = sd.restricted_stable()
     y = points
-    z = f.invert(points)
+    z = f.invert(points.T)[0].T
     mu = au.copy()
     ms = np.eye(f.dim - du)
     while True:
         yield ((f.displacement_at(y) @ w_inv.T)[:, :du] @ mu.T,
                (f.displacement_at(z) @ w_inv.T)[:, du:] @ ms.T)
         y = f.apply(y)
-        z = f.invert(z)
+        z = f.invert(z.T)[0].T
         mu = au @ mu
         ms = als @ ms
 
 
 class InverseMap:
-    """f^-1 over the base L^-1, built on f.invert, f.apply and f.jacobian
-    alone.  Since H o f^-1 = L^-1 o H, solve_conjugacy on it gives the h
-    of f.  Its displacement at y is f^-1(y) - L^-1 y reduced mod Z^d."""
+    """f^-1 over the base L^-1, built on f.invert, f.apply_with_displacement
+    and f.jacobian alone.  Since H o f^-1 = L^-1 o H, solve_conjugacy on it
+    gives the h of f.  Its displacement at y is f^-1(y) - L^-1 y reduced
+    mod Z^d.  apply_with_displacement and invert are component-major, as
+    PerturbedMap's are."""
 
     def __init__(self, f):
         self.forward = f
@@ -269,25 +273,97 @@ class InverseMap:
         self.dim = f.dim
 
     def apply_with_displacement(self, y):
-        x = self.forward.invert(y)
-        r = x - np.asarray(y, dtype=float) @ self._mat.T
+        y = np.asarray(y, dtype=float)
+        x = self.forward.invert(y)[0]
+        r = x - self._mat @ y
         return x, r - np.round(r)
 
     def apply(self, y):
-        return self.forward.invert(y)
+        return self.forward.invert(np.asarray(y, dtype=float).T)[0].T
 
     def displacement_at(self, y):
-        return self.apply_with_displacement(y)[1]
+        return self.apply_with_displacement(
+            np.asarray(y, dtype=float).T)[1].T
 
     def apply_lift(self, y):
         return np.asarray(y, dtype=float) @ self._mat.T + \
             self.displacement_at(y)
 
     def jacobian(self, y):
-        return np.linalg.inv(self.forward.jacobian(self.forward.invert(y)))
+        return np.linalg.inv(self.forward.jacobian(self.apply(y)))
 
     def invert(self, x):
-        return self.forward.apply(x)
+        fx = self.forward.apply_with_displacement(x)[0]
+        return fx, self.apply_with_displacement(fx)[1]
+
+
+# ---------------------------------------------------------------------------
+# The row-major Newton inverse and orbit walk, and an exact linear solve
+# ---------------------------------------------------------------------------
+
+def newton_step_rows(jac, res):
+    """Solve jac @ step = res for a row-major (P, d, d) stack: Cramer's rule
+    for d = 2, np.linalg.solve otherwise (oracle only)."""
+    if jac.shape[-1] != 2:
+        return np.linalg.solve(jac, res[..., None])[..., 0]
+    a, b = jac[..., 0, 0], jac[..., 0, 1]
+    c, e = jac[..., 1, 0], jac[..., 1, 1]
+    det = a * e - b * c
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+    r0, r1 = res[..., 0], res[..., 1]
+    return np.stack(((e * r0 - b * r1) / det, (a * r1 - c * r0) / det),
+                    axis=-1)
+
+
+def invert_rows(f, y):
+    """f.invert on row-major (P, d) points, one point per row, with the
+    step of newton_step_rows; returns x alone (oracle only)."""
+    y = np.asarray(y, dtype=float)
+    x = _mod1(y @ f._mat_inv.T)
+    for _ in range(60):
+        res = f.apply_lift(x) - y
+        res = res - np.round(res)
+        if np.max(np.abs(res)) < 1e-13:
+            break
+        x = _mod1(x - newton_step_rows(f.jacobian(x), res))
+    else:
+        res = f.apply_lift(x) - y
+        if not np.max(np.abs(res - np.round(res))) <= 1e-8:
+            raise ToleranceNotReached("row-major torus inverse stalled")
+    return _mod1(x)
+
+
+def walk_rows(f, points):
+    """_OrbitSeries._walk on row-major (P, d) points: R(x), R(f^-1 x),
+    R(f x), ... in splitting coordinates, one point per row, with R at
+    f^-1 x evaluated after invert_rows (oracle only)."""
+    w_inv = f.spec.basis_full_inv
+    y = z = points
+    while True:
+        r_y = f.displacement_at(y)
+        y = _mod1(y @ f._mat.T + r_y)
+        yield r_y @ w_inv.T
+        z = invert_rows(f, z)
+        yield f.displacement_at(z) @ w_inv.T
+
+
+def solve_fraction_float(jac, res):
+    """The exact solution of jac @ x = res for one d x d system of floats,
+    by Gauss-Jordan elimination over Fractions, rounded to float at the end
+    (oracle only)."""
+    d = len(res)
+    rows = [[Fraction(float(v)) for v in jac[i]] + [Fraction(float(res[i]))]
+            for i in range(d)]
+    for k in range(d):
+        piv = next(i for i in range(k, d) if rows[i][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(d):
+            if i != k and rows[i][k] != 0:
+                rows[i] = [a - rows[i][k] * b
+                           for a, b in zip(rows[i], rows[k])]
+    return np.array([float(row[d]) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +799,25 @@ def lll_reduce_fraction(rows, delta=Fraction(3, 4)):
 # Periodic-point seeds by enumerating a bounding box
 # ---------------------------------------------------------------------------
 
+def periodic_seeds_loop(lni, det):
+    """maps._periodic_seeds one coset representative k' at a time, in
+    Python integers: the k as tuples and the seeds as lists of floats,
+    sorted by k (oracle only)."""
+    d = len(lni)
+    adj = [[int(c * det) for c in row]
+           for row in exactalg.inverse_fraction(lni)]
+    tri = exactalg.mat_mul(lni, exactalg.column_reduce(lni, d)[0])
+    found = []
+    for kp in itertools.product(*(range(abs(tri[i][i])) for i in range(d))):
+        y = [sum(a * v for a, v in zip(row, kp)) for row in adj]
+        fl = [v // det for v in y]
+        k = tuple(kp[i] - sum(lni[i][j] * fl[j] for j in range(d))
+                  for i in range(d))
+        found.append((k, [(v - det * f) / det for v, f in zip(y, fl)]))
+    found.sort()
+    return [k for k, _ in found], [x for _, x in found]
+
+
 def periodic_seeds_box(lni):
     """The integer k with x = A^-1 k in [0,1)^d, A = lni = L^n - I, and
     their x as floats: every integer point of the bounding box of
@@ -820,7 +915,8 @@ def periodic_points_per_seed(f, n, newton_tol=1e-12, dedupe_tol=1e-8,
         res = y - x - kv
         if np.max(np.abs(res)) < newton_tol:
             break
-        x = x - maps.newton_step(prod - np.eye(d), res)
+        x = x - maps.newton_step((prod - np.eye(d)).transpose(1, 2, 0),
+                                 res.T).T
         iterations += 1
     y = x.copy()
     for _step in range(n):

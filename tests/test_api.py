@@ -89,3 +89,14 @@ def test_keyword_options_are_pinned():
     assert found == OPTIONS, (
         f"new options: {sorted(found - OPTIONS)}; "
         f"gone: {sorted(OPTIONS - found)}")
+
+
+def test_all_exports_no_module_but_errors():
+    # importing a submodule binds it in the package; only errors is public
+    modules = {name for name in toralab.__all__
+               if inspect.ismodule(getattr(toralab, name))}
+    assert modules == {"errors"}
+    namespace = {}
+    exec("from toralab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(toralab.__all__)
+    assert {"solve_conjugacy", "PerturbedMap", "TrigPoly"} <= namespace.keys()

@@ -30,6 +30,36 @@ def test_classify_subcommand(tmp_path):
         assert rec["provenance"]["manifest_sha256"]
 
 
+def test_main_alternates_subcommands_on_one_parser(tmp_path):
+    # the parser is built once per process and keeps no state between
+    # calls: each call's options, defaults and exit code are its own
+    ly = tmp_path / "ly.json"
+    ly.write_text(json.dumps({"scenario": "lyapunov", "seed": 0, "params": {
+        "matrix": [[2, 1], [1, 1]], "modes": [], "n": 50,
+        "grid_per_axis": 2}}))
+    runs = [
+        (["classify", "--matrix", "[[2,1],[1,1]]"], 0, "classify"),
+        (["conjugate", "--eps", "1e-3", "--n-grid", "16"], 0, "conjugate"),
+        (["classify", "--matrix", "[[2,1],[1,2]]"], 2, None),
+        (["lyapunov", "--manifest", str(ly)], 0, "lyapunov"),
+        (["classify", "--matrix", "[[3,1],[2,1]]"], 0, "classify"),
+    ]
+    for i, (argv, code, scenario) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert cli.main(argv + ["--out", str(out)]) == code, argv
+        files = sorted(p.name for p in out.glob("*_result.json"))
+        if scenario is None:
+            assert files == []
+            continue
+        assert files == [f"{scenario}_result.json"]
+        rec = _read(out / files[0])
+        assert rec["manifest"]["scenario"] == scenario
+        if scenario == "classify":
+            assert rec["manifest"]["params"]["matrix"] == \
+                json.loads(argv[2])
+    assert cli._parser() is cli._parser()
+
+
 def _run_python(code, *args):
     """stdout of `python -c code args` with this checkout's toralab."""
     env = dict(os.environ)

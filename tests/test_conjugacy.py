@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracle_helpers import (InverseMap, conformal_bundles,
                             conjugacy_residual_two_walks,
                             interpolated_conjugacy, orbit_terms_reference,
-                            shadow_conjugacy, table_memo_off)
+                            shadow_conjugacy, small_perturbation,
+                            table_memo_off, walk_rows)
 from toralab import cli, conjugacy, maps, spectral
 from toralab.errors import NotHyperbolic, OrderViolation, ToleranceNotReached
 from toralab.torusfn import TrigPoly, estimate_holder, uniform_grid
@@ -165,11 +166,25 @@ def test_orbit_walk_matches_fresh_tables(make_map, grid_n):
     grid = uniform_grid(f.dim, grid_n)
     if f.dim == 2:              # for f, L^-1 of it reduces to (1.0, 2^-59)
         grid[0] = [0.0, 2.0 ** -60]
-    walk = list(islice(conjugacy._OrbitSeries(f).terms(grid), 20))
+    walk = list(islice(conjugacy._OrbitSeries(f).terms(grid.T), 20))
     with table_memo_off():
         ref = list(islice(orbit_terms_reference(f, grid), 20))
     for k, ((u, s), (u_ref, s_ref)) in enumerate(zip(walk, ref)):
-        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref), k
+        assert np.array_equal(u.T, u_ref) and np.array_equal(s.T, s_ref), k
+
+
+@pytest.mark.parametrize("make_map", [
+    small_map, lambda: small_perturbation(2, np.random.default_rng(6))],
+    ids=["cat", "random d=2"])
+def test_d2_walk_matches_the_row_major_walk(make_map):
+    # the component-major walk, R from invert and all, yields the values of
+    # the row-major walk with its own Newton inverse, bit for bit
+    f = make_map()
+    pts = np.random.default_rng(10).random((500, 2))
+    pts[0] = [0.0, 2.0 ** -60]
+    walk = islice(conjugacy._OrbitSeries(f)._walk(pts.T), 24)
+    for k, (got, want) in enumerate(zip(walk, walk_rows(f, pts))):
+        assert np.array_equal(got.T, want), k
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (periodic_points_per_seed, periodic_seeds_box,
-                            small_perturbation, table_memo_off)
+from oracle_helpers import (invert_rows, periodic_points_per_seed,
+                            periodic_seeds_box, periodic_seeds_loop,
+                            small_perturbation, solve_fraction_float,
+                            table_memo_off)
 from toralab import exactalg, maps, spectral, torusfn
 from toralab.errors import (NewtonDivergence, NotHyperbolic,
                             VerificationInconclusive)
@@ -83,7 +85,7 @@ def test_local_inverse_roundtrip_on_grid():
     ax = np.arange(64) / 64
     x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
     y = f.apply(x)
-    back = f.invert(y)
+    back = f.invert(y.T)[0].T
     diff = back - x
     diff -= np.round(diff)
     assert np.max(np.abs(diff)) < 1e-10
@@ -92,7 +94,8 @@ def test_local_inverse_roundtrip_on_grid():
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
 def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
-    # d = 2 takes the closed-form Newton step, d = 3, 4 np.linalg.solve
+    # d = 2 takes the closed-form Newton step, d = 3, 4 the pivoted
+    # elimination
     rng = np.random.default_rng(seed)
     for _ in range(20):         # most draws are not hyperbolic
         base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
@@ -117,15 +120,14 @@ def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
     # 3.2-4.2 s with all four, as here, on a 2-core Xeon
     f = maps.PerturbedMap(base, disp, check=False)
     y = rng.random((300, d))
-    x = f.invert(y)
-    r = f.displacement_at(x)
+    x, r = (a.T for a in f.invert(y.T))
     assert np.all((x >= 0) & (x < 1))
     diff = f.apply_lift(x) - y
     assert np.max(np.abs(diff - np.round(diff))) < 1e-12
     # the table each Newton iterate shares between f and Df, and R at the
     # returned point, change no bit
     with table_memo_off():
-        assert np.array_equal(x, f.invert(y))
+        assert np.array_equal(x, f.invert(y.T)[0].T)
         assert np.array_equal(r, f.displacement_at(x))
 
 
@@ -137,14 +139,97 @@ def test_newton_step_closed_form_matches_solve():
         rng.normal(size=(500, 2, 2)))[0])
     res = rng.normal(size=(500, 2))
     want = np.linalg.solve(jac, res[..., None])[..., 0]
-    assert np.max(np.abs(maps.newton_step(jac, res) - want)) < 1e-13
-    jac3 = rng.normal(size=(7, 3, 3)) + 4 * np.eye(3)
-    res3 = rng.normal(size=(7, 3))
-    assert np.array_equal(maps.newton_step(jac3, res3),
-                          np.linalg.solve(jac3, res3[..., None])[..., 0])
+    step = maps.newton_step(jac.transpose(1, 2, 0), res.T).T
+    assert np.max(np.abs(step - want)) < 1e-13
     jac[3] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
-        maps.newton_step(jac, res)
+        maps.newton_step(jac.transpose(1, 2, 0), res.T)
+
+
+def _newton_stack(d, kinds, rng):
+    """A (P, d, d) stack of the given kinds of systems: gaussian, L + DR
+    for a hyperbolic L and a perturbation of size 1e-3, and the same for
+    [[0, 1], [1, 1]] (+) L', whose first column pivots on its second row
+    (L' a hyperbolic (d - 2)-block, or [[2]] for d = 3)."""
+    out = []
+    for kind in kinds:
+        if kind == "gaussian":
+            out.append(rng.normal(size=(d, d)))
+            continue
+        size = d if kind == "near L" else d - 2
+        base = np.array([[2.0]])
+        if size >= 2:
+            for _ in range(50):
+                mat = spectral.random_unimodular(size, steps=4 * size,
+                                                 rng=rng, entry_cap=6)
+                try:
+                    spectral.lyapunov_splitting(mat)
+                    base = mat.as_array().astype(float)
+                    break
+                except NotHyperbolic:
+                    pass
+            else:
+                base = np.eye(size) + np.triu(np.ones((size, size)))
+        if kind != "near L":
+            swap = np.zeros((d, d))
+            swap[:2, :2] = [[0.0, 1.0], [1.0, 1.0]]
+            swap[2:, 2:] = base
+            base = swap
+        out.append(base + 1e-3 * rng.normal(size=(d, d)))
+    return np.array(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(3, 5),
+       st.lists(st.sampled_from(["gaussian", "near L", "row swap"]),
+                min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_pivoted_elimination_matches_exact_solve(d, kinds, seed):
+    # each step is within c cond eps of the exact solution of the same
+    # float system, c = d; stacks mix systems that need row swaps with
+    # ones that pivot on the diagonal, so the masked swaps are partial
+    rng = np.random.default_rng(seed)
+    jac = _newton_stack(d, kinds, rng)
+    res = rng.normal(size=(len(jac), d))
+    # copies: the elimination overwrites its arguments
+    step = maps.newton_step(jac.transpose(1, 2, 0).copy(), res.T.copy()).T
+    eps = np.finfo(float).eps
+    for a, b, x in zip(jac, res, step):
+        exact = solve_fraction_float(a, b)
+        bound = d * np.linalg.cond(a, np.inf) * eps * \
+            np.max(np.abs(exact))
+        assert np.max(np.abs(x - exact)) <= bound
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["repeated row", "zero column"])
+def test_pivoted_elimination_raises_on_an_exactly_singular_system(d, kind):
+    # identical rows take identical updates, so one of them reaches the
+    # diagonal as an exact zero row; a zero column stays zero
+    rng = np.random.default_rng(d)
+    jac = _newton_stack(d, ["near L", "row swap", "gaussian"], rng)
+    if kind == "repeated row":
+        jac[1, -1] = jac[1, 0]
+    else:
+        jac[1, :, d // 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        maps.newton_step(jac.transpose(1, 2, 0).copy(),
+                         rng.normal(size=(d, 3)))
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda: small_map(),
+    lambda: small_perturbation(2, np.random.default_rng(4))],
+    ids=["cat", "random d=2"])
+def test_d2_invert_matches_the_row_major_inverse(make_map):
+    # the component-major Newton inverse takes the row-major one's steps:
+    # the same points bit for bit, and R at them
+    f = make_map()
+    y = np.random.default_rng(9).random((2000, 2))
+    y[0] = [0.0, 2.0 ** -60]
+    x, r = f.invert(y.T)
+    assert np.array_equal(x.T, invert_rows(f, y))
+    assert np.array_equal(r.T, f.displacement_at(x.T))
 
 
 def _max_norm2_full(stack):
@@ -213,28 +298,32 @@ def test_r_after_invert_is_r_at_the_returned_point(monkeypatch):
     # and already solves f(x) = y, and only the final reduction maps it to
     # (0.0, 2^-59).  The trig kernel is exactly 1-periodic, so both points
     # have the same [cos | sin] table, yet they are different points: the
-    # table the last iterate left must not be served for the returned one.
+    # R invert returns must come from a table built for the returned
+    # points, not from the one the last iterate left.
     f = maps.build(CAT, TrigPoly.sin_mode((1, 0), [EPS, 0.0]), warn=False)
-    y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]])
-    assert maps._mod1(y @ f._mat_inv.T)[0, 0] == 1.0
-    x = f.invert(y)
+    y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]]).T
+    assert maps._mod1(f._mat_inv @ y)[0, 0] == 1.0
+    built = []                  # the points of each table built, in order
+    kept = torusfn._kept
+    monkeypatch.setattr(torusfn, "_kept", lambda slot, pts, size, build: kept(
+        slot, pts, size, lambda: built.append(pts.copy()) or build()))
+    x, r = f.invert(y)
     assert x[0, 0] == 0.0
-    last = f.disp._table[0]
-    last_pts = np.frombuffer(last[0]).reshape(x.shape)
-    assert last_pts[0, 0] == 1.0 and np.array_equal(last_pts[1:], x[1:])
-    builds = []
-    kernel = torusfn._cos_sin
-    monkeypatch.setattr(torusfn, "_cos_sin",
-                        lambda *args: builds.append(1) or kernel(*args))
-    r = f.displacement_at(x)
-    assert len(builds) == 1
+    # the last iterate's table, then exactly one at the returned points
+    assert built[-2][0, 0] == 1.0
+    assert np.array_equal(built[-2][:, 1:], x[:, 1:])
+    assert np.array_equal(built[-1], x)
     assert f.disp._table[0] == (x.tobytes(), x.strides)
     assert r[0, 0] == 0.0
+    count = len(built)
+    assert np.array_equal(r, f.displacement_at(x.T).T)
+    assert len(built) == count          # served from the returned points
     with table_memo_off():
-        assert np.array_equal(x, f.invert(y))
-        assert np.array_equal(r, f.displacement_at(x))
+        x_off, r_off = f.invert(y)
+        assert np.array_equal(x, x_off) and np.array_equal(r, r_off)
+        assert np.array_equal(r, f.displacement_at(x.T).T)
     fx, r_x = f.apply_with_displacement(x)
-    assert np.array_equal(fx, f.apply(x))
+    assert np.array_equal(fx, f.apply(x.T).T)
     assert np.array_equal(r_x, r)
 
 
@@ -244,7 +333,7 @@ def test_invert_raises_when_newton_stalls():
     disp = TrigPoly.sin_mode((1, 1), [1.0, -1.0]) + \
         TrigPoly.cos_mode((0, 1), [0.0, 1.0])
     f = maps.PerturbedMap(CAT, disp, check=False)
-    y = np.random.default_rng(0).random((2000, 2))
+    y = np.random.default_rng(0).random((2000, 2)).T
     with pytest.raises(NewtonDivergence, match="stalled") as err:
         f.invert(y)
     assert err.value.points.shape == y.shape
@@ -274,6 +363,33 @@ def _mobius(n):
     return -out if n > 1 else out
 
 
+def _l_minus_i(rows, n):
+    ln = spectral.automorphism(rows).power(n).rows()
+    return [[ln[i][j] - (i == j) for j in range(len(ln))]
+            for i in range(len(ln))]
+
+
+@pytest.mark.parametrize("lni", [
+    *(_l_minus_i([[2, 1], [1, 1]], n) for n in range(1, 9)),
+    _l_minus_i([[0, 0, 1], [1, 0, -1], [0, 1, 2]], 4),
+    _l_minus_i([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]], 2),
+    _l_minus_i([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], 3),
+    # entries past int64: the seeds take Python integers
+    [[1, 10 ** 19], [0, 3]],
+    [[5, 0, 0], [2 ** 62, 1, 0], [7, 2 ** 61, 3]]],
+    ids=[*(f"cat^{n}" for n in range(1, 9)), "d3", "d4 blocks", "d4",
+         "object d2", "object d3"])
+def test_periodic_seeds_are_the_loop_s_bit_for_bit(lni):
+    det = abs(exactalg.det_bareiss(lni))
+    k, x = maps._periodic_seeds(lni, det)
+    want_k, want_x = periodic_seeds_loop(lni, det)
+    assert len(k) == det
+    assert k.tolist() == [list(t) for t in want_k]
+    assert [[v.hex() for v in row] for row in x.tolist()] == \
+        [[v.hex() for v in row] for row in want_x]
+    assert (k.dtype == object) == (max(map(abs, sum(lni, []))) > 2 ** 40)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_periodic_seeds_match_box_and_orbits_partition_by_period(d, n, seed):
@@ -298,7 +414,8 @@ def test_periodic_seeds_match_box_and_orbits_partition_by_period(d, n, seed):
         box = periodic_seeds_box(lni)
     except ValueError:
         assume(False)
-    assert maps._periodic_seeds(lni, fixed[n]) == box
+    k, x = maps._periodic_seeds(lni, fixed[n])
+    assert (k.tolist(), x.tolist()) == ([list(t) for t in box[0]], box[1])
     assert len(box[0]) == fixed[n]
 
     res = maps.periodic_points(maps.PerturbedMap(base, TrigPoly.zero(d, d)),

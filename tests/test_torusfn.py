@@ -538,7 +538,7 @@ def test_d4_pair_table_matches_mpmath(freqs, cells):
     tp = tf.TrigPoly(4, 1, {tuple(n): [0.5] for n in freqs if any(n)})
     reps = tp._pairs[1]
     pts = np.array(cells, dtype=float) / 1024
-    table = tp._pair_table(pts)
+    table = tp._pair_table(pts.T)
     k = len(reps)
     worst = 0.0
     with mpmath.workprec(113):
