@@ -120,15 +120,17 @@ class _OrbitSeries:
         alternately, each point computed when its value is asked for.
 
         Component-major: points is (d, P) and so is every yielded array.
-        R is evaluated once per orbit point: f(y) is formed from R(y), and
-        the Newton inverse returns R at the point it returns.
+        f takes rows, so the walk hands it the (P, d) transposes and takes
+        back the transposes of what it returns: views, no copies.  R is
+        evaluated once per orbit point: f(y) is formed from R(y), and the
+        Newton inverse returns R at the point it returns.
         """
         f = self.f
         y = z = points
         while True:
-            y, r_y = f.apply_with_displacement(y)
+            y, r_y = (a.T for a in f.apply_with_displacement(y.T))
             yield self.w_inv @ r_y
-            z, r_z = f.invert(z)
+            z, r_z = (a.T for a in f.invert(z.T))
             yield self.w_inv @ r_z
 
     def terms(self, points):
@@ -263,7 +265,7 @@ def solve_conjugacy(f: PerturbedMap, tol=1e-10, grid_n=256):
     anchor_pt = fixed_point_near_zero(f)
     h_anchor = evaluator(anchor_pt)
     hp = anchor_pt + h_anchor
-    lmat = np.array(f.base.rows(), dtype=float)
+    lmat = f.base.as_array()
     k_int = np.round((lmat - np.eye(d)) @ hp)
     rows = [[f.base.rows()[i][j] - (1 if i == j else 0)
              for j in range(d)] for i in range(d)]
@@ -314,7 +316,7 @@ def _conjugacy_residual(f, evaluator, points):
     f x and its forward points are the forward points of x, and the
     backward points of f x are x and the backward points of x.
     """
-    lmat = np.array(f.base.rows(), dtype=float)
+    lmat = f.base.as_array()
     h_x, h_fx = evaluator.with_image(points)
     lhs = (points + h_x) @ lmat.T
     rhs = f.apply_lift(points) + h_fx
@@ -348,7 +350,7 @@ def periodic_covariance(result: ConjugacyResult, n_max=3):
     searches = [periodic_points(f, n) for n in range(1, n_max + 1)]
     powers, reps = [], []
     for s in searches:
-        ln = np.array(f.base.power(s.period).rows(), dtype=float)
+        ln = f.base.power(s.period).as_array()
         powers += [ln] * len(s.orbits)
         reps += [o.representative for o in s.orbits]
     worst = 0.0
@@ -457,7 +459,7 @@ class Counterexample:
         return float(np.max(np.abs(vals)))
 
     def conjugacy_residual(self, points4):
-        lmat = np.array(self.f.base.rows(), dtype=float)
+        lmat = self.f.base.as_array()
         hx = self.conjugacy.evaluate(points4)
         lhs = hx @ lmat.T
         fx = self.f.apply_lift(np.asarray(points4, dtype=float))
@@ -478,9 +480,9 @@ def build_counterexample(a_block, b_block, phi: TrigPoly, k_trunc=60):
     truncation tail.
     """
     if not isinstance(a_block, IntegerAutomorphism):
-        a_block = IntegerAutomorphism(tuple(tuple(r) for r in a_block))
+        a_block = IntegerAutomorphism(a_block)
     if not isinstance(b_block, IntegerAutomorphism):
-        b_block = IntegerAutomorphism(tuple(tuple(r) for r in b_block))
+        b_block = IntegerAutomorphism(b_block)
     lyapunov_splitting(a_block)
     lyapunov_splitting(b_block)
     lam, v = _leading_eigen(a_block.rows())
@@ -526,16 +528,13 @@ def jacobian_dh(result: ConjugacyResult, sample_n=64):
     det = np.linalg.det(np.eye(d) + dh_flat)
     min_det = float(np.min(np.abs(det)))
 
-    sample_n = min(sample_n, result.grid_n)
-    stride = result.grid_n // sample_n
-    idx = np.arange(0, result.grid_n, stride)
-    mesh = np.meshgrid(*([idx] * d), indexing="ij")
-    flat_idx = np.ravel_multi_index([m.ravel() for m in mesh],
-                                    (result.grid_n,) * d)
-    pts = np.stack([m.ravel() / result.grid_n for m in mesh], axis=-1)
+    # every stride-th grid point along each axis, and Dh there
+    n = result.grid_n
+    sample = (slice(None, None, n // min(sample_n, n)),) * d
+    pts = uniform_grid(d, n).reshape((n,) * d + (d,))[sample].reshape(-1, d)
+    dh_pts = result.dh_grid[sample].reshape(-1, d, d)
 
-    lmat = np.array(f.base.rows(), dtype=float)
-    dh_pts = dh_flat[flat_idx]
+    lmat = f.base.as_array()
     fx = f.apply(pts)
     dh_fx = result.h_trig.eval_jacobian(fx).real
     dfx = f.jacobian(pts)

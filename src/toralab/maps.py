@@ -22,15 +22,16 @@ from .torusfn import TrigPoly, _chunks, _mod1, c0_norm, uniform_grid
 
 CONE_APERTURE = 0.25    # adapted-norm aperture of the stable/unstable cones
 
-def newton_step(jac, res):
-    """Solve jac @ step = res for a component-major stack of d x d systems.
+def _newton_step(jac, res):
+    """Solve jac @ step = res for a component-major stack of d x d systems,
+    for every d consuming both: jac is scratch, and the step is written
+    into res, which is returned.
 
-    jac has shape (d, d, P), res and the returned step (d, P): entry
-    (i, j) of the P systems is the contiguous row jac[i, j].  For d = 2
-    the step is Cramer's rule on those rows.  For d >= 3 it is Gaussian
-    elimination with partial pivoting per point, vectorised over the
-    points, which overwrites jac and res.  An exactly singular system
-    raises LinAlgError, as np.linalg.solve does.
+    jac has shape (d, d, P), res (d, P): entry (i, j) of the P systems is
+    the contiguous row jac[i, j].  For d = 2 the step is Cramer's rule on
+    those rows.  For d >= 3 it is Gaussian elimination with partial
+    pivoting per point, vectorised over the points.  An exactly singular
+    system raises LinAlgError, as np.linalg.solve does.
     """
     if jac.shape[0] != 2:
         return _eliminate(jac, res)
@@ -40,14 +41,15 @@ def newton_step(jac, res):
     det -= b * c
     if not np.all(det):
         raise np.linalg.LinAlgError("Singular matrix")
-    r0, r1 = res
-    step = np.empty_like(res)   # each row rounds as (e r0 - b r1) / det
-    np.multiply(e, r0, out=step[0])
-    step[0] -= b * r1
-    np.multiply(a, r1, out=step[1])
-    step[1] -= c * r0
-    step /= det
-    return step
+    r0, r1 = res               # each row rounds as (e r0 - b r1) / det
+    c *= r0
+    b *= r1
+    r0 *= e
+    r0 -= b
+    r1 *= a
+    r1 -= c
+    res /= det
+    return res
 
 
 def _eliminate(a, b):
@@ -138,18 +140,19 @@ class PerturbedMap:
         return _mod1(self.apply_lift(x))
 
     def apply_with_displacement(self, x):
-        """(f(x), R(x)) from one evaluation of R, component-major: x and
-        both results have shape (d, P) (or (d,) for one point)."""
+        """(f(x), R(x)) from one evaluation of R, both shaped like x."""
         x = np.asarray(x, dtype=float)
-        r = self.displacement_at(x.T).T
-        return _mod1(self._mat @ x + r), r
+        rows = x.reshape(-1, self.dim).T
+        r = self.displacement_at(rows.T).T
+        return _mod1(self._mat @ rows + r).T.reshape(x.shape), \
+            r.T.reshape(x.shape)
 
     def jacobian(self, x):
         """Df at points x of shape (..., d), as (..., d, d).
 
         L is added in place to the fresh DR of eval_jacobian, so for flat
         points the result is the (P, d, d) transpose of a contiguous
-        component-major (d, d, P) array, as newton_step reads it.
+        component-major (d, d, P) array, as _newton_step reads it.
         """
         jac = self.disp.eval_jacobian(np.asarray(x, dtype=float)).real
         jac += self._mat
@@ -166,24 +169,26 @@ class PerturbedMap:
         return r, res
 
     def invert(self, y):
-        """Torus inverse, component-major: for y of shape (d, P) (or (d,)),
-        the x in [0,1)^d with f(x) = y mod Z^d, and R(x), both shaped like y.
+        """Torus inverse: for y of shape (..., d), the x in [0,1)^d with
+        f(x) = y mod Z^d, and R(x), both shaped like y.
 
-        Newton's method from L^-1 y.  Each step solves the (d, d, P) stack
-        of Df systems with newton_step, on the rows of the Jacobian as
-        self.jacobian lays them out.  R(x) is the one the last residual
-        evaluation made, as apply_with_displacement makes R for f, unless
-        the final reduction mod 1 changes a bit of x (a coordinate 1.0
-        becomes 0.0): then R is evaluated again, at the returned x.
+        Newton's method from L^-1 y, run component-major on the (d, P)
+        transpose of the points and returned as views of it.  Each step
+        solves the (d, d, P) stack of Df systems with _newton_step, on the
+        rows of the Jacobian as self.jacobian lays them out.  R(x) is the
+        one the last residual evaluation made, as apply_with_displacement
+        makes R for f, unless the final reduction mod 1 changes a bit of x
+        (a coordinate 1.0 becomes 0.0): then R is evaluated again, at the
+        returned x.
         """
         y = np.asarray(y, dtype=float)
-        rows = y.reshape(self.dim, -1)
+        rows = y.reshape(-1, self.dim).T
         x = _mod1(self._mat_inv @ rows)
         for _ in range(60):
             r, res = self._residual(x, rows)
             if np.max(np.abs(res)) < 1e-13:
                 break
-            x = x - newton_step(self.jacobian(x.T).transpose(1, 2, 0), res)
+            x = x - _newton_step(self.jacobian(x.T).transpose(1, 2, 0), res)
             x -= np.floor(x)                            # _mod1, in place
         else:
             r, res = self._residual(x, rows)
@@ -191,13 +196,13 @@ class PerturbedMap:
             if not res <= 1e-8:
                 raise NewtonDivergence(
                     f"torus inverse stalled (residual {res:.2e})",
-                    points=x.reshape(y.shape))
+                    points=x.T.reshape(y.shape))
         # x is a reduction already, in [0, 1] and never -0.0: only a 1.0
         # changes in the final one
         out = _mod1(x)
         if not np.array_equal(out, x):
             r = self.displacement_at(out.T).T
-        return out.reshape(y.shape), r.reshape(y.shape)
+        return out.T.reshape(y.shape), r.T.reshape(y.shape)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -249,9 +254,7 @@ def build(base, displacement, warn=True):
     """Construct f = L + R with a smallness report; warns if the cheap
     cone bound fails (a warning, not an error)."""
     if not isinstance(base, IntegerAutomorphism):
-        base = IntegerAutomorphism(tuple(tuple(r) for r in base))
-    sd = lyapunov_splitting(base)  # NotHyperbolic raised here
-    del sd
+        base = IntegerAutomorphism(base)
     return PerturbedMap(base, displacement, warn=warn)
 
 
@@ -486,7 +489,7 @@ def periodic_points(f: PerturbedMap, n):
         res = y - x - kv
         if iterations == PERIODIC_ITER or np.max(np.abs(res)) < PERIODIC_TOL:
             break
-        x = x - newton_step((prod - np.eye(d)).transpose(1, 2, 0), res.T).T
+        x = x - _newton_step((prod - np.eye(d)).transpose(1, 2, 0), res.T).T
     res = np.linalg.norm(res, axis=1)
 
     good = np.flatnonzero(res <= 100 * PERIODIC_TOL)

@@ -56,25 +56,21 @@ class IntegerAutomorphism:
         return [list(r) for r in self.entries]
 
     def inverse(self):
-        return IntegerAutomorphism(
-            tuple(tuple(r) for r in exactalg.inverse_unimodular(self.rows())))
+        return IntegerAutomorphism(exactalg.inverse_unimodular(self.rows()))
 
     def power(self, n):
         if n == 0:
-            return IntegerAutomorphism(tuple(tuple(r) for r in
-                                             exactalg.identity(self.dim)))
+            return IntegerAutomorphism(exactalg.identity(self.dim))
         base = self if n > 0 else self.inverse()
-        rows = exactalg.mat_pow(base.rows(), abs(n))
-        return IntegerAutomorphism(tuple(tuple(r) for r in rows))
+        return IntegerAutomorphism(exactalg.mat_pow(base.rows(), abs(n)))
 
     def __matmul__(self, other):
-        rows = exactalg.mat_mul(self.rows(), other.rows())
-        return IntegerAutomorphism(tuple(tuple(r) for r in rows))
+        return IntegerAutomorphism(exactalg.mat_mul(self.rows(), other.rows()))
 
 
 def automorphism(rows):
     """Build an IntegerAutomorphism from any nested-iterable of ints."""
-    return IntegerAutomorphism(tuple(tuple(int(x) for x in r) for r in rows))
+    return IntegerAutomorphism(rows)
 
 
 def block_diagonal(a, b):

@@ -187,7 +187,7 @@ def interpolated_conjugacy(f, grid_n, tol, initial=None, max_sweeps=400,
     als = sd.restricted_stable()
     chol_u, chol_s = sd.unstable_norm.chol, sd.stable_norm.chol
     y1 = f.apply(grid)
-    z1 = f.invert(grid.T)[0].T
+    z1 = f.invert(grid)[0]
     r_grid = f.displacement_at(grid)
     r_z = f.displacement_at(z1)
     h_vals = np.zeros((grid.shape[0], d)) if initial is None else \
@@ -246,14 +246,14 @@ def orbit_terms_reference(f, points):
     au = np.linalg.inv(sd.restricted_unstable())
     als = sd.restricted_stable()
     y = points
-    z = f.invert(points.T)[0].T
+    z = f.invert(points)[0]
     mu = au.copy()
     ms = np.eye(f.dim - du)
     while True:
         yield ((f.displacement_at(y) @ w_inv.T)[:, :du] @ mu.T,
                (f.displacement_at(z) @ w_inv.T)[:, du:] @ ms.T)
         y = f.apply(y)
-        z = f.invert(z.T)[0].T
+        z = f.invert(z)[0]
         mu = au @ mu
         ms = als @ ms
 
@@ -262,8 +262,7 @@ class InverseMap:
     """f^-1 over the base L^-1, built on f.invert, f.apply_with_displacement
     and f.jacobian alone.  Since H o f^-1 = L^-1 o H, solve_conjugacy on it
     gives the h of f.  Its displacement at y is f^-1(y) - L^-1 y reduced
-    mod Z^d.  apply_with_displacement and invert are component-major, as
-    PerturbedMap's are."""
+    mod Z^d."""
 
     def __init__(self, f):
         self.forward = f
@@ -275,15 +274,14 @@ class InverseMap:
     def apply_with_displacement(self, y):
         y = np.asarray(y, dtype=float)
         x = self.forward.invert(y)[0]
-        r = x - self._mat @ y
+        r = x - y @ self._mat.T
         return x, r - np.round(r)
 
     def apply(self, y):
-        return self.forward.invert(np.asarray(y, dtype=float).T)[0].T
+        return self.forward.invert(y)[0]
 
     def displacement_at(self, y):
-        return self.apply_with_displacement(
-            np.asarray(y, dtype=float).T)[1].T
+        return self.apply_with_displacement(y)[1]
 
     def apply_lift(self, y):
         return np.asarray(y, dtype=float) @ self._mat.T + \
@@ -915,8 +913,8 @@ def periodic_points_per_seed(f, n, newton_tol=1e-12, dedupe_tol=1e-8,
         res = y - x - kv
         if np.max(np.abs(res)) < newton_tol:
             break
-        x = x - maps.newton_step((prod - np.eye(d)).transpose(1, 2, 0),
-                                 res.T).T
+        x = x - maps._newton_step((prod - np.eye(d)).transpose(1, 2, 0),
+                                  res.T).T
         iterations += 1
     y = x.copy()
     for _step in range(n):

@@ -85,7 +85,7 @@ def test_local_inverse_roundtrip_on_grid():
     ax = np.arange(64) / 64
     x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
     y = f.apply(x)
-    back = f.invert(y.T)[0].T
+    back = f.invert(y)[0]
     diff = back - x
     diff -= np.round(diff)
     assert np.max(np.abs(diff)) < 1e-10
@@ -120,14 +120,14 @@ def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
     # 3.2-4.2 s with all four, as here, on a 2-core Xeon
     f = maps.PerturbedMap(base, disp, check=False)
     y = rng.random((300, d))
-    x, r = (a.T for a in f.invert(y.T))
+    x, r = f.invert(y)
     assert np.all((x >= 0) & (x < 1))
     diff = f.apply_lift(x) - y
     assert np.max(np.abs(diff - np.round(diff))) < 1e-12
     # the table each Newton iterate shares between f and Df, and R at the
     # returned point, change no bit
     with table_memo_off():
-        assert np.array_equal(x, f.invert(y.T)[0].T)
+        assert np.array_equal(x, f.invert(y)[0])
         assert np.array_equal(r, f.displacement_at(x))
 
 
@@ -139,11 +139,26 @@ def test_newton_step_closed_form_matches_solve():
         rng.normal(size=(500, 2, 2)))[0])
     res = rng.normal(size=(500, 2))
     want = np.linalg.solve(jac, res[..., None])[..., 0]
-    step = maps.newton_step(jac.transpose(1, 2, 0), res.T).T
+    # copies: the step consumes its arguments
+    step = maps._newton_step(jac.transpose(1, 2, 0).copy(),
+                             res.T.copy()).T
     assert np.max(np.abs(step - want)) < 1e-13
     jac[3] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
-        maps.newton_step(jac.transpose(1, 2, 0), res.T)
+        maps._newton_step(jac.transpose(1, 2, 0).copy(), res.T.copy())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_newton_step_writes_the_step_into_res(d):
+    # one contract for every d: jac is scratch, and the step is res itself
+    rng = np.random.default_rng(d)
+    jac = _newton_stack(d, ["near L"] * 6, rng)
+    res = rng.normal(size=(len(jac), d))
+    rows = res.T.copy()
+    step = maps._newton_step(jac.transpose(1, 2, 0).copy(), rows)
+    assert step is rows
+    want = np.linalg.solve(jac, res[..., None])[..., 0]
+    assert np.max(np.abs(step.T - want)) < 1e-12
 
 
 def _newton_stack(d, kinds, rng):
@@ -191,8 +206,9 @@ def test_pivoted_elimination_matches_exact_solve(d, kinds, seed):
     rng = np.random.default_rng(seed)
     jac = _newton_stack(d, kinds, rng)
     res = rng.normal(size=(len(jac), d))
-    # copies: the elimination overwrites its arguments
-    step = maps.newton_step(jac.transpose(1, 2, 0).copy(), res.T.copy()).T
+    # copies: the step consumes its arguments
+    step = maps._newton_step(jac.transpose(1, 2, 0).copy(),
+                             res.T.copy()).T
     eps = np.finfo(float).eps
     for a, b, x in zip(jac, res, step):
         exact = solve_fraction_float(a, b)
@@ -213,7 +229,7 @@ def test_pivoted_elimination_raises_on_an_exactly_singular_system(d, kind):
     else:
         jac[1, :, d // 2] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        maps.newton_step(jac.transpose(1, 2, 0).copy(),
+        maps._newton_step(jac.transpose(1, 2, 0).copy(),
                          rng.normal(size=(d, 3)))
 
 
@@ -227,9 +243,9 @@ def test_d2_invert_matches_the_row_major_inverse(make_map):
     f = make_map()
     y = np.random.default_rng(9).random((2000, 2))
     y[0] = [0.0, 2.0 ** -60]
-    x, r = f.invert(y.T)
-    assert np.array_equal(x.T, invert_rows(f, y))
-    assert np.array_equal(r.T, f.displacement_at(x.T))
+    x, r = f.invert(y)
+    assert np.array_equal(x, invert_rows(f, y))
+    assert np.array_equal(r, f.displacement_at(x))
 
 
 def _max_norm2_full(stack):
@@ -301,29 +317,30 @@ def test_r_after_invert_is_r_at_the_returned_point(monkeypatch):
     # R invert returns must come from a table built for the returned
     # points, not from the one the last iterate left.
     f = maps.build(CAT, TrigPoly.sin_mode((1, 0), [EPS, 0.0]), warn=False)
-    y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]]).T
-    assert maps._mod1(f._mat_inv @ y)[0, 0] == 1.0
+    y = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]])
+    assert maps._mod1(f._mat_inv @ y.T)[0, 0] == 1.0
     built = []                  # the points of each table built, in order
     kept = torusfn._kept
     monkeypatch.setattr(torusfn, "_kept", lambda slot, pts, size, build: kept(
         slot, pts, size, lambda: built.append(pts.copy()) or build()))
     x, r = f.invert(y)
     assert x[0, 0] == 0.0
-    # the last iterate's table, then exactly one at the returned points
+    # the last iterate's table, then exactly one at the returned points;
+    # the kernel reads points as their (d, P) transpose
     assert built[-2][0, 0] == 1.0
-    assert np.array_equal(built[-2][:, 1:], x[:, 1:])
-    assert np.array_equal(built[-1], x)
-    assert f.disp._table[0] == (x.tobytes(), x.strides)
+    assert np.array_equal(built[-2][:, 1:], x.T[:, 1:])
+    assert np.array_equal(built[-1], x.T)
+    assert f.disp._table[0] == (x.T.tobytes(), x.T.strides)
     assert r[0, 0] == 0.0
     count = len(built)
-    assert np.array_equal(r, f.displacement_at(x.T).T)
+    assert np.array_equal(r, f.displacement_at(x))
     assert len(built) == count          # served from the returned points
     with table_memo_off():
         x_off, r_off = f.invert(y)
         assert np.array_equal(x, x_off) and np.array_equal(r, r_off)
-        assert np.array_equal(r, f.displacement_at(x.T).T)
+        assert np.array_equal(r, f.displacement_at(x))
     fx, r_x = f.apply_with_displacement(x)
-    assert np.array_equal(fx, f.apply(x.T).T)
+    assert np.array_equal(fx, f.apply(x))
     assert np.array_equal(r_x, r)
 
 
@@ -333,7 +350,7 @@ def test_invert_raises_when_newton_stalls():
     disp = TrigPoly.sin_mode((1, 1), [1.0, -1.0]) + \
         TrigPoly.cos_mode((0, 1), [0.0, 1.0])
     f = maps.PerturbedMap(CAT, disp, check=False)
-    y = np.random.default_rng(0).random((2000, 2)).T
+    y = np.random.default_rng(0).random((2000, 2))
     with pytest.raises(NewtonDivergence, match="stalled") as err:
         f.invert(y)
     assert err.value.points.shape == y.shape
