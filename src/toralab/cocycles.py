@@ -615,12 +615,8 @@ def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000):
     transfer map)."""
     from .conjugacy import jacobian_dh
     rep = jacobian_dh(conj_result, sample_n=sample_n)
-    f = conj_result.f
-    d = f.dim
-    tp = conj_result.h_trig
-    jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
-        np.asarray(p).shape[:-1] + (d * d,))
-    est = estimate_holder(jac_eval, dim=d, pairs=pairs, seed=2,
+    est = estimate_holder(conj_result.dh_rows, dim=conj_result.f.dim,
+                          pairs=pairs, seed=2,
                           j_max=max(6, int(np.log2(conj_result.grid_n)) - 1))
     return CocycleConjugacyReport(residual=rep.residual_eq,
                                   min_det=rep.min_det, holder_dh=est,

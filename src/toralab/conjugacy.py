@@ -57,12 +57,25 @@ class ConjugacyResult:
     telemetry: dict
     h_c0: float
     _evaluator: object = field(default=None, repr=False)
+    # jacobian_dh's reports, by sample stride
+    _jacobian_reports: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def h_trig(self):
-        """h_grid's Fourier coefficients above 1e-13, formed on first
-        read: the evaluator of Dh off the grid."""
-        return self.h_grid.to_trig(threshold=1e-13)
+        """h_grid's Fourier coefficients above 1e-13, made exactly real by
+        symmetrize_real and formed on first read: the evaluator of Dh off
+        the grid, in real arithmetic.  The FFT keeps each Nyquist row
+        n_i = -N/2 without a +N/2 partner; Re(c e^{-i t}) equals the
+        symmetrized (c e^{-i t} + conj(c) e^{i t}) / 2, so the real
+        polynomial is the .real of the raw one."""
+        return self.h_grid.to_trig(threshold=1e-13).symmetrize_real()
+
+    def dh_rows(self, points):
+        """Dh at points of shape (..., d) from h_trig, flattened to
+        (..., d * d): the function the Holder fits of Dh sample."""
+        pts = np.asarray(points)
+        return self.h_trig.eval_jacobian(pts).reshape(
+            pts.shape[:-1] + (self.f.dim ** 2,))
 
     @cached_property
     def dh_grid(self):
@@ -328,10 +341,7 @@ def regularity_metrics(result: ConjugacyResult):
     Sobolev indicator, and sup norms."""
     d = result.f.dim
     est_h = estimate_holder(result.evaluate_h, dim=d, pairs=10000, seed=1)
-    tp = result.h_trig
-    jac_eval = lambda p: tp.eval_jacobian(p).real.reshape(
-        np.asarray(p).shape[:-1] + (d * d,))
-    est_dh = estimate_holder(jac_eval, dim=d, pairs=5000, seed=2,
+    est_dh = estimate_holder(result.dh_rows, dim=d, pairs=5000, seed=2,
                              j_max=max(8, int(np.log2(result.grid_n)) - 1))
     return {
         "holder_h": est_h,
@@ -521,24 +531,34 @@ class JacobianReport:
 def jacobian_dh(result: ConjugacyResult, sample_n=64):
     """DH = I + Dh by spectral differentiation, with the residual of the
     linearized equation L DH = (DH o f) Df on a subsampled point set and
-    the invertibility indicator min |det DH|."""
+    the invertibility indicator min |det DH|.
+
+    The sample is every stride-th grid point along each axis, stride =
+    N // min(sample_n, N), and the report is kept on the result by that
+    stride: calls that sample the same points, as the regularity scan and
+    dh_as_cocycle_conjugacy do when a resolution is the solve's, share
+    one evaluation and one report.
+    """
+    n = result.grid_n
+    stride = n // min(sample_n, n)
+    if stride in result._jacobian_reports:
+        return result._jacobian_reports[stride]
     f = result.f
     d = f.dim
     dh_flat = result.dh_grid.reshape(-1, d, d)
     det = np.linalg.det(np.eye(d) + dh_flat)
     min_det = float(np.min(np.abs(det)))
 
-    # every stride-th grid point along each axis, and Dh there
-    n = result.grid_n
-    sample = (slice(None, None, n // min(sample_n, n)),) * d
+    sample = (slice(None, None, stride),) * d
     pts = uniform_grid(d, n).reshape((n,) * d + (d,))[sample].reshape(-1, d)
     dh_pts = result.dh_grid[sample].reshape(-1, d, d)
 
     lmat = f.base.as_array()
     fx = f.apply(pts)
-    dh_fx = result.h_trig.eval_jacobian(fx).real
+    dh_fx = result.h_trig.eval_jacobian(fx)
     dfx = f.jacobian(pts)
     resid = lmat @ (np.eye(d) + dh_pts) - (np.eye(d) + dh_fx) @ dfx
-    return JacobianReport(grid_n=result.grid_n, sample_n=len(pts),
-                          residual_eq=float(np.max(np.abs(resid))),
-                          min_det=min_det)
+    rep = result._jacobian_reports[stride] = JacobianReport(
+        grid_n=n, sample_n=len(pts),
+        residual_eq=float(np.max(np.abs(resid))), min_det=min_det)
+    return rep

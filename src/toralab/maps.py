@@ -56,14 +56,23 @@ def _eliminate(a, b):
     """Solve a @ x = b in place for a (d, d, P) stack and (d, P) rows.
 
     Column k takes as pivot, per point, the entry of largest modulus on or
-    below the diagonal.  Rows are swapped, by mask over the points, only
+    below the diagonal, the first of equal ones (a running strict >, as
+    np.argmax picks).  Rows are swapped, by mask over the points, only
     where some point's pivot is off the diagonal: near a hyperbolic L that
     pivots on its own, no swap runs.  A zero pivot means a zero column
-    below the diagonal, a singular system.  b is overwritten by x.
+    below the diagonal, a singular system.  b is overwritten by x, the
+    multipliers go into a's unread entries below the diagonal and the
+    products into one scratch (d, P) array.
     """
     d = a.shape[0]
+    tmp = np.empty_like(b)
     for k in range(d):
-        off = np.argmax(np.abs(a[k:, k]), axis=0)
+        mod = np.abs(a[k:, k], out=tmp[k:])
+        off = np.zeros(mod.shape[1], dtype=np.intp)
+        for i in range(1, d - k):
+            greater = mod[i] > mod[0]
+            np.copyto(mod[0], mod[i], where=greater)
+            np.copyto(off, i, where=greater)
         if off.any():
             for i in range(k + 1, d):
                 swap = off == i - k
@@ -77,13 +86,18 @@ def _eliminate(a, b):
         pivot = a[k, k]
         if not np.all(pivot):
             raise np.linalg.LinAlgError("Singular matrix")
+        prod = tmp[k + 1:]
         for i in range(k + 1, d):
-            lower = a[i, k] / pivot
-            a[i, k + 1:] -= lower * a[k, k + 1:]
-            b[i] -= lower * b[k]
+            lower = np.divide(a[i, k], pivot, out=a[i, k])
+            np.multiply(lower, a[k, k + 1:], out=prod)
+            a[i, k + 1:] -= prod
+            np.multiply(lower, b[k], out=prod[0])
+            b[i] -= prod[0]
+    prod = tmp[0]
     for k in range(d - 1, -1, -1):
         for j in range(k + 1, d):
-            b[k] -= a[k, j] * b[j]
+            np.multiply(a[k, j], b[j], out=prod)
+            b[k] -= prod
         b[k] /= a[k, k]
     return b
 
@@ -144,8 +158,10 @@ class PerturbedMap:
         x = np.asarray(x, dtype=float)
         rows = x.reshape(-1, self.dim).T
         r = self.displacement_at(rows.T).T
-        return _mod1(self._mat @ rows + r).T.reshape(x.shape), \
-            r.T.reshape(x.shape)
+        fx = self._mat @ rows
+        fx += r
+        fx -= np.floor(fx)                              # _mod1, in place
+        return fx.T.reshape(x.shape), r.T.reshape(x.shape)
 
     def jacobian(self, x):
         """Df at points x of shape (..., d), as (..., d, d).
@@ -158,51 +174,49 @@ class PerturbedMap:
         jac += self._mat
         return jac
 
-    def _residual(self, x, y):
-        """R(x) and the lift residual f~(x) - y reduced mod Z^d, both
-        component-major (d, P)."""
-        r = self.displacement_at(x.T).T
-        res = self._mat @ x
-        res += r
-        res -= y
-        res -= np.round(res)
-        return r, res
-
     def invert(self, y):
         """Torus inverse: for y of shape (..., d), the x in [0,1)^d with
         f(x) = y mod Z^d, and R(x), both shaped like y.
 
         Newton's method from L^-1 y, run component-major on the (d, P)
-        transpose of the points and returned as views of it.  Each step
-        solves the (d, d, P) stack of Df systems with _newton_step, on the
-        rows of the Jacobian as self.jacobian lays them out.  R(x) is the
-        one the last residual evaluation made, as apply_with_displacement
-        makes R for f, unless the final reduction mod 1 changes a bit of x
-        (a coordinate 1.0 becomes 0.0): then R is evaluated again, at the
-        returned x.
+        transpose of the points and returned as views of it.  Each iterate
+        evaluates R once and Df once (sharing one trig table, which
+        torusfn._kept keys by the points' bytes, so the iterate can change
+        in place), and _newton_step solves the (d, d, P) Df systems.  The
+        residual L x + R(x) - y mod Z^d is formed in a (d, P) workspace
+        that the step overwrites, its roundings and the floors of x in a
+        second, and x is updated in place.  R(x) is from the last residual
+        evaluation, as apply_with_displacement makes R for f, unless the
+        final reduction mod 1 turns a coordinate 1.0 into 0.0: then R is
+        evaluated again, at the returned x.
         """
         y = np.asarray(y, dtype=float)
         rows = y.reshape(-1, self.dim).T
         x = _mod1(self._mat_inv @ rows)
-        for _ in range(60):
-            r, res = self._residual(x, rows)
-            if np.max(np.abs(res)) < 1e-13:
+        res, tmp = np.empty_like(x), np.empty_like(x)
+        for it in range(61):
+            r = self.displacement_at(x.T).T
+            np.matmul(self._mat, x, out=res)
+            res += r
+            res -= rows
+            res -= np.round(res, out=tmp)
+            if res.max() < 1e-13 and res.min() > -1e-13:
                 break
-            x = x - _newton_step(self.jacobian(x.T).transpose(1, 2, 0), res)
-            x -= np.floor(x)                            # _mod1, in place
-        else:
-            r, res = self._residual(x, rows)
-            res = np.max(np.abs(res))
-            if not res <= 1e-8:
-                raise NewtonDivergence(
-                    f"torus inverse stalled (residual {res:.2e})",
-                    points=x.T.reshape(y.shape))
+            if it == 60:
+                worst = np.max(np.abs(res))
+                if not worst <= 1e-8:
+                    raise NewtonDivergence(
+                        f"torus inverse stalled (residual {worst:.2e})",
+                        points=x.T.reshape(y.shape))
+                break
+            x -= _newton_step(self.jacobian(x.T).transpose(1, 2, 0), res)
+            x -= np.floor(x, out=tmp)                   # _mod1, in place
         # x is a reduction already, in [0, 1] and never -0.0: only a 1.0
         # changes in the final one
-        out = _mod1(x)
-        if not np.array_equal(out, x):
-            r = self.displacement_at(out.T).T
-        return out.T.reshape(y.shape), r.T.reshape(y.shape)
+        if np.floor(x, out=tmp).any():
+            x -= tmp
+            r = self.displacement_at(x.T).T
+        return x.T.reshape(y.shape), r.T.reshape(y.shape)
 
     # -- diagnostics -------------------------------------------------------
 

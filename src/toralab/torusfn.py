@@ -751,7 +751,6 @@ class GridFunction:
         self.grid_n = values.shape[0]
         if any(s != self.grid_n for s in values.shape[:-1]):
             raise ValueError("grid must be uniform in every axis")
-        self._trig_cache = None
 
     def to_trig(self, threshold=0.0):
         """Fourier coefficients (divided by N^d); optionally thresholded."""
@@ -762,13 +761,6 @@ class GridFunction:
         keep = np.max(np.abs(coef), axis=-1) > threshold
         return TrigPoly.from_arrays(d, self.dim_range,
                                     freqs[np.argwhere(keep)], coef[keep])
-
-    def eval(self, points):
-        """Trigonometric interpolation of the samples at `points`."""
-        if self._trig_cache is None:
-            self._trig_cache = self.to_trig(threshold=0.0)
-        return self._trig_cache.eval(points).real if \
-            np.isrealobj(self.values) else self._trig_cache.eval(points)
 
     def jacobian_grid(self):
         """Spectral Jacobian at the grid points: shape grid + (m, d)."""
@@ -806,8 +798,6 @@ def _sup_increments(fn, dim, scales, pairs, seed):
     over them of |f(x + delta u) - f(x)|, with seeded unit directions u."""
     if isinstance(fn, TrigPoly):
         dim, evaluator = fn.dim_domain, fn.eval_real
-    elif isinstance(fn, GridFunction):
-        dim, evaluator = fn.dim_domain, fn.eval
     elif not callable(fn):
         raise TypeError(f"cannot evaluate {type(fn)!r}")
     elif dim is None:

@@ -10,7 +10,9 @@ over Fractions, periodic-point seeds from a bounding-box search and one
 coset representative at a time, the
 conjugacy's orbit walk with every trig table built afresh, f^-1 as a
 map over L^-1 for a second conjugacy solve, the Newton inverse and the
-orbit walk on row-major points, an exact Fraction linear solve, the KAM
+orbit walk on row-major points, the out-of-place component-major Newton
+inverse with argmax-pivoted elimination, an exact Fraction linear solve,
+the KAM
 step's Q and the conjugacy residual each from two orbit walks,
 periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
@@ -362,6 +364,76 @@ def solve_fraction_float(jac, res):
                 rows[i] = [a - rows[i][k] * b
                            for a, b in zip(rows[i], rows[k])]
     return np.array([float(row[d]) for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# The component-major Newton inverse out of place, pivoting by argmax
+# ---------------------------------------------------------------------------
+
+def eliminate_argmax(a, b):
+    """maps._eliminate with the pivot row found by np.argmax over the
+    moduli and the products formed as temporaries: solves a @ x = b for a
+    (d, d, P) stack and (d, P) rows, overwriting both (oracle only)."""
+    d = a.shape[0]
+    for k in range(d):
+        off = np.argmax(np.abs(a[k:, k]), axis=0)
+        if off.any():
+            for i in range(k + 1, d):
+                swap = off == i - k
+                if not swap.any():
+                    continue
+                for rows in (a[:, k:], b[:, None]):
+                    top = np.where(swap, rows[i], rows[k])
+                    rows[i] = np.where(swap, rows[k], rows[i])
+                    rows[k] = top
+        pivot = a[k, k]
+        if not np.all(pivot):
+            raise np.linalg.LinAlgError("Singular matrix")
+        for i in range(k + 1, d):
+            lower = a[i, k] / pivot
+            a[i, k + 1:] -= lower * a[k, k + 1:]
+            b[i] -= lower * b[k]
+    for k in range(d - 1, -1, -1):
+        for j in range(k + 1, d):
+            b[k] -= a[k, j] * b[j]
+        b[k] /= a[k, k]
+    return b
+
+
+def invert_out_of_place(f, y):
+    """f.invert with a fresh iterate, residual and reduction per Newton
+    step, and eliminate_argmax for d >= 3: (x, R(x)) shaped like y, R
+    evaluated again when the final reduction changes a bit of x (oracle
+    only)."""
+    y = np.asarray(y, dtype=float)
+    rows = y.reshape(-1, f.dim).T
+
+    def residual(x):
+        r = f.displacement_at(x.T).T
+        res = f._mat @ x
+        res += r
+        res -= rows
+        res -= np.round(res)
+        return r, res
+
+    x = _mod1(f._mat_inv @ rows)
+    for _ in range(60):
+        r, res = residual(x)
+        if np.max(np.abs(res)) < 1e-13:
+            break
+        jac = f.jacobian(x.T).transpose(1, 2, 0)
+        step = maps._newton_step(jac, res) if f.dim == 2 else \
+            eliminate_argmax(jac, res)
+        x = x - step
+        x -= np.floor(x)
+    else:
+        r, res = residual(x)
+        if not np.max(np.abs(res)) <= 1e-8:
+            raise ToleranceNotReached("out-of-place torus inverse stalled")
+    out = _mod1(x)
+    if not np.array_equal(out, x):
+        r = f.displacement_at(out.T).T
+    return out.T.reshape(y.shape), r.T.reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from toralab import cli, conjugacy, maps
 from toralab.errors import IncomparableManifests
+from toralab.torusfn import TrigPoly
 
 
 def _read(path):
@@ -470,3 +471,41 @@ def test_regularity_scan_reuses_the_main_solve(tmp_path, monkeypatch):
     assert [s["n"] for s in scan] == [8, 16]
     assert scan[1] == {"n": 16, "jacobian_residual": fresh.residual_eq,
                        "min_det": fresh.min_det}
+
+
+def test_regularity_evaluates_the_stride_one_dh_sample_once(tmp_path,
+                                                            monkeypatch):
+    # the scan's jacobian_dh(res, 32) and dh_as_cocycle_conjugacy's
+    # jacobian_dh(res, 48) sample the 32^2 grid at stride 1: one report,
+    # from one evaluation of Dh at the f-images of the 1024 grid points
+    results, calls = [], []
+    solve = conjugacy.solve_conjugacy
+    eval_jacobian = TrigPoly.eval_jacobian
+
+    def spied_solve(f, **kwargs):
+        results.append(solve(f, **kwargs))
+        return results[-1]
+
+    def spied_eval(self, points):
+        calls.append((self, np.shape(points)))
+        return eval_jacobian(self, points)
+
+    monkeypatch.setattr(cli.conjugacy, "solve_conjugacy", spied_solve)
+    monkeypatch.setattr(TrigPoly, "eval_jacobian", spied_eval)
+    params = {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+              "modes": [{"freq": [0, 1], "amplitude": [1.0]}],
+              "n_grid": 32, "samples": 40, "resolutions": [16, 32]}
+    out, _ = cli.run_regularity({"scenario": "regularity", "seed": 0,
+                                 "params": params}, str(tmp_path))
+    res = results[0]
+    assert res.grid_n == 32
+    sampled = [shape for poly, shape in calls
+               if poly is res.h_trig and shape == (1024, 2)]
+    assert len(sampled) == 1
+    assert list(res._jacobian_reports) == [1]
+    rep = res._jacobian_reports[1]
+    assert out["jacobian_scan"][1] == {"n": 32,
+                                       "jacobian_residual": rep.residual_eq,
+                                       "min_det": rep.min_det}
+    assert out["dh_cocycle"]["residual"] == rep.residual_eq
+    assert out["dh_cocycle"]["grid_n"] == rep.sample_n == 1024

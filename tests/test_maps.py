@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (invert_rows, periodic_points_per_seed,
+from oracle_helpers import (eliminate_argmax, invert_out_of_place,
+                            invert_rows, periodic_points_per_seed,
                             periodic_seeds_box, periodic_seeds_loop,
                             small_perturbation, solve_fraction_float,
                             table_memo_off)
@@ -165,11 +166,20 @@ def _newton_stack(d, kinds, rng):
     """A (P, d, d) stack of the given kinds of systems: gaussian, L + DR
     for a hyperbolic L and a perturbation of size 1e-3, and the same for
     [[0, 1], [1, 1]] (+) L', whose first column pivots on its second row
-    (L' a hyperbolic (d - 2)-block, or [[2]] for d = 3)."""
+    (L' a hyperbolic (d - 2)-block, or [[2]] for d = 3); and gaussian
+    systems whose first column has an exact tie, in modulus, between two
+    rows for its largest entry."""
     out = []
     for kind in kinds:
         if kind == "gaussian":
             out.append(rng.normal(size=(d, d)))
+            continue
+        if kind == "tie":
+            a = rng.normal(size=(d, d))
+            a[:, 0] = rng.uniform(-1.0, 1.0, size=d)
+            a[rng.choice(d, 2, replace=False), 0] = \
+                rng.choice([-2.0, 2.0], size=2)
+            out.append(a)
             continue
         size = d if kind == "near L" else d - 2
         base = np.array([[2.0]])
@@ -231,6 +241,109 @@ def test_pivoted_elimination_raises_on_an_exactly_singular_system(d, kind):
     with pytest.raises(np.linalg.LinAlgError):
         maps._newton_step(jac.transpose(1, 2, 0).copy(),
                          rng.normal(size=(d, 3)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(2, 5),
+       st.lists(st.sampled_from(["gaussian", "near L", "row swap", "tie"]),
+                min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_eliminate_matches_the_argmax_elimination_bit_for_bit(d, kinds,
+                                                              seed):
+    # the running strict > takes the first of tied pivots, as argmax
+    # does, and the products written into scratch rows round as the
+    # temporaries did
+    rng = np.random.default_rng(seed)
+    jac = _newton_stack(d, kinds, rng)
+    res = rng.normal(size=(len(jac), d))
+    step = maps._eliminate(jac.transpose(1, 2, 0).copy(), res.T.copy())
+    want = eliminate_argmax(jac.transpose(1, 2, 0).copy(), res.T.copy())
+    assert _same_bits(step, want)
+
+
+# hyperbolic L whose first column pivots on its second row: x^3 - x - 1's
+# companion matrix, and [[0, 1], [1, 1]] (+) cat
+_SWAP_BASES = {2: [[0, 1], [1, 1]], 3: [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+               4: [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.sampled_from(["sparse", "box-dense"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_invert_matches_the_out_of_place_inverse_bit_for_bit(d, kind, swap,
+                                                             seed):
+    # the in-place iterate, residual and reduction take the out-of-place
+    # inverse's steps: the same x and R(x) bit for bit, through the
+    # Cramer step (d = 2) and the elimination (d = 3, 4), with every
+    # point's first pivot off the diagonal when swap is set
+    rng = np.random.default_rng(seed)
+    if swap:
+        base = spectral.automorphism(_SWAP_BASES[d])
+    else:
+        for _ in range(20):
+            base = spectral.random_unimodular(d, steps=4 * d, rng=rng,
+                                              entry_cap=6)
+            try:
+                spectral.lyapunov_splitting(base)
+                break
+            except NotHyperbolic:
+                pass
+        else:
+            assume(False)
+    if kind == "sparse":
+        disp = TrigPoly.zero(d, d)
+        for _ in range(2):
+            freq = rng.integers(-2, 3, size=d)
+            freq[0] += not freq.any()
+            disp = disp + TrigPoly.sin_mode(
+                freq, 1e-4 * rng.uniform(-1, 1, size=d))
+    else:
+        # every mode of the box of radius 6 (d = 2) or 1: the d = 2 map
+        # takes the separable box path
+        radius = 6 if d == 2 else 1
+        freqs = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
+        coefs = rng.normal(size=(len(freqs), d)) + \
+            1j * rng.normal(size=(len(freqs), d))
+        disp = TrigPoly.from_arrays(d, d, freqs,
+                                    1e-6 * coefs).symmetrize_real()
+    f = maps.PerturbedMap(base, disp, check=False)
+    assert f.disp._box_dense() == (d == 2 and kind == "box-dense")
+    y = rng.random((200, d))
+    x, r = f.invert(y)
+    want_x, want_r = invert_out_of_place(f, y)
+    assert _same_bits(x, want_x) and _same_bits(r, want_r)
+
+
+def test_invert_evaluates_r_once_per_residual_and_df_once_per_step(
+        monkeypatch):
+    # one displacement_at per residual and one jacobian per Newton step,
+    # with one more displacement_at when the final reduction moves a 1.0
+    # to 0.0 (see test_r_after_invert_is_r_at_the_returned_point)
+    calls, steps = [], []
+    for name in ("displacement_at", "jacobian"):
+        def spied(self, x, name=name, method=getattr(maps.PerturbedMap,
+                                                      name)):
+            calls.append(name)
+            return method(self, x)
+        monkeypatch.setattr(maps.PerturbedMap, name, spied)
+    step = maps._newton_step
+    monkeypatch.setattr(maps, "_newton_step",
+                        lambda jac, res: steps.append(1) or step(jac, res))
+    wrap = np.array([[0.0, 2.0 ** -60], [0.3, 0.7], [0.9, 0.1]])
+    cases = [(small_map(), wrap, 1),
+             (small_map(), np.random.default_rng(2).random((500, 2)), 0),
+             (small_perturbation(4, np.random.default_rng(3)),
+              np.random.default_rng(4).random((500, 4)), 0)]
+    for f, y, extra in cases:
+        del calls[:], steps[:]
+        f.invert(y)
+        assert len(steps) >= 1
+        assert calls == ["displacement_at", "jacobian"] * len(steps) + \
+            ["displacement_at"] * (1 + extra)
 
 
 @pytest.mark.parametrize("make_map", [
