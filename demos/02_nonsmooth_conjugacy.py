@@ -30,9 +30,10 @@ print(f"\nestimated Holder exponent of psi: {est.exponent:.4f} "
       f"(expected log lam / log mu = {ce.holder_expected:.4f})")
 
 print("\nfinite-difference ratios sup |psi(x+du)-psi(x)| / d:")
-for j in (4, 8, 12, 16, 20):
-    r = finite_difference_ratio(lambda p: ce.psi(p)[..., None], 2,
-                                2.0 ** -j, pairs=4000)
+exps = (4, 8, 12, 16, 20)
+ratios = finite_difference_ratio(lambda p: ce.psi(p)[..., None], 2,
+                                 [2.0 ** -j for j in exps], pairs=4000)
+for j, r in zip(exps, ratios):
     print(f"  scale 2^-{j:<2d}: {r:10.4f}")
 print("a Lipschitz function would keep these bounded; the growth rate "
       "matches d^(beta - 1)")

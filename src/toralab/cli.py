@@ -287,10 +287,9 @@ def run_counterexample(manifest, outdir):
                           pairs=params.get("holder_pairs", 10000),
                           seed=manifest.get("seed", 0))
     scales = [2.0 ** (-j) for j in (4, 8, 12, 16, 20)]
-    ratios = [finite_difference_ratio(lambda p: ce.psi(p)[..., None], 2, s,
-                                      pairs=4000,
-                                      seed=manifest.get("seed", 0))
-              for s in scales]
+    ratios = finite_difference_ratio(lambda p: ce.psi(p)[..., None], 2,
+                                     scales, pairs=4000,
+                                     seed=manifest.get("seed", 0))
     out = {
         "lambda": ce.lam, "mu": ce.mu,
         "holder_expected": ce.holder_expected,
@@ -403,13 +402,10 @@ def run_cocycle(manifest, outdir):
                 f"periodic search at period {n} found "
                 f"{search.point_count} of {search.expected_count} points "
                 f"({search.newton_failures} Newton failures)")
-        for orbit in search.orbits:
-            if orbit.period != n:
-                continue
-            exp_rep = cocycles.exponents_at_periodic(
-                spec, orbit, reference=reference
-                if spec.kind == "derivative" else None)
-            conf = cocycles.conformality_at_periodic(spec, orbit)
+        orbits = [o for o in search.orbits if o.period == n]
+        diagnostics = cocycles.periodic_diagnostics(
+            spec, orbits, reference if spec.kind == "derivative" else None)
+        for orbit, (exp_rep, conf) in zip(orbits, diagnostics):
             rows.append({
                 "period": orbit.period,
                 "point": [float(v) for v in orbit.representative],

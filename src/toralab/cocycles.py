@@ -342,23 +342,57 @@ def _periodic_product(spec, orbit):
     return prod
 
 
+def _exponent_reports(prods, periods, reference):
+    """ExponentReport of each product in the (K, m, m) stack prods, the
+    k-th taken around an orbit of period periods[k]: one eigvals and one
+    det over the stack."""
+    periods = np.asarray(periods)
+    exps = np.sort(np.log(np.abs(np.linalg.eigvals(prods))) /
+                   periods[:, None], axis=-1)
+    logdet = np.log(np.abs(np.linalg.det(prods))) / periods
+    reports = []
+    for row, n, ld in zip(exps, periods.tolist(), logdet):
+        report = ExponentReport(exponents=row, n=n, oscillation=0.0,
+                                det_consistency=float(abs(row.sum() - ld)))
+        if reference is not None:
+            report.compare(reference)
+        reports.append(report)
+    return reports
+
+
 def exponents_at_periodic(spec: CocycleSpec, orbit: PeriodicOrbit,
                           reference=None):
-    """Exact periodic exponents: log-moduli of eig(A_p^n) / n.
+    """Periodic exponents: log-moduli of the float eigenvalues of the
+    float orbit product A_p^n, divided by n.  They are as accurate as the
+    product and LAPACK's eigenvalues; no enclosure backs them.
 
     orbit must come from periodic_points(spec.f, ...).  For the derivative
     kind the product is the orbit's deriv_product, and the singularity
     test (SingularGenerator) applies to D f^period, not to each step.
+    periodic_diagnostics gives the same report for many orbits at once.
     """
     prod = _periodic_product(spec, orbit)
-    eig = np.linalg.eigvals(prod)
-    exps = np.sort(np.log(np.abs(eig)) / orbit.period)
-    logdet = np.log(abs(np.linalg.det(prod))) / orbit.period
-    report = ExponentReport(exponents=exps, n=orbit.period, oscillation=0.0,
-                            det_consistency=float(abs(exps.sum() - logdet)))
-    if reference is not None:
-        report.compare(reference)
-    return report
+    return _exponent_reports(prod[None], [orbit.period], reference)[0]
+
+
+def periodic_diagnostics(spec: CocycleSpec, orbits, reference):
+    """(exponents_at_periodic, conformality_at_periodic) of each orbit,
+    bit for bit, from one product per orbit.
+
+    The products are formed in orbit order, so a SingularGenerator names
+    the first singular orbit, and the eigenvalues, determinants and
+    eigenvectors of all of them come from one eigvals, one det and one
+    eig over their stack.  eigvals and eig stay separate calls: LAPACK
+    may round eigenvalues differently when it also computes eigenvectors.
+    """
+    if not orbits:
+        return []
+    prods = np.stack([_periodic_product(spec, o) for o in orbits])
+    reports = _exponent_reports(prods, [o.period for o in orbits],
+                                reference)
+    eig, vec = np.linalg.eig(prods)
+    return [(rep, _conformality_verdict(p, e, v))
+            for rep, p, e, v in zip(reports, prods, eig, vec)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +416,18 @@ def conformality_check(matrix):
     semisimplicity (rank test); when both hold the real canonical
     conjugator C_p is returned with its condition number.
     """
-    tol = 1e-8
     m = np.asarray(matrix, dtype=float)
+    return _conformality_verdict(m, *np.linalg.eig(m))
+
+
+def _conformality_verdict(m, eig, vec):
+    """conformality_check of the matrix m from its eigenvalues eig and
+    eigenvectors vec, as np.linalg.eig returns them for m alone or for a
+    stack holding m.  A stack with complex eigenvalues anywhere returns
+    complex arrays for every matrix; every step below reads real ones
+    with zero imaginary parts to the same bits."""
+    tol = 1e-8
     k = m.shape[0]
-    eig, vec = np.linalg.eig(m)
     moduli = np.abs(eig)
     scale = float(np.max(moduli))
     if scale == 0:

@@ -407,6 +407,9 @@ class SkewSeries:
     """psi(y) = lam^-1 sum_{k>=0} lam^-k phi(B^k y), truncated at `terms`.
 
     The dropped tail is bounded by lam^-terms * ||phi||_C0 / (lam - 1).
+    Points are (..., 2) rows in and (...) values out.  The walk
+    y -> B y mod 1 runs component-major on (2, P) rows, reduced mod 1 in
+    place, and phi reads them through eval_real(y.T), a view.
     """
 
     def __init__(self, phi: TrigPoly, b_mat, lam, terms):
@@ -419,13 +422,18 @@ class SkewSeries:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        flat = _mod1(pts.reshape(-1, 2))
-        acc = np.zeros(flat.shape[0])
-        y = flat
+        # a copy always: for one point the transposed view is contiguous,
+        # and the in-place mod 1 below would reduce the caller's points
+        y = np.array(pts.reshape(-1, 2).T, order="C")
+        tmp = np.empty_like(y)
+        y -= np.floor(y, out=tmp)
+        acc = np.zeros(y.shape[1])
         coef = 1.0 / self.lam
-        for _ in range(self.terms):
-            acc += coef * self.phi.eval_real(y)[:, 0]
-            y = _mod1(y @ self.b_mat.T)
+        for k in range(self.terms):
+            acc += coef * self.phi.eval_real(y.T)[:, 0]
+            if k + 1 < self.terms:
+                y = self.b_mat @ y
+                y -= np.floor(y, out=tmp)
             coef /= self.lam
         return acc.reshape(pts.shape[:-1])
 

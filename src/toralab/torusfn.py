@@ -37,6 +37,10 @@ HOLDER_RESIDUAL = 0.2   # largest log-log residual of a reliable Holder fit
 # Grid values per block of grid_sup's max: a 512 KB |v| temporary, so a
 # 64^3 grid is read in 4 blocks and a 64^2 grid in one.
 SUP_BLOCK = 1 << 16
+# Rows per block of save_grid's text: the text and the Python floats of
+# one block are held at once, not those of the whole grid (a 256^2 psi
+# grid is 64 blocks).
+SAVE_BLOCK = 1 << 10
 
 
 def _mod1(x):
@@ -849,11 +853,14 @@ def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
                           threshold=HOLDER_RESIDUAL)
 
 
-def finite_difference_ratio(fn, dim, scale, pairs=10000, seed=0):
-    """sup over sampled pairs of |f(x + delta u) - f(x)| / delta: the
-    increment of estimate_holder at the one scale delta."""
-    _, sups = _sup_increments(fn, dim, [scale], pairs, seed)
-    return float(sups[0] / scale)
+def finite_difference_ratio(fn, dim, scales, pairs=10000, seed=0):
+    """For each delta in the sequence `scales`, the sup over sampled pairs
+    of |f(x + delta u) - f(x)| / delta: the increments of estimate_holder
+    at those scales, as a list of floats.  One pass draws the base points
+    and directions once and evaluates f at the base points once, so each
+    ratio equals a one-scale call with the same pairs and seed."""
+    _, sups = _sup_increments(fn, dim, scales, pairs, seed)
+    return [float(s / delta) for s, delta in zip(sups, scales)]
 
 
 def sobolev_norm(fn, q, grid_n=64):
@@ -875,7 +882,13 @@ def sobolev_norm(fn, q, grid_n=64):
 
 
 def save_grid(gf, path, extra_header=None):
-    """Text format: one JSON header line, then one sample row per line."""
+    """Text format: one JSON header line, then one sample row per line.
+
+    A row holds the range components as "%.17g" numbers separated by
+    spaces; a complex component is written as its real and imaginary
+    parts.  Rows are formatted SAVE_BLOCK at a time, each block by one
+    format string of one "{:.17g}" per number, so the text of the whole
+    grid is never held at once."""
     import json
     header = {"dim_domain": gf.dim_domain, "dim_range": gf.dim_range,
               "grid_n": gf.grid_n, "interpolation": "trig",
@@ -884,11 +897,14 @@ def save_grid(gf, path, extra_header=None):
     if extra_header:
         header.update(extra_header)
     flat = gf.values.reshape(-1, gf.dim_range)
+    if header["complex"]:
+        # each complex value as its (re, im) pair, in the order written
+        flat = np.ascontiguousarray(flat, dtype=complex).view(float)
+    else:
+        flat = np.asarray(flat, dtype=float)
+    row = " ".join(["{:.17g}"] * flat.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in flat:
-            if header["complex"]:
-                fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}"
-                                  for v in row) + "\n")
-            else:
-                fh.write(" ".join(f"{float(v):.17g}" for v in row) + "\n")
+        for start in range(0, len(flat), SAVE_BLOCK):
+            block = flat[start:start + SAVE_BLOCK]
+            fh.write((row * len(block)).format(*block.ravel().tolist()))

@@ -18,8 +18,11 @@ periodic orbits and QR exponents computed one point and one step at a time
 (with the random perturbed maps their property tests draw), TrigPoly's
 bulk operations as per-key loops into dicts, the grid sup with all range
 components on one grid, the twisted equation keyed
-by a dict of frequency tuples, the reader of save_grid's text format, and
-a lacunary Weierstrass-type profile with a known Holder exponent.
+by a dict of frequency tuples, the reader of save_grid's text format,
+a lacunary Weierstrass-type profile with a known Holder exponent, and
+the diagnostics one piece at a time: the skew series psi on row-major
+points, periodic exponents and conformality one orbit at a time, and
+save_grid one row at a time.
 """
 
 import contextlib
@@ -1057,3 +1060,62 @@ def lyapunov_batch_per_step(spec, xs, n):
     osc = float(np.max(np.abs(full - refined)))
     det = np.abs(full.sum(axis=1) - logdet / n)
     return {"exps": refined, "full": full, "osc": osc, "det": det}
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics one piece at a time: psi on row-major points, periodic
+# exponents one orbit at a time, save_grid one row at a time
+# ---------------------------------------------------------------------------
+
+def skew_series_rows(psi, points):
+    """conjugacy.SkewSeries.__call__ with y walked as (P, 2) rows and a new
+    array per step (oracle only)."""
+    pts = np.asarray(points, dtype=float)
+    y = _mod1(pts.reshape(-1, 2))
+    acc = np.zeros(y.shape[0])
+    coef = 1.0 / psi.lam
+    for _ in range(psi.terms):
+        acc += coef * psi.phi.eval_real(y)[:, 0]
+        y = _mod1(y @ psi.b_mat.T)
+        coef /= psi.lam
+    return acc.reshape(pts.shape[:-1])
+
+
+def periodic_diagnostics_per_orbit(spec, orbits, reference):
+    """cocycles.periodic_diagnostics one orbit at a time: for each orbit its
+    product, the exponents from eigvals and det of that one matrix, and
+    conformality_check of it (oracle only)."""
+    out = []
+    for orbit in orbits:
+        prod = cocycles._periodic_product(spec, orbit)
+        eig = np.linalg.eigvals(prod)
+        exps = np.sort(np.log(np.abs(eig)) / orbit.period)
+        logdet = np.log(abs(np.linalg.det(prod))) / orbit.period
+        rep = cocycles.ExponentReport(
+            exponents=exps, n=orbit.period, oscillation=0.0,
+            det_consistency=float(abs(exps.sum() - logdet)))
+        if reference is not None:
+            rep.compare(reference)
+        out.append((rep, cocycles.conformality_check(prod)))
+    return out
+
+
+def save_grid_rows(gf, path, extra_header=None):
+    """torusfn.save_grid with one f-string per value and one write per row
+    (oracle only)."""
+    import json
+    header = {"dim_domain": gf.dim_domain, "dim_range": gf.dim_range,
+              "grid_n": gf.grid_n, "interpolation": "trig",
+              "convention": "samples at k/N, row-major",
+              "complex": bool(np.iscomplexobj(gf.values))}
+    if extra_header:
+        header.update(extra_header)
+    flat = gf.values.reshape(-1, gf.dim_range)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for row in flat:
+            if header["complex"]:
+                fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}"
+                                  for v in row) + "\n")
+            else:
+                fh.write(" ".join(f"{float(v):.17g}" for v in row) + "\n")

@@ -90,8 +90,8 @@ def test_criterion_2d_non_lipschitz_threshold():
     """
     ce = _counterexample()
     psi_fn = lambda p: ce.psi(p)[..., None]
-    r4 = finite_difference_ratio(psi_fn, 2, 2.0 ** -4, pairs=10000, seed=2)
-    r20 = finite_difference_ratio(psi_fn, 2, 2.0 ** -20, pairs=10000, seed=2)
+    r4, r20 = finite_difference_ratio(psi_fn, 2, [2.0 ** -4, 2.0 ** -20],
+                                      pairs=10000, seed=2)
     beta = np.log(ce.lam) / np.log(ce.mu)
     growth = r20 / r4
     exponent = 1.0 - np.log2(growth) / 16
@@ -105,8 +105,8 @@ def test_criterion_2d_non_lipschitz_threshold():
         f"{2.0 ** (16 * (1 - beta)):.1f}x")
 
     phi = ce.psi.phi
-    p4 = finite_difference_ratio(phi, 2, 2.0 ** -4, pairs=10000, seed=2)
-    p20 = finite_difference_ratio(phi, 2, 2.0 ** -20, pairs=10000, seed=2)
+    p4, p20 = finite_difference_ratio(phi, 2, [2.0 ** -4, 2.0 ** -20],
+                                      pairs=10000, seed=2)
     assert p20 < 2.0 * p4, (
         f"Lipschitz control: phi's ratio grew {p20 / p4:.2f}x "
         f"({p4:.4f} to {p20:.4f}), expected < 2x")

@@ -139,6 +139,30 @@ def test_counterexample_subcommand(tmp_path):
     assert (tmp_path / "counterexample_psi_grid.txt").exists()
 
 
+def test_counterexample_evaluates_psi_at_the_fd_base_points_once(
+        tmp_path, monkeypatch):
+    # the five finite-difference scales share one draw of base points and
+    # one evaluation of psi there: 25 psi calls in all (13 scales and the
+    # base of the Holder fit, the fd base and its 5 shifts, 2 in each
+    # residual, and the grid), where one fd call per scale makes 29
+    calls = []
+    psi_call = conjugacy.SkewSeries.__call__
+
+    def counted(self, points):
+        calls.append(np.array(points, dtype=float))
+        return psi_call(self, points)
+
+    monkeypatch.setattr(conjugacy.SkewSeries, "__call__", counted)
+    manifest = {"scenario": "counterexample", "seed": 1,
+                "params": {"eps": 0.01, "k_trunc": 40, "n_points": 500,
+                           "holder_pairs": 1000, "psi_grid": 32}}
+    out, _ = cli.run_counterexample(manifest, str(tmp_path))
+    assert len(calls) == 25
+    fd_base = np.random.default_rng(1).random((4000, 2))
+    assert sum(np.array_equal(c, fd_base) for c in calls) == 1
+    assert len(out["fd_ratios"]) == len(out["fd_scales"]) == 5
+
+
 def test_kam_subcommand(tmp_path):
     manifest = {"scenario": "kam", "seed": 0,
                 "params": {"matrix": [[2, 1], [1, 1]],

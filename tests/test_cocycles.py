@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import lyapunov_batch_per_step, small_perturbation
+from oracle_helpers import (lyapunov_batch_per_step,
+                            periodic_diagnostics_per_orbit,
+                            small_perturbation)
 from toralab import cli, cocycles, conjugacy, maps, spectral
 from toralab.errors import GapTooSmall, LostOrthogonality, SingularGenerator
 from toralab.torusfn import TrigPoly
@@ -224,6 +226,109 @@ def test_derivative_periodic_diagnostics_read_the_orbit_product():
             diagnostic(spec, orbit)
             with pytest.raises(SingularGenerator, match="singular near"):
                 diagnostic(spec, singular)
+
+
+def _assert_same_bits(got, want):
+    # every field of two report records, arrays and floats bit for bit
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if a is None or b is None or isinstance(b, str):
+            assert a == b, field.name
+        else:
+            assert np.shape(a) == np.shape(b), field.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), \
+                field.name
+
+
+def _assert_diagnostics_match_per_orbit(spec, orbits, reference):
+    got = cocycles.periodic_diagnostics(spec, orbits, reference)
+    want = periodic_diagnostics_per_orbit(spec, orbits, reference)
+    assert len(got) == len(want) == len(orbits)
+    for (rep, conf), (rep0, conf0) in zip(got, want):
+        _assert_same_bits(rep, rep0)
+        _assert_same_bits(conf, conf0)
+
+
+def _d3_map():
+    # L has a real stable eigenvalue and an expanding complex pair, with
+    # 4 fixed points and 32 points of period dividing 2
+    return small_perturbation(3, np.random.default_rng(0), n=2,
+                              max_points=60)
+
+
+def _orbits_of_period(f, n):
+    return [o for o in maps.periodic_points(f, n).orbits if o.period == n]
+
+
+@pytest.mark.parametrize("kind", ["derivative", "constant", "restriction"])
+def test_periodic_diagnostics_match_one_orbit_at_a_time(kind):
+    # one eigvals, det and eig over the stack of products read the same
+    # bits as those calls on each product: cat-map periods 1-4 (1, 2, 5
+    # and 15 orbits) and d = 3 periods 1-2, whose products have a complex
+    # pair
+    matrix = {2: [[0.6, -1.3], [0.9, 0.4]], 3: np.arange(9.0).reshape(3, 3)
+              + np.eye(3)}
+    for f, periods in ((small_map(), (1, 2, 3, 4)), (_d3_map(), (1, 2))):
+        if kind == "constant":
+            spec = cocycles.CocycleSpec(f, kind, matrix=matrix[f.dim])
+        elif kind == "restriction":
+            spec = cocycles.CocycleSpec(f, kind, cluster_index=1)
+        else:
+            spec = cocycles.CocycleSpec(f, kind)
+        ref = f.spec.exponents if kind == "derivative" else None
+        for n in periods:
+            _assert_diagnostics_match_per_orbit(spec, _orbits_of_period(f, n),
+                                                ref)
+
+
+class _TwoMatrices(cocycles.CocycleSpec):
+    """A(x) is a scaled rotation for x_1 < 1/2 and a diagonal matrix
+    otherwise, so orbit products mix real and complex spectra."""
+
+    def __init__(self, f):
+        super().__init__(f, "constant", matrix=np.eye(2))
+
+    def generator(self, x):
+        rot = 1.5 * np.array([[np.cos(1.1), -np.sin(1.1)],
+                              [np.sin(1.1), np.cos(1.1)]])
+        left = np.asarray(x)[..., 0] < 0.5
+        return np.where(left[..., None, None], rot, np.diag([2.0, 0.5]))
+
+
+def test_periodic_diagnostics_match_on_mixed_spectra():
+    # np.linalg.eig returns complex arrays for the whole stack once one
+    # product has a complex pair; the verdicts of the real-spectrum
+    # products keep their bits
+    f = small_map()
+    spec = _TwoMatrices(f)
+    for n in (1, 2, 3, 4):
+        orbits = _orbits_of_period(f, n)
+        prods = [cocycles._periodic_product(spec, o) for o in orbits]
+        if n == 4:
+            real = [not np.linalg.eigvals(p).imag.any() for p in prods]
+            assert any(real) and not all(real)
+        _assert_diagnostics_match_per_orbit(spec, orbits, None)
+
+
+def test_periodic_diagnostics_form_one_product_per_orbit():
+    # 5 period-3 orbits of the benchmark's cocycle map with the expanding
+    # restriction: one generator call per orbit, shared by the exponents
+    # and the conformality check (10 when each forms its own product)
+    f = cli._build_map({"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
+                        "modes": [{"freq": [0, 1], "amplitude": [1.0],
+                                   "kind": "sin"}]})
+    spec = cocycles.CocycleSpec(f, "restriction", cluster_index=1)
+    orbits = _orbits_of_period(f, 3)
+    assert len(orbits) == 5
+    with mock.patch.object(spec, "generator",
+                           wraps=spec.generator) as generator:
+        diagnostics = cocycles.periodic_diagnostics(spec, orbits, None)
+    assert generator.call_count == 5
+    assert [c.args[0].shape for c in generator.call_args_list] == \
+        [(3, 2)] * 5
+    assert len(diagnostics) == 5
+    assert cocycles.periodic_diagnostics(spec, [], None) == []
 
 
 def test_singular_generator_loses_the_qr_frame():

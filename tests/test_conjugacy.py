@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracle_helpers import (InverseMap, conformal_bundles,
                             conjugacy_residual_two_walks,
                             interpolated_conjugacy, orbit_terms_reference,
-                            shadow_conjugacy, small_perturbation,
-                            table_memo_off, walk_rows)
+                            shadow_conjugacy, skew_series_rows,
+                            small_perturbation, table_memo_off, walk_rows)
 from toralab import cli, conjugacy, maps, spectral
 from toralab.errors import NotHyperbolic, OrderViolation, ToleranceNotReached
 from toralab.torusfn import TrigPoly, estimate_holder, uniform_grid
@@ -320,6 +320,58 @@ def test_smooth_case_recovery():
     want = psi_poly.eval_real(pts)[:, 0]
     got = ce.psi(pts)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _hyperbolic_2x2(rng):
+    while True:
+        b = spectral.random_unimodular(2, steps=6, rng=rng, entry_cap=4)
+        if abs(b.rows()[0][0] + b.rows()[1][1]) > 2:
+            return b
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 40),
+       st.sampled_from([(2,), (1, 2), (37, 2), (5, 7, 2)]))
+def test_skew_series_matches_the_row_major_walk(seed, n_modes, terms, shape):
+    # psi walks y as (2, P) rows in place; the row-major walk with a new
+    # array per step gives the same bits, for points inside and outside
+    # [0, 1)^2 and for every point shape
+    rng = np.random.default_rng(seed)
+    b = _hyperbolic_2x2(rng)
+    mu = max(abs(np.linalg.eigvals(b.as_array())))
+    lam = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 + 1e-3, mu)
+    phi = TrigPoly.zero(2, 1)
+    for _ in range(n_modes):
+        mode = TrigPoly.sin_mode if rng.random() < 0.5 else TrigPoly.cos_mode
+        phi = phi + mode(rng.integers(-3, 4, size=2), rng.normal())
+    psi = conjugacy.SkewSeries(phi, b.rows(), lam, terms)
+    pts = rng.uniform(-3.0, 3.0, size=shape)
+    before = pts.copy()
+    want = skew_series_rows(psi, pts.copy())
+    got = psi(pts)
+    assert got.shape == want.shape == shape[:-1]
+    assert got.tobytes() == want.tobytes()
+    assert pts.tobytes() == before.tobytes()   # the caller's points stay
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4)])
+def test_one_point_conjugacy_matches_the_batch(shape):
+    # one point outside [0, 1)^4 gives the same H and residual as the same
+    # point inside a batch, and neither call changes the caller's points
+    ce = conjugacy.build_counterexample(A2, B2,
+                                        TrigPoly.sin_mode((1, 0), 0.01),
+                                        k_trunc=60)
+    batch = np.random.default_rng(11).uniform(-2.5, 2.5, size=(9, 4))
+    one = batch[3].reshape(shape).copy()
+    kept = one.copy()
+    h_one = ce.conjugacy.evaluate(one)
+    assert one.tobytes() == kept.tobytes()
+    assert h_one.reshape(4).tobytes() == \
+        ce.conjugacy.evaluate(batch)[3].tobytes()
+    res_one = ce.conjugacy_residual(one)
+    assert one.tobytes() == kept.tobytes()
+    assert res_one < 1e-10
+    assert ce.conjugacy_residual(batch) < 1e-10
 
 
 def test_jacobian_trivial():

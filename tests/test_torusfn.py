@@ -10,8 +10,9 @@ from oracle_helpers import (c0_upper_per_key, combine_per_key,
                             compose_affine_per_key, derivative_per_key,
                             grid_sup_all_columns, is_real_per_key, load_grid,
                             matrix_apply_per_key, restrict_per_key,
-                            scale_per_key, symmetrize_real_per_key,
-                            table_memo_off, threshold_per_key,
+                            save_grid_rows, scale_per_key,
+                            symmetrize_real_per_key, table_memo_off,
+                            threshold_per_key,
                             to_grid_per_key, trig_eval_direct,
                             trig_jacobian_direct, weierstrass_type)
 from toralab import exactalg, spectral
@@ -888,3 +889,47 @@ def test_serialization_roundtrip(tmp_path):
     tf.save_grid(gf, str(path))
     loaded = load_grid(str(path))
     assert np.max(np.abs(loaded.values - gf.values)) < 1e-15
+
+
+@pytest.mark.parametrize("shape, dtype", [((40, 40, 1), float),
+                                          ((33, 33, 2), float),
+                                          ((36, 36, 1), complex),
+                                          ((12, 12, 12, 2), complex)])
+def test_save_grid_blocks_write_the_per_row_bytes(tmp_path, shape, dtype):
+    # more than one block of SAVE_BLOCK rows, with -0.0, a subnormal and
+    # values that need all 17 digits
+    rng = np.random.default_rng(sum(shape))
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    if dtype is complex:
+        vals = vals + 1j * rng.normal(size=shape)
+    flat = vals.reshape(-1)
+    flat[:3] = [-0.0, 5e-324, 0.1]
+    gf = tf.GridFunction(vals)
+    assert gf.grid_n ** gf.dim_domain > tf.SAVE_BLOCK
+    got, want = tmp_path / "blocks.txt", tmp_path / "rows.txt"
+    tf.save_grid(gf, str(got), extra_header={"manifest_sha256": "ab"})
+    save_grid_rows(gf, str(want), extra_header={"manifest_sha256": "ab"})
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fn, dim", [
+    (tf.TrigPoly.sin_mode((1, 2), 0.3) + tf.TrigPoly.cos_mode((0, 3), 0.1),
+     None),
+    (weierstrass_type(0.5, terms=12), 1)])
+def test_finite_difference_ratio_takes_all_scales_in_one_pass(fn, dim):
+    # one call for several scales equals one call per scale, with f at the
+    # base points evaluated once
+    scales = [2.0 ** -j for j in (2, 5, 9, 14, 20)]
+    calls = []
+
+    def counted(p):
+        calls.append(len(p))
+        return fn.eval_real(p) if isinstance(fn, tf.TrigPoly) else fn(p)
+
+    ratios = tf.finite_difference_ratio(counted, dim or 2, scales,
+                                        pairs=300, seed=4)
+    assert calls == [300] * (len(scales) + 1)
+    for s, r in zip(scales, ratios):
+        assert type(r) is float
+        assert r == tf.finite_difference_ratio(fn, dim, [s], pairs=300,
+                                               seed=4)[0]
