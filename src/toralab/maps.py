@@ -8,6 +8,7 @@ Lipschitz slack, and exact enumeration of periodic points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -128,9 +129,9 @@ class PerturbedMap:
         self.disp = displacement.symmetrize_real()
         self._mat = base.as_array()
         self._mat_inv = base.inverse().as_array()
+        self._check = check
         if check:
             self._check_lift_equivariance()
-        self.smallness = self._smallness() if check else None
         if check and warn and not self.smallness.cone_ok:
             warnings.warn(
                 "perturbation too large for the coefficient-level cone "
@@ -140,6 +141,15 @@ class PerturbedMap:
     @property
     def dim(self):
         return self.base.dim
+
+    @functools.cached_property
+    def smallness(self):
+        """The SmallnessReport of R, or None for a map built with
+        check=False.  Built on first read: the warning of a map built with
+        warn=True reads it at construction, and a map that nobody asks
+        (a KAM step's f', lyapunov's map) never pays its grid sup and
+        Jacobian."""
+        return self._smallness() if self._check else None
 
     # -- evaluation --------------------------------------------------------
 

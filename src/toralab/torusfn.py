@@ -20,18 +20,19 @@ from . import exactalg
 from .errors import UnreliableFit
 
 TWO_PI = 2.0 * np.pi
-# Points times box columns per block of the box-dense evaluation: 4 MB of
-# complex products.  Blocks of 16-32 MB left the orbit benchmark's peak
-# RSS 13-22% higher, and larger blocks are no faster.
+# Points times block columns per chunk of the box-dense evaluation: the
+# float64 products of one chunk take 2 MB.  Products of 16-32 MB left the
+# orbit benchmark's peak RSS 13-22% higher, and larger chunks are no
+# faster.
 BOX_CHUNK = 1 << 18
 # Points times pairs per [cos | sin] block of eval and of eval_jacobian.
 EVAL_CHUNK = 1 << 22
 JACOBIAN_CHUNK = 1 << 21
 # Points times pairs of the largest [cos | sin] table a TrigPoly keeps for
-# its next evaluation (2 MB), and points times box rows (2F + 1) of the
-# largest pair of box-dense power tables it keeps (at most 4 MB).  An orbit
-# walk's tables, 10^4 points times a few pairs, fit, and so do the power
-# tables of a KAM grid, 36^2 points times 33 rows.
+# its next evaluation (2 MB), and points times columns 2(F + 1) of the
+# largest pair of box-dense cos/sin tables it keeps (1 MB each).  An orbit
+# walk's tables, 10^4 points times a few pairs, fit, and so do the box
+# tables of a KAM grid, 36^2 points times 34 columns.
 TABLE_MEMO = 1 << 17
 HOLDER_RESIDUAL = 0.2   # largest log-log residual of a reliable Holder fit
 # Grid values per block of grid_sup's max: a 512 KB |v| temporary, so a
@@ -371,7 +372,20 @@ class TrigPoly:
 
     def _box_dense(self):
         """d = 2 polynomial that fills enough of its frequency box for the
-        separable evaluation to be cheaper than the sparse one."""
+        separable evaluation to be cheaper than the sparse one: more than
+        12 stored rows per box column (2F + 1).
+
+        Measured with the float64 box kernel on a 2-core Xeon with one
+        BLAS thread, for a value and a Jacobian at one point set of real
+        m = 2 polynomials with F = 6..32: at 12 rows per column the box
+        path is 1.5-1.7x as fast as the pair path at 256 points and
+        1.8-6.5x at 1296, but 1.2-1.3x as slow at 36 points and 1.8-3.4x
+        at one point, where its F-step table loop dominates.  At 1296
+        points the two break even near 5-8 rows per column, at 256 near
+        8-10.  The path depends on the polynomial alone, never on the
+        point count, so 12 stays.  Every d = 2 polynomial the benchmark
+        workloads evaluate has at most 0.7 or at least 32 rows per column.
+        """
         return self.dim_domain == 2 and \
             len(self.freqs) > 12 * (2 * self.support_radius + 1)
 
@@ -442,87 +456,123 @@ class TrigPoly:
 
     @functools.cached_property
     def _dense(self):
-        """The coefficient box as matrices for the separable evaluation.
+        """The coefficient box as two float64 blocks for _box_sum.
 
-        Returns (value, jac): row a of each matrix holds the box row
-        n_1 = a - F (n_1 = a for a real polynomial, see below), flattened
-        over n_2 = -F..F and the m components, so that one product with
-        the axis-1 table contracts n_1.  value has (2F+1) m columns, the
-        coefficients c_n; jac has (2F+1) m 2 columns, c_n 2 pi i n_1 and
-        c_n 2 pi i n_2.  For a real polynomial (as _pairs decides)
-        c_{-n} = conj(c_n), so the terms with n_1 < 0 are the conjugates
-        of those with n_1 > 0: only the rows n_1 >= 0 are kept, row 0
-        halved, and the sum is taken as 2 Re.
+        Returns (value, jac).  The rows of each block are (n_1, c/s), n_1 =
+        0..F: c_1 = cos 2 pi n_1 x_1 and s_1 = sin 2 pi n_1 x_1.  The
+        columns of value are (component, k, c/s), k = 0..F, with c_2 and s_2
+        the same of k x_2; jac has (component, axis, k, c/s).  For a real
+        polynomial (as _pairs decides: c_{-n} = conj(c_n) exactly) the
+        terms at -n are the conjugates of those at n, so with
+        alpha + i beta = c_{n_1, k} and alpha' + i beta' = c_{n_1, -k},
+
+            f = sum c_1 (A c_2 + B s_2) + s_1 (C c_2 + D s_2),
+            A = w (alpha + alpha'),  B = w (beta' - beta),
+            C = -w (beta + beta'),   D = w (alpha' - alpha),
+
+        over n_1, k = 0..F, with w = 1 at n_1 = 0 and 2 otherwise.  At k = 0
+        the one term gives A = w alpha, C = -w beta and B = D = 0.  The
+        Jacobian's blocks differentiate the tables: the rows (X, Y) of one
+        n_1 become (2 pi n_1 Y, -2 pi n_1 X) for d/dx_1, and the columns
+        (P, Q) of one k become (2 pi k Q, -2 pi k P) for d/dx_2.
+
+        A complex polynomial f is the sum g + i h of two real-valued
+        ones, g = (f + conj f) / 2 and h = (f - conj f) / 2i, whose
+        coefficients at n are (c_n + conj c_{-n}) / 2 and
+        -i (c_n - conj c_{-n}) / 2.  It is evaluated as the 2m components
+        of g then h, which _box_sum recombines.
         """
         f, m = self.support_radius, self.dim_range
         size = 2 * f + 1
         n = self.freqs
         box = np.zeros((size, size, m), dtype=complex)
         box[n[:, 0] + f, n[:, 1] + f] = self.coefs
-        w = (2j * np.pi) * np.arange(-f, f + 1)
-        jac = np.stack([box * w[:, None, None],
-                        box * w[None, :, None]], axis=-1)
-        if self._pairs[2].dtype != complex:
-            box, jac = box[f:], jac[f:]
-            box[0] *= 0.5
-            jac[0] *= 0.5
-        return box.reshape(len(box), -1), jac.reshape(len(jac), -1)
+        if self._pairs[2].dtype == complex:
+            bar = np.conj(box[::-1, ::-1])
+            box = np.concatenate([0.5 * (box + bar), -0.5j * (box - bar)],
+                                 axis=-1)
+        # (n_1, component, n_2) for n_1 = 0..F; c at (n_1, k) and (n_1, -k)
+        box = box[f:].transpose(0, 2, 1)
+        pos, neg = box[..., f:], box[..., f::-1].copy()
+        neg[..., 0] = 0.0
+        w = np.full((f + 1, 1, 1), 2.0)
+        w[0] = 1.0
+        val = np.empty((f + 1, 2) + pos.shape[1:] + (2,))
+        val[:, 0, ..., 0] = w * (pos.real + neg.real)
+        val[:, 0, ..., 1] = w * (neg.imag - pos.imag)
+        val[:, 1, ..., 0] = -(w * (pos.imag + neg.imag))
+        val[:, 1, ..., 1] = w * (neg.real - pos.real)
+        val[..., 0, 1] = 0.0
+        wn = TWO_PI * np.arange(f + 1)
+        jac = np.empty(val.shape[:3] + (2,) + val.shape[3:])
+        jac[:, 0, :, 0] = wn[:, None, None, None] * val[:, 1]
+        jac[:, 1, :, 0] = -wn[:, None, None, None] * val[:, 0]
+        jac[..., 1, :, 0] = wn * val[..., 1]
+        jac[..., 1, :, 1] = -wn * val[..., 0]
+        rows = 2 * (f + 1)
+        return val.reshape(rows, -1), jac.reshape(rows, -1)
 
     @staticmethod
-    def _power_table(x, f, k_min):
-        """exp(2 pi i k x) for k = k_min..f (k_min is -f or 0), as a (P, .)
-        view of a row-per-k array.
+    def _power_table(x, f):
+        """cos 2 pi k x and sin 2 pi k x for k = 0..F at the points x, as a
+        (P, 2(F + 1)) float64 array with columns (k, c/s).
 
-        Row 1 is exp(2 pi i x): _cos_sin, the kernel of the sparse
-        tables, writes cos 2 pi x and sin 2 pi x into its real and
-        imaginary parts.  Row k > 1 is row k - 1 times row 1, a cumulative
-        product taken one contiguous row at a time, and the rows k < 0 are
-        the conjugates.
+        Row k of a complex (F + 1, P) array is exp(2 pi i k x): row 1 is
+        written by _cos_sin, the kernel of the sparse tables, and row
+        k > 1 is row k - 1 times row 1, a cumulative product taken one
+        contiguous row at a time.  The table is the float64 view of its
+        point-major copy, so that each point's cos/sin columns are
+        contiguous for _box_sum's per-point dot.
         """
-        out = np.empty((f - k_min + 1, len(x)), dtype=complex)
-        zero = -k_min
-        out[zero] = 1.0
-        base = out[zero + 1]
+        out = np.empty((f + 1, len(x)), dtype=complex)
+        out[0] = 1.0
+        base = out[1]
         _cos_sin(x, base.real, base.imag)
-        for k in range(zero + 2, len(out)):
+        for k in range(2, f + 1):
             np.multiply(out[k - 1], base, out=out[k])
-        if zero:
-            np.conj(out[:zero:-1], out=out[:zero])
-        return out.T
+        return np.ascontiguousarray(out.T).view(float)
 
-    def _power_tables(self, xs, real):
-        """The power tables (e_1, e_2) of _box_sum at the points xs (d, P).
+    def _power_tables(self, xs):
+        """The power tables (t_1, t_2) of _box_sum at the points xs (d, P).
 
         Like the [cos | sin] table of _pair_table, the pair is kept by
         _kept: a Newton step's f and Df share one pair of tables.
         """
         f = self.support_radius
         self._powers, tables = _kept(
-            self._powers, xs, xs.shape[1] * (2 * f + 1),
-            lambda: (self._power_table(xs[0], f, 0 if real else -f),
-                     self._power_table(xs[1], f, -f)))
+            self._powers, xs, xs.shape[1] * 2 * (f + 1),
+            lambda: (self._power_table(xs[0], f),
+                     self._power_table(xs[1], f)))
         return tables
 
-    def _box_sum(self, xs, box):
-        """sum over the box of e_1[n_1] e_2[n_2] box[n_1, n_2, :] at the
-        points xs (d, P), as a (columns, P) array, with e_i the power
-        tables of axis i (see _dense for the rows), in blocks of BOX_CHUNK
-        points times box columns.
+    def _box_sum(self, xs, block):
+        """The sum over n_1 and k of t_1 block t_2 at the points xs (d, P),
+        as a (rows, P) array, with t_i the power table of axis i and block
+        one of _dense's.
+
+        One float64 matrix product of t_1 with the block contracts the
+        rows (n_1, c/s) and leaves, per point, (rows, 2(F + 1)) columns;
+        np.vecdot with t_2 contracts each over (k, c/s).  Points go in
+        blocks of BOX_CHUNK points times block columns, whose products
+        share one buffer.  A complex polynomial's rows are those of g then
+        h (see _dense), returned as g + i h.
         """
-        f = self.support_radius
-        real = self._pairs[2].dtype != complex
-        size, cols = 2 * f + 1, box.shape[1]
-        out = np.empty((cols // size, xs.shape[1]),
-                       dtype=float if real else complex)
-        for sl in _chunks(xs.shape[1], max(1, BOX_CHUNK // cols)):
-            e1, e2 = self._power_tables(xs[:, sl], real)
-            part = (e1 @ box).reshape(len(e1), size, -1)
-            part = np.matmul(e2[:, None, :], part)[:, 0]
-            if real:
-                np.multiply(part.real.T, 2.0, out=out[:, sl])
-            else:
-                out[:, sl] = part.T
-        return out
+        width = 2 * (self.support_radius + 1)
+        rows = block.shape[1] // width
+        size = max(1, min(xs.shape[1], BOX_CHUNK // block.shape[1]))
+        out = np.empty((rows, xs.shape[1]))
+        part = np.empty((size, block.shape[1]))
+        for sl in _chunks(xs.shape[1], size):
+            t1, t2 = self._power_tables(xs[:, sl])
+            prod = np.matmul(t1, block, out=part[:len(t1)])
+            np.vecdot(prod.reshape(len(t1), rows, width), t2[:, None, :],
+                      out=out[:, sl].T)
+        if self._pairs[2].dtype != complex:
+            return out
+        half = rows // 2
+        res = out[:half].astype(complex)
+        res.imag = out[half:]
+        return res
 
     def _eval_rows(self, xs):
         """f at the points xs, component-major: (d, P) -> (m, P).  The one
@@ -558,15 +608,19 @@ class TrigPoly:
         stacked [cos; sin] rows.  Every table entry, here and on the
         box-dense path, comes from _cos_sin.
 
-        Box-dense d = 2 polynomials (support radius F) are separable:
-        f(x) = sum_{n_1} e_1[n_1] sum_{n_2} c_n e_2[n_2] with the power
-        tables e_i[k] = exp(2 pi i k x_i), k = -F..F, built from one cos
-        and sin per point and axis (cumulative products for k > 0,
-        conjugates for k < 0).  One matrix product of e_1 with the
-        coefficient box reshaped to 2F + 1 rows contracts n_1, and a
-        per-point dot with e_2 contracts n_2.  A real polynomial keeps the
-        rows n_1 >= 0 only and is summed as 2 Re.  EVAL_CHUNK bounds the
-        points times pairs held at once on the sparse path.
+        Box-dense d = 2 polynomials (support radius F) are separable, and
+        are summed in float64: f(x) = sum c_1 (A c_2 + B s_2) + s_1 (C c_2
+        + D s_2) over n_1, k = 0..F, with c_1, s_1 = cos, sin 2 pi n_1 x_1
+        and c_2, s_2 = cos, sin 2 pi k x_2 (see _dense for A..D).  The
+        tables of cos and sin 2 pi k x_i, k = 0..F, come from one cos and
+        sin per point and axis and a cumulative product.  One float64
+        matrix product of the axis-1 table with the (2(F+1), 2(F+1) m)
+        block contracts (n_1, c/s), and a per-point dot with the axis-2
+        table contracts (k, c/s): 4 (F+1)^2 multiply-adds per component
+        and point.  A complex polynomial is summed as its two real-valued
+        parts g + i h.  EVAL_CHUNK bounds the points times pairs held at
+        once on the sparse path, BOX_CHUNK the points times block columns
+        on the box-dense one.
         """
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1] + (self.dim_range,)
@@ -586,10 +640,11 @@ class TrigPoly:
         J = (B x 2 pi n)^T cos(Theta) - (A x 2 pi n)^T sin(Theta), one
         matrix product with the stacked [cos; sin] rows.
 
-        On the box-dense d = 2 path the same power tables e_1, e_2 as in
-        eval contract a box whose entries are c_n 2 pi i n_1 and
-        c_n 2 pi i n_2 side by side, so both columns of J come from one
-        matrix product and one per-point dot.
+        On the box-dense d = 2 path the same cos/sin tables as in eval
+        contract a float64 block whose columns hold the derivatives along
+        x_1 and x_2 side by side (_dense differentiates each table's
+        cos/sin pairs), so both columns of J come from one matrix product
+        and one per-point dot.
         """
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)

@@ -50,6 +50,20 @@ def test_build_large_perturbation_warns():
     assert not f.smallness.cone_ok
 
 
+def test_smallness_is_built_on_first_read(monkeypatch):
+    disp = TrigPoly.sin_mode((0, 1), [EPS, 0.0])
+    eager = maps.build(CAT, disp)
+    assert "smallness" in vars(eager)         # read by the cone warning
+    lazy = maps.build(CAT, disp, warn=False)
+    assert "smallness" not in vars(lazy)
+    assert lazy.smallness == eager.smallness
+    calls = []
+    monkeypatch.setattr(maps.PerturbedMap, "_smallness",
+                        lambda self: calls.append(self))
+    unchecked = maps.PerturbedMap(CAT, disp, check=False)
+    assert unchecked.smallness is None and calls == []
+
+
 def test_lift_equivariance():
     f = small_map()
     rng = np.random.default_rng(0)

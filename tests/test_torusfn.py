@@ -3,7 +3,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (c0_upper_per_key, combine_per_key,
@@ -421,6 +421,37 @@ def test_separable_eval_matches_direct(tp, seed):
     _assert_matches_direct(tp, pts)
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(box_dense_polys(), st.integers(0, 2 ** 32 - 1))
+def test_complex_box_sum_is_its_real_parts(tp, seed):
+    # f = g + i h with g = (f + conj f) / 2 and h = (f - conj f) / 2i, the
+    # symmetrizations of f and of -i f, each evaluated as a real polynomial
+    assume(not tp.is_real(0.0))
+    g, h = tp.symmetrize_real(), (-1j * tp).symmetrize_real()
+    assert g._box_dense() and h._box_dense()
+    pts = np.random.default_rng(seed).uniform(-4, 4, (37, 2))
+    scale, jscale = _l1_scales(tp)
+    val, jac = tp.eval(pts), tp.eval_jacobian(pts)
+    assert np.isrealobj(g.eval(pts)) and np.isrealobj(h.eval_jacobian(pts))
+    assert np.max(np.abs(val - (g.eval(pts) + 1j * h.eval(pts)))) < \
+        1e-13 * scale
+    assert np.max(np.abs(jac - (g.eval_jacobian(pts) +
+                                1j * h.eval_jacobian(pts)))) < 1e-13 * jscale
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(box_dense_polys(), st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+def test_box_jacobian_is_the_box_value_of_the_derivative(tp, axis, seed):
+    # the Jacobian block differentiates the tables; the derivative's value
+    # block differentiates the coefficients
+    deriv = tp.derivative(np.eye(2)[axis])
+    assume(deriv._box_dense())
+    assert deriv.support_radius == tp.support_radius
+    pts = np.random.default_rng(seed).uniform(-4, 4, (37, 2))
+    assert np.max(np.abs(tp.eval_jacobian(pts)[..., axis] -
+                         deriv.eval(pts))) < 1e-13 * _l1_scales(tp)[1]
+
+
 def _sparse_many(d, radius, count, seed, real):
     """count random cells of the frequency box |n| <= radius on T^d (d != 2
     or too sparse for the separable path), symmetrized when real."""
@@ -446,11 +477,16 @@ def shared_table_cases(draw):
 
 # 3000 pairs at 1408 points: the blocks of eval (1398 points) and
 # eval_jacobian (699) end on the same 10 points, a table small enough to
-# keep.  The F = 32 boxes with m = 2 take the separable path, in blocks of
-# 2016 points for eval and 1008 for eval_jacobian: at 2026 points both end
-# on the same 10 points, whose power tables eval keeps and eval_jacobian
-# reuses; at 1400 points eval keeps the tables of all of them, and neither
-# block of eval_jacobian matches.
+# keep.  The box-dense polynomials take the separable path in blocks of
+# BOX_CHUNK / (2 (F + 1) m') points for eval and half that for
+# eval_jacobian, m' = m for a real polynomial and 2m for a complex one.
+# The F = 31 boxes with m = 2 run in blocks of 2048 and 1024 points (real)
+# or 1024 and 512 (complex): at 2058 points both end on the same 10
+# points, and at 1400 points eval keeps the tables of all of them while
+# no block of eval_jacobian matches.  The F = 32 boxes run in blocks of
+# 1985 and 992 points (real) or 992 and 496 (complex).  Every one of these
+# blocks is small enough to keep, so each call's first block meets the
+# tables of the last block of the call before.
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(shared_table_cases(), st.integers(0, 2 ** 32 - 1))
 @example((_sparse_many(3, 12, 3000, 0, real=True), 1408), 1)
@@ -458,6 +494,9 @@ def shared_table_cases(draw):
 @example((_box_poly(32, 2, 65 * 65, 0, real=True), 1400), 3)
 @example((_box_poly(32, 2, 65 * 65, 0, real=True), 2026), 4)
 @example((_box_poly(32, 2, 13 * 65, 1, real=False), 2026), 5)
+@example((_box_poly(31, 2, 63 * 63, 0, real=True), 1400), 6)
+@example((_box_poly(31, 2, 63 * 63, 0, real=True), 2058), 7)
+@example((_box_poly(31, 2, 13 * 63, 1, real=False), 2058), 8)
 def test_kept_table_changes_no_bit(case, seed):
     tp, count = case
     pts = np.random.default_rng(seed).uniform(-2, 2, (count, tp.dim_domain))
@@ -634,6 +673,8 @@ def test_eval_dtype_and_shapes():
     for tp in (box, box.symmetrize_real()):
         assert tp._box_dense()
         _assert_matches_direct(tp, x)
+        assert tp.eval(np.zeros((0, 2))).shape == (0, 2)
+        assert tp.eval_jacobian(np.zeros((0, 2))).shape == (0, 2, 2)
     # one coefficient off its conjugate: complex, with a box of its own
     tp = tp + tf.TrigPoly(2, 2, {(6, 6): [1j, 1j]})
     _assert_matches_direct(tp, x)

@@ -211,6 +211,33 @@ def test_kam_step_takes_no_residual_walk(monkeypatch):
     assert calls == []
 
 
+def test_kam_iterate_builds_no_smallness_report(monkeypatch):
+    # neither step's f' is asked for its smallness report, so none is built
+    f = maps.build(CAT, TrigPoly.sin_mode((0, 1), [1e-3, 0.0]), warn=False)
+    calls = []
+    monkeypatch.setattr(maps.PerturbedMap, "_smallness",
+                        lambda self: calls.append(self))
+    twisted.kam_iterate(f, steps=2, radius=4, grid_n=16)
+    assert calls == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_accumulate_matches_add_at_bit_for_bit(rows, keys, d, seed):
+    # repeated, unordered indices and values over many magnitudes, so a
+    # sum in another order would round otherwise; -0.0 included
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, keys, rows)
+    vals = (rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))) \
+        * 10.0 ** rng.integers(-17, 3, (rows, 1))
+    vals[rng.random(rows) < 0.1] = -0.0
+    want = np.zeros((keys + 2, d), dtype=complex)
+    np.add.at(want, index, vals)
+    got = twisted._accumulate(index, vals, keys + 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_q_raises(bad):
     q = TrigPoly.sin_mode((0, 1), [0.5, 0.1]) + \
