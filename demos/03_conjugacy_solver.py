@@ -55,6 +55,6 @@ print("equation residual of L DH = (DH o f) Df does not go to zero,")
 print("because h is only Holder for a generic perturbation:")
 for n in (64, 128, 256):
     r = conjugacy.solve_conjugacy(f, tol=1e-10, grid_n=n)
-    jac = conjugacy.jacobian_dh(r, sample_n=32)
+    jac = conjugacy.jacobian_dh(r)
     print(f"  N = {n:3d}:  residual = {jac.residual_eq:.3e}   "
           f"min |det DH| = {jac.min_det:.4f}")

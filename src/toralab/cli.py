@@ -51,6 +51,19 @@ def _require(manifest, key, types, where):
     return manifest[key]
 
 
+# Each scenario's counts: integers >= 1, and at most the library's bound
+_COUNTS = {
+    "conjugate": {"samples": math.inf, "n_grid": math.inf,
+                  "cov_n": maps.MAX_SEARCH_PERIOD},
+    "regularity": dict.fromkeys(("samples", "n_grid"), math.inf),
+    "kam": dict.fromkeys(("n_grid", "steps", "radius"), math.inf),
+    "counterexample": dict.fromkeys(
+        ("holder_pairs", "n_points", "psi_grid", "k_trunc"), math.inf),
+    "lyapunov": {"n": cocycles.MAX_ITER, "grid_per_axis": math.inf},
+    "cocycle": {"periods": maps.MAX_SEARCH_PERIOD},
+}
+
+
 def validate_manifest(manifest):
     scenario = _require(manifest, "scenario", str, "manifest")
     if scenario not in SCENARIOS + ("compare",):
@@ -64,14 +77,13 @@ def validate_manifest(manifest):
     if scenario in ("classify", "conjugate", "linearized", "kam", "lyapunov",
                     "cocycle", "regularity"):
         _require(params, "matrix", list, f"{scenario}.params")
-    if scenario in ("conjugate", "regularity") and "samples" in params and \
-            not _positive_int(params["samples"]):
-        raise SchemaError(f"{scenario}.params: samples must be a positive "
-                          "integer")
-    if scenario in ("conjugate", "regularity", "kam") and \
-            "n_grid" in params and not _positive_int(params["n_grid"]):
-        raise SchemaError(f"{scenario}.params: n_grid must be a positive "
-                          "integer")
+    for key, bound in _COUNTS.get(scenario, {}).items():
+        if key in params and not _positive_int(params[key]):
+            raise SchemaError(f"{scenario}.params: {key} must be a positive "
+                              "integer")
+        if key in params and params[key] > bound:
+            raise SchemaError(f"{scenario}.params: {key} must be at most "
+                              f"{bound}")
     if scenario == "regularity" and "resolutions" in params:
         res = params["resolutions"]
         if not isinstance(res, list) or not all(map(_positive_int, res)):
@@ -441,21 +453,18 @@ def run_regularity(manifest, outdir):
     scan = []
     for n in params.get("resolutions", [64, 128, 256]):
         r = res if n == res.grid_n else _solve(f, {**params, "n_grid": n})
-        rep = conjugacy.jacobian_dh(r, sample_n=min(48, n))
+        rep = conjugacy.jacobian_dh(r)
         scan.append({"n": n, "jacobian_residual": rep.residual_eq,
                      "min_det": rep.min_det})
-    dh_rep = cocycles.dh_as_cocycle_conjugacy(res)
     out = {
         "conjugacy": record,
-        "holder_h": {"exponent": reg["holder_h"].exponent,
-                     "reliable": reg["holder_h"].reliable},
-        "holder_dh": {"exponent": reg["holder_dh"].exponent,
-                      "reliable": reg["holder_dh"].reliable},
+        **{k: {"exponent": reg[k].exponent, "reliable": reg[k].reliable}
+           for k in ("holder_h", "holder_dh")},
         "sobolev": {"q": reg["sobolev_q"], "value": reg["sobolev_h"],
                     "note": "diagnostic only; a grid cannot certify "
                             "weak differentiability"},
         "jacobian_scan": scan,
-        "dh_cocycle": dh_rep.as_dict(),
+        "dh_cocycle": cocycles.dh_as_cocycle_conjugacy(res).as_dict(),
     }
     files = [("regularity_jacobian_scan.dat",
               [[s["n"] for s in scan],

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conjugacy import jacobian_dh
 from .errors import (GapTooSmall, LostOrthogonality, SingularGenerator)
 from .maps import PerturbedMap, PeriodicOrbit, verify_anosov
-from .torusfn import estimate_holder, uniform_grid
+from .torusfn import uniform_grid
 
 
 class CocycleSpec:
@@ -651,15 +652,12 @@ class CocycleConjugacyReport:
                 "grid_n": self.grid_n}
 
 
-def dh_as_cocycle_conjugacy(conj_result, sample_n=48, pairs=4000):
-    """Residual of L DH(x) = DH(f x) Df(x) plus a modulus-of-continuity
-    fit for DH (the numerical counterpart of Holder continuity of the
-    transfer map)."""
-    from .conjugacy import jacobian_dh
-    rep = jacobian_dh(conj_result, sample_n=sample_n)
-    est = estimate_holder(conj_result.dh_rows, dim=conj_result.f.dim,
-                          pairs=pairs, seed=2,
-                          j_max=max(6, int(np.log2(conj_result.grid_n)) - 1))
+def dh_as_cocycle_conjugacy(conj_result):
+    """Residual of L DH(x) = DH(f x) Df(x), from the result's jacobian_dh
+    report, plus its modulus-of-continuity fit for DH, holder_dh (the
+    numerical counterpart of Holder continuity of the transfer map)."""
+    rep = jacobian_dh(conj_result)
     return CocycleConjugacyReport(residual=rep.residual_eq,
-                                  min_det=rep.min_det, holder_dh=est,
+                                  min_det=rep.min_det,
+                                  holder_dh=conj_result.holder_dh,
                                   grid_n=rep.sample_n)

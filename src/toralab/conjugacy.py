@@ -33,6 +33,7 @@ from .torusfn import (GridFunction, TrigPoly, _mod1, estimate_holder,
                       sobolev_norm, uniform_grid)
 
 MAX_TERMS = 400     # orbit-series sweeps before ToleranceNotReached
+JACOBIAN_SAMPLE_N = 48  # jacobian_dh's sample points per axis, at most
 
 
 @dataclass
@@ -57,8 +58,7 @@ class ConjugacyResult:
     telemetry: dict
     h_c0: float
     _evaluator: object = field(default=None, repr=False)
-    # jacobian_dh's reports, by sample stride
-    _jacobian_reports: dict = field(default_factory=dict, repr=False)
+    _jacobian_report: object = field(default=None, repr=False)
 
     @cached_property
     def h_trig(self):
@@ -72,10 +72,18 @@ class ConjugacyResult:
 
     def dh_rows(self, points):
         """Dh at points of shape (..., d) from h_trig, flattened to
-        (..., d * d): the function the Holder fits of Dh sample."""
+        (..., d * d): the function holder_dh samples."""
         pts = np.asarray(points)
         return self.h_trig.eval_jacobian(pts).reshape(
             pts.shape[:-1] + (self.f.dim ** 2,))
+
+    @cached_property
+    def holder_dh(self):
+        """The one Holder fit of Dh, formed on first read: dh_rows at 5000
+        pairs from seed 2, down to scale 2^-max(8, log2 N - 1)."""
+        return estimate_holder(self.dh_rows, dim=self.f.dim, pairs=5000,
+                               seed=2,
+                               j_max=max(8, int(np.log2(self.grid_n)) - 1))
 
     @cached_property
     def dh_grid(self):
@@ -337,15 +345,13 @@ def _conjugacy_residual(f, evaluator, points):
 
 
 def regularity_metrics(result: ConjugacyResult):
-    """Holder fits for h (10^4 seeded pairs) and Dh (5000), the W^(1,d+1)
-    Sobolev indicator, and sup norms."""
+    """Holder fits for h (10^4 seeded pairs) and Dh (the result's
+    holder_dh), the W^(1,d+1) Sobolev indicator, and sup norms."""
     d = result.f.dim
     est_h = estimate_holder(result.evaluate_h, dim=d, pairs=10000, seed=1)
-    est_dh = estimate_holder(result.dh_rows, dim=d, pairs=5000, seed=2,
-                             j_max=max(8, int(np.log2(result.grid_n)) - 1))
     return {
         "holder_h": est_h,
-        "holder_dh": est_dh,
+        "holder_dh": result.holder_dh,
         "sobolev_q": d + 1,
         "sobolev_h": sobolev_norm(result.h_grid, d + 1),
         "h_c0": result.h_c0,
@@ -536,37 +542,26 @@ class JacobianReport:
     min_det: float          # min |det DH| on the grid
 
 
-def jacobian_dh(result: ConjugacyResult, sample_n=64):
+def jacobian_dh(result: ConjugacyResult):
     """DH = I + Dh by spectral differentiation, with the residual of the
     linearized equation L DH = (DH o f) Df on a subsampled point set and
     the invertibility indicator min |det DH|.
 
     The sample is every stride-th grid point along each axis, stride =
-    N // min(sample_n, N), and the report is kept on the result by that
-    stride: calls that sample the same points, as the regularity scan and
-    dh_as_cocycle_conjugacy do when a resolution is the solve's, share
-    one evaluation and one report.
+    N // min(JACOBIAN_SAMPLE_N, N).  The report is kept on the result: the
+    regularity scan and dh_as_cocycle_conjugacy share it.
     """
-    n = result.grid_n
-    stride = n // min(sample_n, n)
-    if stride in result._jacobian_reports:
-        return result._jacobian_reports[stride]
-    f = result.f
-    d = f.dim
-    dh_flat = result.dh_grid.reshape(-1, d, d)
-    det = np.linalg.det(np.eye(d) + dh_flat)
-    min_det = float(np.min(np.abs(det)))
-
-    sample = (slice(None, None, stride),) * d
+    if result._jacobian_report is not None:
+        return result._jacobian_report
+    f, n, d = result.f, result.grid_n, result.f.dim
+    eye, lmat = np.eye(d), f.base.as_array()
+    det = np.linalg.det(eye + result.dh_grid.reshape(-1, d, d))
+    sample = (slice(None, None, n // min(JACOBIAN_SAMPLE_N, n)),) * d
     pts = uniform_grid(d, n).reshape((n,) * d + (d,))[sample].reshape(-1, d)
     dh_pts = result.dh_grid[sample].reshape(-1, d, d)
-
-    lmat = f.base.as_array()
-    fx = f.apply(pts)
-    dh_fx = result.h_trig.eval_jacobian(fx)
-    dfx = f.jacobian(pts)
-    resid = lmat @ (np.eye(d) + dh_pts) - (np.eye(d) + dh_fx) @ dfx
-    rep = result._jacobian_reports[stride] = JacobianReport(
-        grid_n=n, sample_n=len(pts),
-        residual_eq=float(np.max(np.abs(resid))), min_det=min_det)
-    return rep
+    dh_fx = result.h_trig.eval_jacobian(f.apply(pts))
+    resid = lmat @ (eye + dh_pts) - (eye + dh_fx) @ f.jacobian(pts)
+    result._jacobian_report = JacobianReport(
+        grid_n=n, sample_n=len(pts), residual_eq=float(np.max(np.abs(resid))),
+        min_det=float(np.min(np.abs(det))))
+    return result._jacobian_report

@@ -118,7 +118,7 @@ class PerturbedMap:
     """f = L + R on the torus, with lift, derivative, and local inverse."""
 
     def __init__(self, base: IntegerAutomorphism, displacement: TrigPoly,
-                 check=True, warn=True):
+                 warn=True):
         self.base = base
         self.spec = lyapunov_splitting(base)
         if displacement.dim_domain != base.dim or \
@@ -129,10 +129,8 @@ class PerturbedMap:
         self.disp = displacement.symmetrize_real()
         self._mat = base.as_array()
         self._mat_inv = base.inverse().as_array()
-        self._check = check
-        if check:
-            self._check_lift_equivariance()
-        if check and warn and not self.smallness.cone_ok:
+        self._check_lift_equivariance()
+        if warn and not self.smallness.cone_ok:
             warnings.warn(
                 "perturbation too large for the coefficient-level cone "
                 f"bound (margin {self.smallness.cone_margin:.3g}); "
@@ -144,12 +142,11 @@ class PerturbedMap:
 
     @functools.cached_property
     def smallness(self):
-        """The SmallnessReport of R, or None for a map built with
-        check=False.  Built on first read: the warning of a map built with
-        warn=True reads it at construction, and a map that nobody asks
-        (a KAM step's f', lyapunov's map) never pays its grid sup and
-        Jacobian."""
-        return self._smallness() if self._check else None
+        """The SmallnessReport of R, built on first read: the warning of a
+        map built with warn=True reads it at construction, and a map that
+        nobody asks (a KAM step's f', lyapunov's map) never pays its grid
+        sup and Jacobian."""
+        return self._smallness()
 
     # -- evaluation --------------------------------------------------------
 

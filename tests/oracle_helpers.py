@@ -947,7 +947,7 @@ def small_perturbation(d, rng, n=1, max_points=300, eps=1e-3):
         amp = eps * rng.uniform(-1, 1, size=d)
         disp = disp + TrigPoly.sin_mode(freq, amp) + \
             TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
-    return maps.PerturbedMap(base, disp, check=False)
+    return maps.PerturbedMap(base, disp, warn=False)
 
 
 def conformal_bundles(base):

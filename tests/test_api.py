@@ -23,7 +23,6 @@ OPTIONS = {
     ("CocycleSpec.__init__", "kind"),
     ("CocycleSpec.__init__", "matrix"),
     ("GridFunction.to_trig", "threshold"),
-    ("PerturbedMap.__init__", "check"),
     ("PerturbedMap.__init__", "warn"),
     ("TrigPoly.__init__", "coeffs"),
     ("TrigPoly.compose_affine", "shift"),
@@ -32,8 +31,6 @@ OPTIONS = {
     ("build", "warn"),
     ("build_counterexample", "k_trunc"),
     ("c0_norm", "grid_n"),
-    ("dh_as_cocycle_conjugacy", "pairs"),
-    ("dh_as_cocycle_conjugacy", "sample_n"),
     ("dual_orbit_decomposition", "extended_radius"),
     ("dual_orbit_decomposition", "max_walk"),
     ("estimate_holder", "dim"),
@@ -45,7 +42,6 @@ OPTIONS = {
     ("exponents_at_periodic", "reference"),
     ("fiber_bunching_check", "anosov_report"),
     ("fiber_bunching_check", "beta"),
-    ("jacobian_dh", "sample_n"),
     ("kam_iterate", "grid_n"),
     ("kam_iterate", "radius"),
     ("kam_iterate", "steps"),
@@ -123,7 +119,7 @@ def _cat_maps(d):
         large = large + TrigPoly.sin_mode(e[i] + e[i + 1], e[i] - e[i + 1]) \
             + TrigPoly.cos_mode(e[i + 1], e[i + 1])
     return (toralab.build(base, small, warn=False),
-            toralab.PerturbedMap(base, large, check=False))
+            toralab.PerturbedMap(base, large, warn=False))
 
 
 # a point of default_rng(0).random((300, d)) at which the large map's

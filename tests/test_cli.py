@@ -379,6 +379,49 @@ def test_bad_grid_size_is_schema_error(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / f"{scenario}_result.json").exists()
 
 
+_BAD_COUNTS = [("counterexample", key, bad)
+               for key in ("holder_pairs", "n_points", "psi_grid", "k_trunc")
+               for bad in (0, "x")] + \
+    [("lyapunov", key, bad) for key in ("n", "grid_per_axis")
+     for bad in (0, -1, 2.5)] + \
+    [("cocycle", "periods", bad) for bad in (0, "x", True)] + \
+    [("kam", key, 0) for key in ("steps", "radius")] + \
+    [("conjugate", "cov_n", bad) for bad in (0, "x")]
+# the library's own limits: lyapunov_volume's n and periodic_points' period
+_TOO_LARGE = [("lyapunov", "n", cli.cocycles.MAX_ITER + 1),
+              ("cocycle", "periods", maps.MAX_SEARCH_PERIOD + 1),
+              ("conjugate", "cov_n", maps.MAX_SEARCH_PERIOD + 1)]
+
+
+@pytest.mark.parametrize("scenario,key,value", _BAD_COUNTS + _TOO_LARGE)
+def test_bad_count_is_schema_error(tmp_path, capsys, monkeypatch, scenario,
+                                   key, value):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the manifest was checked")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_run))
+    params = {} if scenario == "counterexample" else \
+        {"matrix": [[2, 1], [1, 1]], "eps": 1e-3}
+    manifest = {"scenario": scenario, "seed": 0,
+                "params": {**params, key: value}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    rc = cli.main([scenario, "--manifest", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    want = f"{key} must be at most" if (scenario, key, value) in _TOO_LARGE \
+        else f"{key} must be a positive integer"
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_result.json").exists()
+
+
+def test_count_at_its_bound_is_valid():
+    for scenario, key, too_large in _TOO_LARGE:
+        manifest = {"scenario": scenario, "seed": 0,
+                    "params": {"matrix": [[2, 1], [1, 1]],
+                               key: too_large - 1}}
+        assert cli.validate_manifest(manifest) is manifest
+
+
 def test_determinism_bitwise(tmp_path):
     manifest = {"scenario": "conjugate", "seed": 7,
                 "params": {"matrix": [[2, 1], [1, 1]],
@@ -491,7 +534,7 @@ def test_regularity_scan_reuses_the_main_solve(tmp_path, monkeypatch):
     assert grids == [16, 8]
     scan = out["jacobian_scan"]
     fresh = conjugacy.jacobian_dh(
-        solve(cli._build_map(params), tol=1e-10, grid_n=16), sample_n=16)
+        solve(cli._build_map(params), tol=1e-10, grid_n=16))
     assert [s["n"] for s in scan] == [8, 16]
     assert scan[1] == {"n": 16, "jacobian_residual": fresh.residual_eq,
                        "min_det": fresh.min_det}
@@ -499,12 +542,14 @@ def test_regularity_scan_reuses_the_main_solve(tmp_path, monkeypatch):
 
 def test_regularity_evaluates_the_stride_one_dh_sample_once(tmp_path,
                                                             monkeypatch):
-    # the scan's jacobian_dh(res, 32) and dh_as_cocycle_conjugacy's
-    # jacobian_dh(res, 48) sample the 32^2 grid at stride 1: one report,
-    # from one evaluation of Dh at the f-images of the 1024 grid points
-    results, calls = [], []
+    # one Holder fit of Dh and one Jacobian report per solve: the scan and
+    # dh_as_cocycle_conjugacy read the report of the one evaluation of Dh
+    # at the f-images of the 1024 grid points (stride 1), and
+    # regularity_metrics and dh_cocycle read the one fit of res.dh_rows
+    results, calls, fits = [], [], []
     solve = conjugacy.solve_conjugacy
     eval_jacobian = TrigPoly.eval_jacobian
+    estimate_holder = conjugacy.estimate_holder
 
     def spied_solve(f, **kwargs):
         results.append(solve(f, **kwargs))
@@ -514,8 +559,13 @@ def test_regularity_evaluates_the_stride_one_dh_sample_once(tmp_path,
         calls.append((self, np.shape(points)))
         return eval_jacobian(self, points)
 
+    def spied_fit(fn, **kwargs):
+        fits.append(fn)
+        return estimate_holder(fn, **kwargs)
+
     monkeypatch.setattr(cli.conjugacy, "solve_conjugacy", spied_solve)
     monkeypatch.setattr(TrigPoly, "eval_jacobian", spied_eval)
+    monkeypatch.setattr(conjugacy, "estimate_holder", spied_fit)
     params = {"matrix": [[2, 1], [1, 1]], "eps": 1e-3,
               "modes": [{"freq": [0, 1], "amplitude": [1.0]}],
               "n_grid": 32, "samples": 40, "resolutions": [16, 32]}
@@ -526,8 +576,13 @@ def test_regularity_evaluates_the_stride_one_dh_sample_once(tmp_path,
     sampled = [shape for poly, shape in calls
                if poly is res.h_trig and shape == (1024, 2)]
     assert len(sampled) == 1
-    assert list(res._jacobian_reports) == [1]
-    rep = res._jacobian_reports[1]
+    assert [fn for fn in fits if fn == res.dh_rows] == [res.dh_rows]
+    assert out["dh_cocycle"]["holder_exponent_dh"] == \
+        out["holder_dh"]["exponent"] == res.holder_dh.exponent
+    assert out["dh_cocycle"]["holder_reliable"] == \
+        out["holder_dh"]["reliable"]
+    rep = res._jacobian_report
+    assert conjugacy.jacobian_dh(res) is rep
     assert out["jacobian_scan"][1] == {"n": 32,
                                        "jacobian_residual": rep.residual_eq,
                                        "min_det": rep.min_det}

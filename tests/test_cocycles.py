@@ -486,7 +486,7 @@ def test_oseledets_gap_error():
 def test_dh_cocycle_conjugacy_trivial():
     f = linear_map()
     res = conjugacy.solve_conjugacy(f, grid_n=32)
-    rep = cocycles.dh_as_cocycle_conjugacy(res, sample_n=16, pairs=500)
+    rep = cocycles.dh_as_cocycle_conjugacy(res)
     assert rep.residual < 1e-12
     assert rep.min_det > 0.99
 

@@ -1,5 +1,6 @@
-"""The demos that call periodic_points, the cocycle products and the KAM
-step run to the end as scripts."""
+"""The demos run to the end as scripts: the classification report, the
+conjugacy solver with its Jacobian and regularity diagnostics, the
+counterexample, periodic_points, the cocycle products and the KAM step."""
 
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["02_nonsmooth_conjugacy.py",
+@pytest.mark.parametrize("name", ["01_classification.py",
+                                  "02_nonsmooth_conjugacy.py",
+                                  "03_conjugacy_solver.py",
                                   "04_twisted_and_kam.py",
                                   "05_cocycles.py"])
 def test_demo_exits_zero(name, tmp_path):

@@ -50,18 +50,13 @@ def test_build_large_perturbation_warns():
     assert not f.smallness.cone_ok
 
 
-def test_smallness_is_built_on_first_read(monkeypatch):
+def test_smallness_is_built_on_first_read():
     disp = TrigPoly.sin_mode((0, 1), [EPS, 0.0])
     eager = maps.build(CAT, disp)
     assert "smallness" in vars(eager)         # read by the cone warning
     lazy = maps.build(CAT, disp, warn=False)
     assert "smallness" not in vars(lazy)
     assert lazy.smallness == eager.smallness
-    calls = []
-    monkeypatch.setattr(maps.PerturbedMap, "_smallness",
-                        lambda self: calls.append(self))
-    unchecked = maps.PerturbedMap(CAT, disp, check=False)
-    assert unchecked.smallness is None and calls == []
 
 
 def test_lift_equivariance():
@@ -129,11 +124,11 @@ def test_invert_is_torus_inverse_of_small_perturbations(d, seed):
         amp = 1e-4 * rng.uniform(-1, 1, size=d)
         disp = disp + TrigPoly.sin_mode(freq, amp) + \
             TrigPoly.cos_mode(rng.permutation(freq), amp[::-1])
-    # check=False skips the smallness report.  When the frequencies span
+    # warn=False skips the smallness report.  When the frequencies span
     # all of Z^4, its grid sup transforms one 64^4 grid per nonzero range
     # component: a cat (+) cat build took 0.9 s with one component and
     # 3.2-4.2 s with all four, as here, on a 2-core Xeon
-    f = maps.PerturbedMap(base, disp, check=False)
+    f = maps.PerturbedMap(base, disp, warn=False)
     y = rng.random((300, d))
     x, r = f.invert(y)
     assert np.all((x >= 0) & (x < 1))
@@ -324,7 +319,7 @@ def test_invert_matches_the_out_of_place_inverse_bit_for_bit(d, kind, swap,
             1j * rng.normal(size=(len(freqs), d))
         disp = TrigPoly.from_arrays(d, d, freqs,
                                     1e-6 * coefs).symmetrize_real()
-    f = maps.PerturbedMap(base, disp, check=False)
+    f = maps.PerturbedMap(base, disp, warn=False)
     assert f.disp._box_dense() == (d == 2 and kind == "box-dense")
     y = rng.random((200, d))
     x, r = f.invert(y)
@@ -476,7 +471,7 @@ def test_invert_raises_when_newton_stalls():
     # diffeomorphism; torus Newton then stalls at some of the points
     disp = TrigPoly.sin_mode((1, 1), [1.0, -1.0]) + \
         TrigPoly.cos_mode((0, 1), [0.0, 1.0])
-    f = maps.PerturbedMap(CAT, disp, check=False)
+    f = maps.PerturbedMap(CAT, disp, warn=False)
     y = np.random.default_rng(0).random((2000, 2))
     with pytest.raises(NewtonDivergence, match="stalled") as err:
         f.invert(y)
@@ -614,7 +609,7 @@ def test_periodic_orbits_are_bit_identical_on_one_mode_cat_maps(n, freq, eps,
     # every sum in f and Df has one inexact term at most, so the batched
     # walk must reproduce the per-seed orbits bit for bit.
     amp = eps * np.random.default_rng(seed).uniform(-1, 1, size=2)
-    f = maps.PerturbedMap(CAT, TrigPoly.sin_mode(freq, amp), check=False)
+    f = maps.PerturbedMap(CAT, TrigPoly.sin_mode(freq, amp), warn=False)
     _assert_same_search(maps.periodic_points(f, n),
                         periodic_points_per_seed(f, n))
 
