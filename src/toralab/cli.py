@@ -51,16 +51,25 @@ def _require(manifest, key, types, where):
     return manifest[key]
 
 
-# Each scenario's counts: integers >= 1, and at most the library's bound
-_COUNTS = {
+# Each scenario's checked keys.  A count is an integer >= 1 and at most its
+# bound, the library's; "finite" is a finite real number and "positive" a
+# finite one > 0.  Neither is a bool.
+_PARAMS = {
     "conjugate": {"samples": math.inf, "n_grid": math.inf,
-                  "cov_n": maps.MAX_SEARCH_PERIOD},
-    "regularity": dict.fromkeys(("samples", "n_grid"), math.inf),
-    "kam": dict.fromkeys(("n_grid", "steps", "radius"), math.inf),
-    "counterexample": dict.fromkeys(
-        ("holder_pairs", "n_points", "psi_grid", "k_trunc"), math.inf),
-    "lyapunov": {"n": cocycles.MAX_ITER, "grid_per_axis": math.inf},
-    "cocycle": {"periods": maps.MAX_SEARCH_PERIOD},
+                  "cov_n": maps.MAX_SEARCH_PERIOD, "eps": "finite",
+                  "tol": "positive"},
+    "regularity": {"samples": math.inf, "n_grid": math.inf,
+                   "eps": "finite", "tol": "positive"},
+    "linearized": {"radius": math.inf, "eps": "finite", "tol": "positive"},
+    "kam": {"n_grid": math.inf, "steps": math.inf, "radius": math.inf,
+            "eps": "finite", "tol": "positive"},
+    "counterexample": {"holder_pairs": math.inf, "n_points": math.inf,
+                       "psi_grid": math.inf, "k_trunc": math.inf,
+                       "eps": "finite"},
+    "lyapunov": {"n": cocycles.MAX_ITER, "grid_per_axis": math.inf,
+                 "eps": "finite"},
+    "cocycle": {"periods": maps.MAX_SEARCH_PERIOD, "eps": "finite",
+                "beta": "positive"},
 }
 
 
@@ -77,13 +86,22 @@ def validate_manifest(manifest):
     if scenario in ("classify", "conjugate", "linearized", "kam", "lyapunov",
                     "cocycle", "regularity"):
         _require(params, "matrix", list, f"{scenario}.params")
-    for key, bound in _COUNTS.get(scenario, {}).items():
-        if key in params and not _positive_int(params[key]):
-            raise SchemaError(f"{scenario}.params: {key} must be a positive "
-                              "integer")
-        if key in params and params[key] > bound:
-            raise SchemaError(f"{scenario}.params: {key} must be at most "
-                              f"{bound}")
+    for key, rule in _PARAMS.get(scenario, {}).items():
+        if key not in params:
+            continue
+        value, where = params[key], f"{scenario}.params: {key} must be"
+        if isinstance(rule, str):
+            if not _finite(value) or (rule == "positive" and value <= 0):
+                raise SchemaError(f"{where} a {rule} real number")
+        elif not _positive_int(value):
+            raise SchemaError(f"{where} a positive integer")
+        elif value > rule:
+            raise SchemaError(f"{where} at most {rule}")
+    if scenario == "kam":
+        radius, grid_n = _kam_truncation(params)
+        if 2 * radius >= grid_n:
+            raise SchemaError(f"kam.params: n_grid ({grid_n}) must exceed "
+                              f"twice the radius ({radius})")
     if scenario == "regularity" and "resolutions" in params:
         res = params["resolutions"]
         if not isinstance(res, list) or not all(map(_positive_int, res)):
@@ -114,7 +132,12 @@ def _matrix(params):
 
 
 def _finite(value):
-    return (_int(value) or isinstance(value, float)) and math.isfinite(value)
+    if not (_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond float64's range
+        return False
 
 
 def _mode_record_problem(rec, dim, dim_range):
@@ -356,10 +379,10 @@ def run_linearized(manifest, outdir):
 def run_kam(manifest, outdir):
     params = manifest["params"]
     f = _build_map(params)
-    steps = params.get("steps", 2)
-    _, reports = twisted.kam_iterate(
-        f, steps=steps, radius=params.get("radius", 16),
-        grid_n=params.get("n_grid", 128), tol=params.get("tol"))
+    radius, grid_n = _kam_truncation(params)
+    _, reports = twisted.kam_iterate(f, steps=params.get("steps", 2),
+                                     radius=radius, grid_n=grid_n,
+                                     tol=params.get("tol"))
     dist = [reports[0].input_c0] + [r.output_c0 for r in reports]
     out = {"steps": [r.as_dict() for r in reports],
            "distances_c0": dist,
@@ -367,6 +390,12 @@ def run_kam(manifest, outdir):
     files = [("kam_distances.dat", [list(range(len(dist))), dist],
               "step  C0-distance-to-linear")]
     return out, files
+
+
+def _kam_truncation(params):
+    """kam's truncation radius F and grid size N, with their defaults: the
+    grid holds the projected modes only when N > 2F."""
+    return params.get("radius", 16), params.get("n_grid", 128)
 
 
 def run_lyapunov(manifest, outdir):

@@ -20,19 +20,19 @@ from . import exactalg
 from .errors import UnreliableFit
 
 TWO_PI = 2.0 * np.pi
-# Points times block columns per chunk of the box-dense evaluation: the
-# float64 products of one chunk take 2 MB.  Products of 16-32 MB left the
-# orbit benchmark's peak RSS 13-22% higher, and larger chunks are no
-# faster.
+# Points times block columns per chunk of the box-dense evaluation, for
+# any d: the float64 products of one chunk take 2 MB.  Products of 16-32 MB
+# left the orbit benchmark's peak RSS 13-22% higher, and larger chunks are
+# no faster.
 BOX_CHUNK = 1 << 18
 # Points times pairs per [cos | sin] block of eval and of eval_jacobian.
 EVAL_CHUNK = 1 << 22
 JACOBIAN_CHUNK = 1 << 21
 # Points times pairs of the largest [cos | sin] table a TrigPoly keeps for
-# its next evaluation (2 MB), and points times columns 2(F + 1) of the
-# largest pair of box-dense cos/sin tables it keeps (1 MB each).  An orbit
-# walk's tables, 10^4 points times a few pairs, fit, and so do the box
-# tables of a KAM grid, 36^2 points times 34 columns.
+# its next evaluation (2 MB), and points times columns (2(F + 1))^ceil(d/2)
+# of the larger of the two box-dense group tables it keeps (1 MB each).
+# An orbit walk's tables, 10^4 points times a few pairs, fit, and so do
+# the box tables of a KAM grid, 36^2 points times 34 columns.
 TABLE_MEMO = 1 << 17
 HOLDER_RESIDUAL = 0.2   # largest log-log residual of a reliable Holder fit
 # Grid values per block of grid_sup's max: a 512 KB |v| temporary, so a
@@ -347,16 +347,19 @@ class TrigPoly:
         a (2K, P) array, Theta = 2 pi n x.
 
         _cos_sin fills its rows from the angles in turns U = n x, one
-        product of the pair frequencies with the coordinate rows.  _kept
-        keeps the table: a Newton step takes f and Df at one point set,
-        and each builds one table, not two.
+        product of the pair frequencies with the coordinate rows, taken in
+        C order: numpy and BLAS round some small products differently for
+        the two layouts of xs, and in C order a point set gives the same
+        bits whatever its layout.  _kept keeps the table: a Newton step
+        takes f and Df at one point set, and each builds one table, not
+        two.
         """
         freqs = self._pairs[1]
         k = len(freqs)
 
         def build():
             trig = np.empty((2 * k, xs.shape[1]))
-            _cos_sin(freqs @ xs, trig[:k], trig[k:])
+            _cos_sin(freqs @ np.ascontiguousarray(xs), trig[:k], trig[k:])
             return trig
         self._table, trig = _kept(self._table, xs, k * xs.shape[1], build)
         return trig
@@ -371,23 +374,27 @@ class TrigPoly:
         return out
 
     def _box_dense(self):
-        """d = 2 polynomial that fills enough of its frequency box for the
+        """Polynomial that fills enough of its frequency box for the
         separable evaluation to be cheaper than the sparse one: more than
-        12 stored rows per box column (2F + 1).
+        12 stored rows per box line, 12 (2F + 1)^(d - 1) in all.
 
         Measured with the float64 box kernel on a 2-core Xeon with one
         BLAS thread, for a value and a Jacobian at one point set of real
-        m = 2 polynomials with F = 6..32: at 12 rows per column the box
-        path is 1.5-1.7x as fast as the pair path at 256 points and
+        m = 2 polynomials.  At d = 2, F = 6..32, with 12 rows per line the
+        box path is 1.5-1.7x as fast as the pair path at 256 points and
         1.8-6.5x at 1296, but 1.2-1.3x as slow at 36 points and 1.8-3.4x
-        at one point, where its F-step table loop dominates.  At 1296
-        points the two break even near 5-8 rows per column, at 256 near
-        8-10.  The path depends on the polynomial alone, never on the
-        point count, so 12 stays.  Every d = 2 polynomial the benchmark
-        workloads evaluate has at most 0.7 or at least 32 rows per column.
+        at one point, where its F-step table loop dominates; at 1296
+        points the two break even near 5-8 rows per line, at 256 near
+        8-10.  For full boxes at d = 3 (F = 6, 7) and d = 4 (F = 6), 13
+        and 15 rows per line, the box path is 2.5-13x as fast at 37
+        points and 9.6-19x at 256 and more, but at one point 0.4x as fast
+        at d = 3 and 1.0x at d = 4.  The path depends on the polynomial
+        alone, never on the point count, so 12 stays.  Every d = 2
+        polynomial the benchmark workloads evaluate has at most 0.7 or at
+        least 32 rows per line.
         """
-        return self.dim_domain == 2 and \
-            len(self.freqs) > 12 * (2 * self.support_radius + 1)
+        return len(self.freqs) > \
+            12 * (2 * self.support_radius + 1) ** (self.dim_domain - 1)
 
     def is_real(self, tol=1e-12):
         neg = self._negated[0]
@@ -458,59 +465,47 @@ class TrigPoly:
     def _dense(self):
         """The coefficient box as two float64 blocks for _box_sum.
 
-        Returns (value, jac).  The rows of each block are (n_1, c/s), n_1 =
-        0..F: c_1 = cos 2 pi n_1 x_1 and s_1 = sin 2 pi n_1 x_1.  The
-        columns of value are (component, k, c/s), k = 0..F, with c_2 and s_2
-        the same of k x_2; jac has (component, axis, k, c/s).  For a real
-        polynomial (as _pairs decides: c_{-n} = conj(c_n) exactly) the
-        terms at -n are the conjugates of those at n, so with
-        alpha + i beta = c_{n_1, k} and alpha' + i beta' = c_{n_1, -k},
+        Returns (value, jac).  With c_j, s_j = cos, sin 2 pi k_j x_j, the
+        box of radius F is folded one axis at a time, from the last to the
+        first: the entries z at +k and z' at -k of each line become the
+        (cos, sin) columns z + z' and i (z - z') of (k, c/s), k = 0..F,
+        since z e^{i theta} + z' e^{-i theta} = (z + z') cos theta +
+        i (z - z') sin theta.  At k = 0 the one entry is z, with z' = 0 and
+        the sin column zeroed.  After the d folds, f = sum over every
+        (k, c/s)^d of the entry times the product of the d table columns.
+        For a real polynomial (as _pairs decides: c_{-n} = conj(c_n)
+        exactly) the entries are real, and their real part is the block's m
+        components; a complex polynomial has 2m, the real parts then the
+        imaginary parts, which _box_sum recombines.  The Jacobian's block
+        differentiates the columns of one axis at a time: (c, s) of one k
+        become 2 pi k (s, -c).
 
-            f = sum c_1 (A c_2 + B s_2) + s_1 (C c_2 + D s_2),
-            A = w (alpha + alpha'),  B = w (beta' - beta),
-            C = -w (beta + beta'),   D = w (alpha' - alpha),
-
-        over n_1, k = 0..F, with w = 1 at n_1 = 0 and 2 otherwise.  At k = 0
-        the one term gives A = w alpha, C = -w beta and B = D = 0.  The
-        Jacobian's blocks differentiate the tables: the rows (X, Y) of one
-        n_1 become (2 pi n_1 Y, -2 pi n_1 X) for d/dx_1, and the columns
-        (P, Q) of one k become (2 pi k Q, -2 pi k P) for d/dx_2.
-
-        A complex polynomial f is the sum g + i h of two real-valued
-        ones, g = (f + conj f) / 2 and h = (f - conj f) / 2i, whose
-        coefficients at n are (c_n + conj c_{-n}) / 2 and
-        -i (c_n - conj c_{-n}) / 2.  It is evaluated as the 2m components
-        of g then h, which _box_sum recombines.
+        The rows of each block are the (k, c/s) of the row group, the
+        first ceil(d/2) axes; its columns are (component, k, c/s) of the
+        column group, the other axes, and jac has (component, axis, k, c/s).
         """
-        f, m = self.support_radius, self.dim_range
-        size = 2 * f + 1
-        n = self.freqs
-        box = np.zeros((size, size, m), dtype=complex)
-        box[n[:, 0] + f, n[:, 1] + f] = self.coefs
-        if self._pairs[2].dtype == complex:
-            bar = np.conj(box[::-1, ::-1])
-            box = np.concatenate([0.5 * (box + bar), -0.5j * (box - bar)],
-                                 axis=-1)
-        # (n_1, component, n_2) for n_1 = 0..F; c at (n_1, k) and (n_1, -k)
-        box = box[f:].transpose(0, 2, 1)
-        pos, neg = box[..., f:], box[..., f::-1].copy()
-        neg[..., 0] = 0.0
-        w = np.full((f + 1, 1, 1), 2.0)
-        w[0] = 1.0
-        val = np.empty((f + 1, 2) + pos.shape[1:] + (2,))
-        val[:, 0, ..., 0] = w * (pos.real + neg.real)
-        val[:, 0, ..., 1] = w * (neg.imag - pos.imag)
-        val[:, 1, ..., 0] = -(w * (pos.imag + neg.imag))
-        val[:, 1, ..., 1] = w * (neg.real - pos.real)
-        val[..., 0, 1] = 0.0
-        wn = TWO_PI * np.arange(f + 1)
-        jac = np.empty(val.shape[:3] + (2,) + val.shape[3:])
-        jac[:, 0, :, 0] = wn[:, None, None, None] * val[:, 1]
-        jac[:, 1, :, 0] = -wn[:, None, None, None] * val[:, 0]
-        jac[..., 1, :, 0] = wn * val[..., 1]
-        jac[..., 1, :, 1] = -wn * val[..., 0]
-        rows = 2 * (f + 1)
-        return val.reshape(rows, -1), jac.reshape(rows, -1)
+        f, d = self.support_radius, self.dim_domain
+        box = np.zeros((self.dim_range,) + (2 * f + 1,) * d, dtype=complex)
+        box[(slice(None),) + tuple((self.freqs + f).T)] = self.coefs.T
+        for _ in range(d):
+            # fold the last frequency axis; its (k, c/s) go before the others
+            pos, neg = box[..., f:], box[..., f::-1].copy()
+            neg[..., 0] = 0.0
+            fold = np.stack([pos + neg, 1j * (pos - neg)], axis=-1)
+            fold[..., 0, 1] = 0.0
+            box = np.moveaxis(fold.reshape(fold.shape[:-2] + (-1,)), -1, 1)
+        val = np.concatenate([box.real, box.imag]) \
+            if self._pairs[2].dtype == complex else box.real
+        # d/dx_a turns the (c, s) columns of axis a at k into 2 pi k (s, -c)
+        wn = TWO_PI * np.arange(f + 1)[:, None]
+        axes = (val.reshape(len(val), (2 * f + 2) ** a, f + 1, 2, -1)
+                for a in range(d))
+        jac = np.stack([np.stack([wn * v[:, :, :, 1], -wn * v[:, :, :, 0]],
+                                 axis=3).reshape(val.shape) for v in axes], 1)
+        r = (d + 1) // 2
+        return tuple(np.ascontiguousarray(np.moveaxis(
+            b, range(b.ndim - d, b.ndim - d + r), range(r))).reshape(
+                (2 * f + 2) ** r, -1) for b in (val, jac))
 
     @staticmethod
     def _power_table(x, f):
@@ -532,41 +527,57 @@ class TrigPoly:
             np.multiply(out[k - 1], base, out=out[k])
         return np.ascontiguousarray(out.T).view(float)
 
-    def _power_tables(self, xs):
-        """The power tables (t_1, t_2) of _box_sum at the points xs (d, P).
+    @staticmethod
+    def _group_table(tables, p):
+        """The per-point outer product of the axis tables, a (p, prod of
+        their columns) array with the columns of the first axis slowest:
+        one table itself, and a (p, 1) column of ones for none."""
+        out = tables[0] if tables else np.ones((p, 1))
+        for t in tables[1:]:
+            out = (out[:, :, None] * t[:, None, :]).reshape(p, -1)
+        return out
 
-        Like the [cos | sin] table of _pair_table, the pair is kept by
+    def _power_tables(self, xs):
+        """The group tables (row, column) of _box_sum at the points xs
+        (d, P): the outer products of the power tables of the row group's
+        axes and of the column group's (see _dense).
+
+        Like the [cos | sin] table of _pair_table, the two are kept by
         _kept: a Newton step's f and Df share one pair of tables.
         """
-        f = self.support_radius
-        self._powers, tables = _kept(
-            self._powers, xs, xs.shape[1] * 2 * (f + 1),
-            lambda: (self._power_table(xs[0], f),
-                     self._power_table(xs[1], f)))
+        f, r, p = self.support_radius, (self.dim_domain + 1) // 2, xs.shape[1]
+
+        def build():
+            axes = [self._power_table(x, f) for x in xs]
+            return self._group_table(axes[:r], p), \
+                self._group_table(axes[r:], p)
+        self._powers, tables = _kept(self._powers, xs,
+                                     p * (2 * f + 2) ** r, build)
         return tables
 
     def _box_sum(self, xs, block):
-        """The sum over n_1 and k of t_1 block t_2 at the points xs (d, P),
-        as a (rows, P) array, with t_i the power table of axis i and block
-        one of _dense's.
+        """The sum over the box of t_row block t_col at the points xs (d, P),
+        as a (rows, P) array, with t_row and t_col the group tables of
+        _power_tables and block one of _dense's.
 
-        One float64 matrix product of t_1 with the block contracts the
-        rows (n_1, c/s) and leaves, per point, (rows, 2(F + 1)) columns;
-        np.vecdot with t_2 contracts each over (k, c/s).  Points go in
-        blocks of BOX_CHUNK points times block columns, whose products
-        share one buffer.  A complex polynomial's rows are those of g then
-        h (see _dense), returned as g + i h.
+        One float64 matrix product of t_row with the block contracts the
+        row group's (k, c/s) and leaves, per point, rows times
+        (2(F + 1))^floor(d/2) columns; np.vecdot with t_col contracts each
+        over the column group's (k, c/s).  Points go in blocks of BOX_CHUNK
+        points times block columns, whose products share one buffer.  A
+        complex polynomial's rows are its real parts then its imaginary
+        parts (see _dense), returned as one complex array.
         """
-        width = 2 * (self.support_radius + 1)
+        width = (2 * self.support_radius + 2) ** (self.dim_domain // 2)
         rows = block.shape[1] // width
         size = max(1, min(xs.shape[1], BOX_CHUNK // block.shape[1]))
         out = np.empty((rows, xs.shape[1]))
         part = np.empty((size, block.shape[1]))
         for sl in _chunks(xs.shape[1], size):
-            t1, t2 = self._power_tables(xs[:, sl])
-            prod = np.matmul(t1, block, out=part[:len(t1)])
-            np.vecdot(prod.reshape(len(t1), rows, width), t2[:, None, :],
-                      out=out[:, sl].T)
+            t_row, t_col = self._power_tables(xs[:, sl])
+            prod = np.matmul(t_row, block, out=part[:len(t_row)])
+            np.vecdot(prod.reshape(len(t_row), rows, width),
+                      t_col[:, None, :], out=out[:, sl].T)
         if self._pairs[2].dtype != complex:
             return out
         half = rows // 2
@@ -608,19 +619,22 @@ class TrigPoly:
         stacked [cos; sin] rows.  Every table entry, here and on the
         box-dense path, comes from _cos_sin.
 
-        Box-dense d = 2 polynomials (support radius F) are separable, and
-        are summed in float64: f(x) = sum c_1 (A c_2 + B s_2) + s_1 (C c_2
-        + D s_2) over n_1, k = 0..F, with c_1, s_1 = cos, sin 2 pi n_1 x_1
-        and c_2, s_2 = cos, sin 2 pi k x_2 (see _dense for A..D).  The
-        tables of cos and sin 2 pi k x_i, k = 0..F, come from one cos and
-        sin per point and axis and a cumulative product.  One float64
-        matrix product of the axis-1 table with the (2(F+1), 2(F+1) m)
-        block contracts (n_1, c/s), and a per-point dot with the axis-2
-        table contracts (k, c/s): 4 (F+1)^2 multiply-adds per component
-        and point.  A complex polynomial is summed as its two real-valued
-        parts g + i h.  EVAL_CHUNK bounds the points times pairs held at
-        once on the sparse path, BOX_CHUNK the points times block columns
-        on the box-dense one.
+        Box-dense polynomials (support radius F, any d) are separable, and
+        are summed in float64: f(x) = sum over (k_i, c/s) of a real block
+        entry times the product of cos or sin 2 pi k_i x_i over the d axes
+        (_dense folds the coefficient box into these entries, one axis at a
+        time).  The tables of cos and sin 2 pi k x_i, k = 0..F, come from
+        one cos and sin per point and axis and a cumulative product; the
+        first ceil(d/2) axes form the row group and the others the column
+        group, each with the per-point outer product of its tables.  One
+        float64 matrix product of the row group's table with the
+        ((2(F+1))^ceil(d/2), (2(F+1))^floor(d/2) m) block contracts the row
+        group, and a per-point dot with the column group's table contracts
+        the rest: (2(F+1))^d multiply-adds per component and point, 4
+        (F+1)^2 at d = 2.  A complex polynomial's block has the real and
+        the imaginary part of each component.  EVAL_CHUNK bounds the points
+        times pairs held at once on the sparse path, BOX_CHUNK the points
+        times block columns on the box-dense one.
         """
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1] + (self.dim_range,)
@@ -640,11 +654,11 @@ class TrigPoly:
         J = (B x 2 pi n)^T cos(Theta) - (A x 2 pi n)^T sin(Theta), one
         matrix product with the stacked [cos; sin] rows.
 
-        On the box-dense d = 2 path the same cos/sin tables as in eval
-        contract a float64 block whose columns hold the derivatives along
-        x_1 and x_2 side by side (_dense differentiates each table's
-        cos/sin pairs), so both columns of J come from one matrix product
-        and one per-point dot.
+        On the box-dense path the same group tables as in eval contract a
+        float64 block whose columns hold the derivatives along every axis
+        side by side (_dense differentiates one axis's cos/sin pairs at a
+        time), so all d columns of J come from one matrix product and one
+        per-point dot.
         """
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1] + (self.dim_range, self.dim_domain)

@@ -523,25 +523,27 @@ def brute_force_verdict(m, seed=0):
 # Trig polynomials by the direct complex-exponential sum
 # ---------------------------------------------------------------------------
 
+def _direct_terms(tp, points):
+    """exp(2 pi i <n, x>) for every point and stored mode, (P, K), and the
+    frequencies as floats, (K, d)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, tp.dim_domain)
+    freqs = tp.freqs.astype(float)
+    return np.exp(2j * np.pi * (pts @ freqs.T)), freqs
+
+
 def trig_eval_direct(tp, points):
     """sum_n c_n exp(2 pi i <n, x>) over every stored mode; (P, m) complex."""
-    pts = np.asarray(points, dtype=float).reshape(-1, tp.dim_domain)
-    out = np.zeros((len(pts), tp.dim_range), dtype=complex)
-    for n, c in tp.coeffs.items():
-        e = np.exp(2j * np.pi * (pts @ np.array(n, dtype=float)))
-        out += e[:, None] * c
-    return out
+    e, _ = _direct_terms(tp, points)
+    return e @ tp.coefs
 
 
 def trig_jacobian_direct(tp, points):
-    """sum_n c_n (2 pi i n) exp(2 pi i <n, x>) per mode; (P, m, d) complex."""
-    pts = np.asarray(points, dtype=float).reshape(-1, tp.dim_domain)
-    out = np.zeros((len(pts), tp.dim_range, tp.dim_domain), dtype=complex)
-    for n, c in tp.coeffs.items():
-        nf = np.array(n, dtype=float)
-        e = np.exp(2j * np.pi * (pts @ nf))
-        out += e[:, None, None] * (c[:, None] * (2j * np.pi * nf)[None, :])
-    return out
+    """sum_n c_n (2 pi i n) exp(2 pi i <n, x>) over every stored mode;
+    (P, m, d) complex."""
+    e, freqs = _direct_terms(tp, points)
+    terms = tp.coefs[:, :, None] * (2j * np.pi * freqs)[:, None, :]
+    m, d = tp.dim_range, tp.dim_domain
+    return (e @ terms.reshape(len(freqs), m * d)).reshape(len(e), m, d)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,20 @@ def test_bad_grid_size_is_schema_error(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / f"{scenario}_result.json").exists()
 
 
+def _main_on(tmp_path, monkeypatch, scenario, params):
+    """cli.main's exit code on a manifest with params, with every runner
+    replaced by one that fails the test if it is reached."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the manifest was checked")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_run))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"scenario": scenario, "seed": 0,
+                                "params": params}))
+    return cli.main([scenario, "--manifest", str(path),
+                     "--out", str(tmp_path)])
+
+
 _BAD_COUNTS = [("counterexample", key, bad)
                for key in ("holder_pairs", "n_points", "psi_grid", "k_trunc")
                for bad in (0, "x")] + \
@@ -396,17 +410,9 @@ _TOO_LARGE = [("lyapunov", "n", cli.cocycles.MAX_ITER + 1),
 @pytest.mark.parametrize("scenario,key,value", _BAD_COUNTS + _TOO_LARGE)
 def test_bad_count_is_schema_error(tmp_path, capsys, monkeypatch, scenario,
                                    key, value):
-    def no_run(*args, **kwargs):
-        raise AssertionError("ran before the manifest was checked")
-
-    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_run))
     params = {} if scenario == "counterexample" else \
         {"matrix": [[2, 1], [1, 1]], "eps": 1e-3}
-    manifest = {"scenario": scenario, "seed": 0,
-                "params": {**params, key: value}}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    rc = cli.main([scenario, "--manifest", str(path), "--out", str(tmp_path)])
+    rc = _main_on(tmp_path, monkeypatch, scenario, {**params, key: value})
     assert rc == 2
     want = f"{key} must be at most" if (scenario, key, value) in _TOO_LARGE \
         else f"{key} must be a positive integer"
@@ -420,6 +426,52 @@ def test_count_at_its_bound_is_valid():
                     "params": {"matrix": [[2, 1], [1, 1]],
                                key: too_large - 1}}
         assert cli.validate_manifest(manifest) is manifest
+
+
+# the real-valued keys each scenario reads: eps scales the modes (any
+# sign), while tol and beta must be positive, and linearized's radius is a
+# count; -1.0 is a bad value only for the keys that must be positive, and
+# an integer beyond float64's range only for the real ones
+_HUGE = 10 ** 400
+_REAL_KEYS = [("conjugate", "eps"), ("conjugate", "tol"),
+              ("regularity", "eps"), ("regularity", "tol"),
+              ("linearized", "eps"), ("linearized", "tol"),
+              ("linearized", "radius"), ("kam", "eps"), ("kam", "tol"),
+              ("counterexample", "eps"), ("lyapunov", "eps"),
+              ("cocycle", "eps"), ("cocycle", "beta")]
+
+
+@pytest.mark.parametrize("scenario,key,value", [
+    (scenario, key, bad) for scenario, key in _REAL_KEYS
+    for bad in ("x", float("nan"), True, -1.0, _HUGE)
+    if (key, bad) not in (("eps", -1.0), ("radius", _HUGE))],
+    ids=lambda v: "huge" if v is _HUGE else None)
+def test_bad_real_key_is_schema_error(tmp_path, capsys, monkeypatch,
+                                      scenario, key, value):
+    params = {} if scenario == "counterexample" else \
+        {"matrix": [[2, 1], [1, 1]]}
+    rc = _main_on(tmp_path, monkeypatch, scenario, {**params, key: value})
+    assert rc == 2
+    want = "a positive integer" if key == "radius" else \
+        "a finite real number" if key == "eps" else "a positive real number"
+    assert f"{key} must be {want}" in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_result.json").exists()
+
+
+@pytest.mark.parametrize("n_grid,radius,valid", [
+    (8, 4, False), (16, 8, False), (32, 16, False), (36, 18, False),
+    (8, 3, True), (16, 7, True), (36, 17, True)])
+def test_kam_grid_must_exceed_twice_the_radius(tmp_path, capsys, monkeypatch,
+                                               n_grid, radius, valid):
+    # at N <= 2F the grid aliases the projected modes and the displacement
+    # it builds is not real-valued
+    params = {"matrix": [[2, 1], [1, 1]], "n_grid": n_grid, "radius": radius}
+    manifest = {"scenario": "kam", "seed": 0, "params": params}
+    if valid:
+        assert cli.validate_manifest(manifest) is manifest
+        return
+    assert _main_on(tmp_path, monkeypatch, "kam", params) == 2
+    assert "must exceed twice the radius" in capsys.readouterr().err
 
 
 def test_determinism_bitwise(tmp_path):
@@ -486,6 +538,7 @@ _BAD_MODES = {
     "long amplitude": {"freq": [1, 0], "amplitude": [1.0, 0.5, 0.25]},
     "text amplitude": {"freq": [1, 0], "amplitude": ["x"]},
     "nan amplitude": {"freq": [1, 0], "amplitude": [float("nan")]},
+    "huge amplitude": {"freq": [1, 0], "amplitude": [10 ** 400]},
 }
 
 

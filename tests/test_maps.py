@@ -311,16 +311,17 @@ def test_invert_matches_the_out_of_place_inverse_bit_for_bit(d, kind, swap,
             disp = disp + TrigPoly.sin_mode(
                 freq, 1e-4 * rng.uniform(-1, 1, size=d))
     else:
-        # every mode of the box of radius 6 (d = 2) or 1: the d = 2 map
-        # takes the separable box path
-        radius = 6 if d == 2 else 1
+        # every mode of the box of radius 6 (d = 2, 3) or 1 (d = 4): a
+        # full box of radius 6 has 13 rows per box line, above the
+        # separable path's 12, and one of radius 1 has 3
+        radius = 6 if d < 4 else 1
         freqs = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
         coefs = rng.normal(size=(len(freqs), d)) + \
             1j * rng.normal(size=(len(freqs), d))
         disp = TrigPoly.from_arrays(d, d, freqs,
                                     1e-6 * coefs).symmetrize_real()
     f = maps.PerturbedMap(base, disp, warn=False)
-    assert f.disp._box_dense() == (d == 2 and kind == "box-dense")
+    assert f.disp._box_dense() == (kind == "box-dense" and d < 4)
     y = rng.random((200, d))
     x, r = f.invert(y)
     want_x, want_r = invert_out_of_place(f, y)

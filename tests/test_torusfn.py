@@ -386,29 +386,36 @@ def test_symmetrize_real_is_idempotent(tp):
         assert np.array_equal(twice[freq], c)
 
 
-def _box_poly(f, m, count, seed, real):
-    """TrigPoly on T^2 with count random cells of the frequency box
-    |n| <= F filled (and always the cell of (F, 0), so the support radius
-    is F); symmetrized when real."""
+def _box_poly(f, m, count, seed, real, d=2):
+    """TrigPoly on T^d with count random cells of the frequency box
+    |n| <= F filled (and always the cell of (F, 0, ..., 0), so the support
+    radius is F); symmetrized when real."""
     size = 2 * f + 1
     rng = np.random.default_rng(seed)
-    cells = np.union1d(rng.choice(size * size, count, replace=False),
-                       [2 * f * size + f])
-    coeffs = {}
-    for i, j in zip(*np.divmod(cells, size)):
-        coeffs[(i - f, j - f)] = rng.normal(size=m) + 1j * rng.normal(size=m)
-    tp = tf.TrigPoly(2, m, coeffs)
+    cells = np.union1d(rng.choice(size ** d, count, replace=False),
+                       [np.ravel_multi_index((2 * f,) + (f,) * (d - 1),
+                                             (size,) * d)])
+    coefs = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in cells]
+    freqs = np.stack(np.unravel_index(cells, (size,) * d), axis=1) - f
+    tp = tf.TrigPoly.from_arrays(d, m, freqs, coefs)
     return tp.symmetrize_real() if real else tp
 
 
+# the largest support radius drawn per dimension: at d = 3 and 4 a box
+# line of 2F + 1 cells holds more than 12 rows from F = 6 on
+_BOX_RADII = {2: 32, 3: 7, 4: 6}
+
+
 @st.composite
-def box_dense_polys(draw):
-    """F in 6..32, filled above the separable threshold, real or complex."""
-    f = draw(st.integers(6, 32))
+def box_dense_polys(draw, d=2, real=None):
+    """F in 6..32 (d = 2), 6..7 (d = 3) or 6 (d = 4), filled above the
+    separable threshold, real or complex (drawn unless given)."""
+    f = draw(st.integers(6, _BOX_RADII[d]))
     size = 2 * f + 1
     return _box_poly(f, draw(st.integers(1, 3)),
-                     draw(st.integers(12 * size + 1, size * size)),
-                     draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+                     draw(st.integers(12 * size ** (d - 1) + 1, size ** d)),
+                     draw(st.integers(0, 2 ** 32 - 1)),
+                     draw(st.booleans()) if real is None else real, d)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -452,6 +459,19 @@ def test_box_jacobian_is_the_box_value_of_the_derivative(tp, axis, seed):
                          deriv.eval(pts))) < 1e-13 * _l1_scales(tp)[1]
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("real", [True, False])
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_separable_eval_matches_direct_in_d3_and_d4(d, real, data, seed):
+    # the same fold and row/column groups as at d = 2: rows (k, c/s) of
+    # the first two axes, columns those of the last one or two
+    tp = data.draw(box_dense_polys(d, real))
+    assert tp._box_dense()
+    pts = np.random.default_rng(seed).uniform(-4, 4, (37, d))
+    _assert_matches_direct(tp, pts)
+
+
 def _sparse_many(d, radius, count, seed, real):
     """count random cells of the frequency box |n| <= radius on T^d (d != 2
     or too sparse for the separable path), symmetrized when real."""
@@ -468,11 +488,12 @@ def _sparse_many(d, radius, count, seed, real):
 
 @st.composite
 def shared_table_cases(draw):
-    """A sparse (d 1..4) or box-dense (d = 2) polynomial, real or complex,
-    and a point count: one or several."""
+    """A sparse (d 1..4) or box-dense (d = 2, 3) polynomial, real or
+    complex, and a point count: one or several."""
     if draw(st.booleans()):
         return draw(sparse_polys()), draw(st.sampled_from([1, 2, 37]))
-    return draw(box_dense_polys()), draw(st.sampled_from([1, 5]))
+    return draw(box_dense_polys(draw(st.sampled_from([2, 3])))), \
+        draw(st.sampled_from([1, 5]))
 
 
 # 3000 pairs at 1408 points: the blocks of eval (1398 points) and
