@@ -22,7 +22,8 @@ import time
 
 import numpy as np
 
-from . import __version__, cocycles, conjugacy, maps, spectral, twisted
+from . import __version__, cocycles, conjugacy, exactalg, maps, spectral, \
+    twisted
 from .errors import (ConvergenceFailure, GapTooSmall, IncomparableManifests,
                      Indeterminate, NewtonDivergence, NoContraction,
                      NotHyperbolic, SchemaError, ToleranceNotReached,
@@ -31,84 +32,14 @@ from .errors import (ConvergenceFailure, GapTooSmall, IncomparableManifests,
 from .torusfn import GridFunction, TrigPoly, estimate_holder, \
     finite_difference_ratio, uniform_grid
 
-SCENARIOS = ("classify", "conjugate", "counterexample", "linearized", "kam",
-             "lyapunov", "cocycle", "regularity")
-
 _INCONCLUSIVE = (Indeterminate, VerificationInconclusive, GapTooSmall)
 _NUMERICAL = (ConvergenceFailure, NoContraction, ToleranceNotReached,
               NewtonDivergence, TruncationInsufficient, NotHyperbolic)
 
 
 # ---------------------------------------------------------------------------
-# Manifest handling
+# Manifest schema
 # ---------------------------------------------------------------------------
-
-def _require(manifest, key, types, where):
-    if key not in manifest:
-        raise SchemaError(f"{where}: missing required key '{key}'")
-    if not isinstance(manifest[key], types):
-        raise SchemaError(f"{where}: key '{key}' has wrong type")
-    return manifest[key]
-
-
-# Each scenario's checked keys.  A count is an integer >= 1 and at most its
-# bound, the library's; "finite" is a finite real number and "positive" a
-# finite one > 0.  Neither is a bool.
-_PARAMS = {
-    "conjugate": {"samples": math.inf, "n_grid": math.inf,
-                  "cov_n": maps.MAX_SEARCH_PERIOD, "eps": "finite",
-                  "tol": "positive"},
-    "regularity": {"samples": math.inf, "n_grid": math.inf,
-                   "eps": "finite", "tol": "positive"},
-    "linearized": {"radius": math.inf, "eps": "finite", "tol": "positive"},
-    "kam": {"n_grid": math.inf, "steps": math.inf, "radius": math.inf,
-            "eps": "finite", "tol": "positive"},
-    "counterexample": {"holder_pairs": math.inf, "n_points": math.inf,
-                       "psi_grid": math.inf, "k_trunc": math.inf,
-                       "eps": "finite"},
-    "lyapunov": {"n": cocycles.MAX_ITER, "grid_per_axis": math.inf,
-                 "eps": "finite"},
-    "cocycle": {"periods": maps.MAX_SEARCH_PERIOD, "eps": "finite",
-                "beta": "positive"},
-}
-
-
-def validate_manifest(manifest):
-    scenario = _require(manifest, "scenario", str, "manifest")
-    if scenario not in SCENARIOS + ("compare",):
-        raise SchemaError(f"unknown scenario '{scenario}'")
-    seed = manifest.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SchemaError("seed must be an integer")
-    params = manifest.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError("params must be an object")
-    if scenario in ("classify", "conjugate", "linearized", "kam", "lyapunov",
-                    "cocycle", "regularity"):
-        _require(params, "matrix", list, f"{scenario}.params")
-    for key, rule in _PARAMS.get(scenario, {}).items():
-        if key not in params:
-            continue
-        value, where = params[key], f"{scenario}.params: {key} must be"
-        if isinstance(rule, str):
-            if not _finite(value) or (rule == "positive" and value <= 0):
-                raise SchemaError(f"{where} a {rule} real number")
-        elif not _positive_int(value):
-            raise SchemaError(f"{where} a positive integer")
-        elif value > rule:
-            raise SchemaError(f"{where} at most {rule}")
-    if scenario == "kam":
-        radius, grid_n = _kam_truncation(params)
-        if 2 * radius >= grid_n:
-            raise SchemaError(f"kam.params: n_grid ({grid_n}) must exceed "
-                              f"twice the radius ({radius})")
-    if scenario == "regularity" and "resolutions" in params:
-        res = params["resolutions"]
-        if not isinstance(res, list) or not all(map(_positive_int, res)):
-            raise SchemaError("regularity.params: resolutions must be a "
-                              "list of positive integers")
-    return manifest
-
 
 def _int(value):
     # bool is an int subclass, and True is not a count or a frequency
@@ -119,18 +50,6 @@ def _positive_int(value):
     return _int(value) and value >= 1
 
 
-def manifest_hash(manifest):
-    blob = json.dumps(manifest, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _matrix(params):
-    try:
-        return spectral.automorphism(params["matrix"])
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad matrix: {exc}") from exc
-
-
 def _finite(value):
     if not (_int(value) or isinstance(value, float)):
         return False
@@ -138,6 +57,77 @@ def _finite(value):
         return math.isfinite(value)
     except OverflowError:       # an integer beyond float64's range
         return False
+
+
+def _square(value, entry):
+    """value is a nonempty square list of rows whose entries pass entry."""
+    return isinstance(value, list) and len(value) > 0 and all(
+        isinstance(row, list) and len(row) == len(value) and
+        all(map(entry, row)) for row in value)
+
+
+# The rule kinds.  A rule takes a key's value and the scenario's resolved
+# params, whose keys above it in the table are already checked, and
+# returns what is wrong as the words that follow the key in the error
+# message, or None.
+
+def _rule(test, problem):
+    """The rule of a kind that reads the value alone."""
+    return lambda value, p: None if test(value) else problem
+
+
+def _count(bound=math.inf):
+    """An integer >= 1 and at most bound, the library's limit."""
+    def rule(value, p):
+        if not _positive_int(value):
+            return "must be a positive integer"
+        return f"must be at most {bound}" if value > bound else None
+    return rule
+
+
+def _int_matrix(dim=None):
+    """A square integer matrix, dim x dim when dim is given, with
+    determinant 1 or -1: an automorphism of the torus."""
+    shape = f"a {dim} x {dim}" if dim else "a square"
+    return _rule(lambda v: _square(v, _int) and len(v) == (dim or len(v))
+                 and abs(exactalg.det_bareiss(v)) == 1,
+                 f"must be {shape} integer matrix with determinant 1 or -1")
+
+
+_COUNT = _count()
+_FINITE = _rule(_finite, "must be a finite real number")
+_POSITIVE = _rule(lambda v: _finite(v) and v > 0,
+                  "must be a positive real number")
+_FLAG = _rule(lambda v: isinstance(v, bool), "must be true or false")
+_COUNTS = _rule(lambda v: isinstance(v, list) and all(map(_positive_int, v)),
+                "must be a list of positive integers")
+_REAL_MATRIX = _rule(lambda v: _square(v, _finite),
+                     "must be a square matrix of finite real numbers")
+
+
+def _choice(**needs):
+    """One of the names given, each mapped to the key it needs or None;
+    the rule reads only whether that key is set."""
+    names = ", ".join(f"'{name}'" for name in needs)
+
+    def rule(value, p):
+        if not isinstance(value, str) or value not in needs:
+            return f"must be one of {names}"
+        if needs[value] is not None and p[needs[value]] is None:
+            return f"'{value}' needs the key '{needs[value]}'"
+        return None
+    return rule
+
+
+def _cluster_index(value, p):
+    """An index into the modulus clusters of the scenario's matrix."""
+    if not _int(value) or value < 0:
+        return "must be a non-negative integer"
+    m = spectral.automorphism(p["matrix"])
+    count = len(spectral.spectral_data(m).clusters)
+    if value >= count:
+        return f"must be below {count}, the matrix's number of clusters"
+    return None
 
 
 def _mode_record_problem(rec, dim, dim_range):
@@ -156,21 +146,131 @@ def _mode_record_problem(rec, dim, dim_range):
     return None
 
 
+def _modes(dims):
+    """A list of mode records on T^d with values in R^m, (d, m) = dims(p)."""
+    def rule(value, p):
+        if not isinstance(value, list):
+            return "must be a list of mode records"
+        for rec in value:
+            problem = _mode_record_problem(rec, *dims(p))
+            if problem:
+                return f"has a bad mode record {rec!r}: {problem}"
+        return None
+    return rule
+
+
+def _kam_grid(value, p):
+    """kam's grid size: the grid holds the projected modes only when it
+    exceeds twice the truncation radius."""
+    problem = _COUNT(value, p)
+    if problem is None and 2 * p["radius"] >= value:
+        return f"({value}) must exceed twice the radius ({p['radius']})"
+    return problem
+
+
+_REQUIRED = object()
+
+# key -> (rule, default) for the rows several scenarios share.  A key whose
+# default is _REQUIRED must be given; one whose default is None is unset
+# unless given, and the runner passes None on to the library.
+_MAP = {"matrix": (_int_matrix(), _REQUIRED),
+        "modes": (_modes(lambda p: (len(p["matrix"]),) * 2), []),
+        "eps": (_FINITE, None)}
+_SOLVE = {"n_grid": (_COUNT, 128), "tol": (_POSITIVE, 1e-10)}
+_GENERATOR = {"generator": (_choice(derivative=None,
+                                    constant="generator_matrix",
+                                    restriction="cluster_index"),
+                            "derivative"),
+              "generator_matrix": (_REAL_MATRIX, None),
+              "cluster_index": (_cluster_index, None)}
+
+# The manifest schema: each scenario's params, every key it reads, in the
+# order they are checked.
+_PARAMS = {
+    "classify": {"matrix": _MAP["matrix"],
+                 "definitional_check": (_FLAG, False)},
+    "conjugate": {**_MAP, **_SOLVE, "regularity": (_FLAG, False),
+                  "samples": (_COUNT, 10000),
+                  "cov_n": (_count(maps.MAX_SEARCH_PERIOD), 2)},
+    "counterexample": {
+        "a": (_int_matrix(2), [[2, 1], [1, 1]]),
+        "b": (_int_matrix(2), [[3, 1], [2, 1]]),
+        "phi_modes": (_modes(lambda p: (2, 1)),
+                      [{"freq": [1, 0], "amplitude": [1.0], "kind": "sin"}]),
+        "eps": (_FINITE, 0.01), "k_trunc": (_COUNT, 60),
+        "n_points": (_COUNT, 10000), "holder_pairs": (_COUNT, 10000),
+        "psi_grid": (_COUNT, 256)},
+    "linearized": {**_MAP, "radius": (_COUNT, None),
+                   "tol": (_POSITIVE, None)},
+    "kam": {**_MAP, "steps": (_COUNT, 2), "radius": (_COUNT, 16),
+            "n_grid": (_kam_grid, 128), "tol": (_POSITIVE, None)},
+    "lyapunov": {**_MAP, **_GENERATOR,
+                 "n": (_count(cocycles.MAX_ITER), 1000),
+                 "grid_per_axis": (_COUNT, 6)},
+    "cocycle": {**_MAP, **_GENERATOR,
+                "periods": (_count(maps.MAX_SEARCH_PERIOD), 2),
+                "beta": (_POSITIVE, 1.0)},
+    "regularity": {**_MAP, **_SOLVE, "samples": (_COUNT, 2000),
+                   "resolutions": (_COUNTS, [64, 128, 256])},
+}
+
+
+def _seed(manifest):
+    return manifest.get("seed", 0)
+
+
+def _params(manifest):
+    """The scenario's params: every key of its table, given or default."""
+    given = manifest.get("params", {})
+    return {key: given.get(key, default)
+            for key, (_, default) in _PARAMS[manifest["scenario"]].items()}
+
+
+def validate_manifest(manifest):
+    """Check a manifest against the schema, and return it unchanged.
+
+    Every key of the scenario's table is checked, a default as well as a
+    given value, except an unset key whose default is None."""
+    if not isinstance(manifest, dict):
+        raise SchemaError("a manifest must be an object")
+    if "scenario" not in manifest:
+        raise SchemaError("manifest: missing required key 'scenario'")
+    scenario = manifest["scenario"]
+    if not isinstance(scenario, str) or scenario not in _PARAMS:
+        raise SchemaError(f"unknown scenario {scenario!r}")
+    seed = _seed(manifest)
+    if not _int(seed) or seed < 0:
+        raise SchemaError("seed must be a non-negative integer")
+    given = manifest.get("params", {})
+    if not isinstance(given, dict):
+        raise SchemaError("params must be an object")
+    p = _params(manifest)
+    for key, (rule, default) in _PARAMS[scenario].items():
+        if key not in given and default is _REQUIRED:
+            raise SchemaError(f"{scenario}.params: missing required key "
+                              f"'{key}'")
+        if key not in given and default is None:
+            continue
+        problem = rule(p[key], p)
+        if problem:
+            raise SchemaError(f"{scenario}.params: {key} {problem}")
+    return manifest
+
+
+def manifest_hash(manifest):
+    blob = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def trigpoly_from_modes(dim, dim_range, modes):
     """Build a real trig polynomial from manifest mode records.
 
     A record is {"freq": d integers, "amplitude": a finite number or a
     list of at most dim_range finite numbers, "kind": "sin" (the default)
-    or "cos"}; anything else raises SchemaError.
+    or "cos"}; validate_manifest has checked every record.
     """
-    if not isinstance(modes, list):
-        raise SchemaError(f"modes must be a list of mode records, got "
-                          f"{modes!r}")
     out = TrigPoly(dim, dim_range)
     for rec in modes:
-        problem = _mode_record_problem(rec, dim, dim_range)
-        if problem:
-            raise SchemaError(f"bad mode record {rec!r}: {problem}")
         amp = np.atleast_1d(np.asarray(rec["amplitude"], dtype=float))
         amp_vec = np.zeros(dim_range)
         amp_vec[:amp.size] = amp
@@ -208,7 +308,7 @@ def _provenance(manifest):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "mpmath": mpmath.__version__,
-        "seed": manifest.get("seed", 0),
+        "seed": _seed(manifest),
         "manifest_sha256": manifest_hash(manifest),
     }
 
@@ -244,26 +344,26 @@ def _write_columns(outdir, name, manifest, columns, header):
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _build_map(params):
-    base = _matrix(params)
-    modes = params.get("modes", [])
-    eps = params.get("eps")
-    disp = trigpoly_from_modes(base.dim, base.dim, modes)
-    if eps is not None:
-        disp = float(eps) * disp
-    return maps.build(base, disp, warn=False)
+def _displacement(base, p):
+    """The modes as a map T^d -> R^d, scaled by eps when eps is given."""
+    disp = trigpoly_from_modes(base.dim, base.dim, p["modes"])
+    return disp if p["eps"] is None else float(p["eps"]) * disp
 
 
-def _solve(f, params):
-    return conjugacy.solve_conjugacy(f, tol=params.get("tol", 1e-10),
-                                     grid_n=params.get("n_grid", 128))
+def _build_map(p):
+    base = spectral.automorphism(p["matrix"])
+    return maps.build(base, _displacement(base, p), warn=False)
+
+
+def _solve(f, p):
+    return conjugacy.solve_conjugacy(f, tol=p["tol"], grid_n=p["n_grid"])
 
 
 def run_classify(manifest, outdir):
-    params = manifest["params"]
-    m = _matrix(params)
+    p = _params(manifest)
+    m = spectral.automorphism(p["matrix"])
     report = spectral.classification_report(m)
-    if params.get("definitional_check", False):
+    if p["definitional_check"]:
         verdict, witness = spectral.weakly_irreducible_definitional(m)
         report["definitional_weakly_irreducible"] = verdict
         report["definitional_witness"] = list(witness) if witness else None
@@ -284,18 +384,16 @@ def _conjugacy_record(res, samples, seed, reg):
 
 
 def run_conjugate(manifest, outdir):
-    params = manifest["params"]
-    f = _build_map(params)
+    p = _params(manifest)
+    f = _build_map(p)
     # the report reads the map alone and is built before the solve: built
     # after it, the d = 4 op's Newton inverse took 16,000-20,000 more minor
     # page faults, as glibc's heap had not yet grown past the solve's arrays
     smallness = f.smallness.__dict__
-    res = _solve(f, params)
-    reg = conjugacy.regularity_metrics(res) \
-        if params.get("regularity", False) else None
-    record = _conjugacy_record(res, params.get("samples", 10000),
-                               manifest.get("seed", 0), reg)
-    cov = conjugacy.periodic_covariance(res, n_max=params.get("cov_n", 2))
+    res = _solve(f, p)
+    reg = conjugacy.regularity_metrics(res) if p["regularity"] else None
+    record = _conjugacy_record(res, p["samples"], _seed(manifest), reg)
+    cov = conjugacy.periodic_covariance(res, n_max=p["cov_n"])
     out = {"conjugacy": record, "periodic_covariance": cov,
            "smallness": smallness}
     files = []
@@ -309,26 +407,18 @@ def run_conjugate(manifest, outdir):
 
 
 def run_counterexample(manifest, outdir):
-    params = manifest.get("params", {})
-    a = params.get("a", [[2, 1], [1, 1]])
-    b = params.get("b", [[3, 1], [2, 1]])
-    eps = params.get("eps", 0.01)
-    k_trunc = params.get("k_trunc", 60)
-    n_points = params.get("n_points", 10000)
-    phi = trigpoly_from_modes(2, 1, params.get(
-        "phi_modes", [{"freq": [1, 0], "amplitude": [1.0], "kind": "sin"}]))
-    phi = float(eps) * phi
-    ce = conjugacy.build_counterexample(a, b, phi, k_trunc=k_trunc)
-    rng = np.random.default_rng(manifest.get("seed", 0))
-    pts2 = rng.random((n_points, 2))
-    pts4 = rng.random((n_points, 4))
-    est = estimate_holder(lambda p: ce.psi(p)[..., None], dim=2,
-                          pairs=params.get("holder_pairs", 10000),
-                          seed=manifest.get("seed", 0))
+    p, seed = _params(manifest), _seed(manifest)
+    phi = float(p["eps"]) * trigpoly_from_modes(2, 1, p["phi_modes"])
+    ce = conjugacy.build_counterexample(p["a"], p["b"], phi,
+                                        k_trunc=p["k_trunc"])
+    rng = np.random.default_rng(seed)
+    pts2 = rng.random((p["n_points"], 2))
+    pts4 = rng.random((p["n_points"], 4))
+    est = estimate_holder(lambda x: ce.psi(x)[..., None], dim=2,
+                          pairs=p["holder_pairs"], seed=seed)
     scales = [2.0 ** (-j) for j in (4, 8, 12, 16, 20)]
-    ratios = finite_difference_ratio(lambda p: ce.psi(p)[..., None], 2,
-                                     scales, pairs=4000,
-                                     seed=manifest.get("seed", 0))
+    ratios = finite_difference_ratio(lambda x: ce.psi(x)[..., None], 2,
+                                     scales, pairs=4000, seed=seed)
     out = {
         "lambda": ce.lam, "mu": ce.mu,
         "holder_expected": ce.holder_expected,
@@ -341,7 +431,7 @@ def run_counterexample(manifest, outdir):
                             "reliable": est.reliable},
         "fd_scales": scales, "fd_ratios": ratios,
     }
-    n_psi = params.get("psi_grid", 256)
+    n_psi = p["psi_grid"]
     psi_vals = ce.psi(uniform_grid(2, n_psi)).reshape(n_psi, n_psi)
     os.makedirs(outdir, exist_ok=True)
     from .torusfn import save_grid
@@ -357,13 +447,10 @@ def run_counterexample(manifest, outdir):
 
 
 def run_linearized(manifest, outdir):
-    params = manifest["params"]
-    m = _matrix(params)
-    q = trigpoly_from_modes(m.dim, m.dim, params.get("modes", []))
-    if params.get("eps") is not None:
-        q = float(params["eps"]) * q
-    sol = twisted.solve_linearized(m, q, radius=params.get("radius"),
-                                   tol=params.get("tol"))
+    p = _params(manifest)
+    m = spectral.automorphism(p["matrix"])
+    sol = twisted.solve_linearized(m, _displacement(m, p),
+                                   radius=p["radius"], tol=p["tol"])
     freqs = sorted(sol.h.coeffs)
     out = {"solution": sol.report(),
            "support_size": len(sol.h.coeffs),
@@ -377,12 +464,10 @@ def run_linearized(manifest, outdir):
 
 
 def run_kam(manifest, outdir):
-    params = manifest["params"]
-    f = _build_map(params)
-    radius, grid_n = _kam_truncation(params)
-    _, reports = twisted.kam_iterate(f, steps=params.get("steps", 2),
-                                     radius=radius, grid_n=grid_n,
-                                     tol=params.get("tol"))
+    p = _params(manifest)
+    _, reports = twisted.kam_iterate(_build_map(p), steps=p["steps"],
+                                     radius=p["radius"], grid_n=p["n_grid"],
+                                     tol=p["tol"])
     dist = [reports[0].input_c0] + [r.output_c0 for r in reports]
     out = {"steps": [r.as_dict() for r in reports],
            "distances_c0": dist,
@@ -392,22 +477,14 @@ def run_kam(manifest, outdir):
     return out, files
 
 
-def _kam_truncation(params):
-    """kam's truncation radius F and grid size N, with their defaults: the
-    grid holds the projected modes only when N > 2F."""
-    return params.get("radius", 16), params.get("n_grid", 128)
-
-
 def run_lyapunov(manifest, outdir):
-    params = manifest["params"]
-    f = _build_map(params)
-    spec = _cocycle_spec(f, params)
-    n = params.get("n", 1000)
+    p = _params(manifest)
+    f = _build_map(p)
+    spec = _cocycle_spec(f, p)
     ref = f.spec.exponents if spec.kind == "derivative" else None
-    rep = cocycles.lyapunov_volume(spec, n,
-                                   grid_per_axis=params.get("grid_per_axis", 6),
-                                   reference=ref,
-                                   seed=manifest.get("seed", 0))
+    rep = cocycles.lyapunov_volume(spec, p["n"],
+                                   grid_per_axis=p["grid_per_axis"],
+                                   reference=ref, seed=_seed(manifest))
     out = {"exponents": list(rep.exponents),
            "full_average": list(rep.full_average),
            "birkhoff": list(rep.birkhoff),
@@ -419,27 +496,19 @@ def run_lyapunov(manifest, outdir):
     return out, []
 
 
-def _cocycle_spec(f, params):
-    kind = params.get("generator", "derivative")
-    if kind == "derivative":
-        return cocycles.CocycleSpec(f, "derivative")
-    if kind == "constant":
-        return cocycles.CocycleSpec(f, "constant",
-                                    matrix=params["generator_matrix"])
-    if kind == "restriction":
-        return cocycles.CocycleSpec(f, "restriction",
-                                    cluster_index=params["cluster_index"])
-    raise SchemaError(f"unknown generator kind '{kind}'")
+def _cocycle_spec(f, p):
+    return cocycles.CocycleSpec(f, p["generator"],
+                                matrix=p["generator_matrix"],
+                                cluster_index=p["cluster_index"])
 
 
 def run_cocycle(manifest, outdir):
-    params = manifest["params"]
-    f = _build_map(params)
-    spec = _cocycle_spec(f, params)
-    n_max = params.get("periods", 2)
+    p = _params(manifest)
+    f = _build_map(p)
+    spec = _cocycle_spec(f, p)
     rows = []
     reference = f.spec.exponents
-    for n in range(1, n_max + 1):
+    for n in range(1, p["periods"] + 1):
         search = maps.periodic_points(f, n)
         if search.newton_failures or \
                 search.point_count != search.expected_count:
@@ -462,7 +531,7 @@ def run_cocycle(manifest, outdir):
             })
     try:
         verify_report = maps.verify_anosov(f)
-        fb = cocycles.fiber_bunching_check(spec, beta=params.get("beta", 1.0),
+        fb = cocycles.fiber_bunching_check(spec, beta=p["beta"],
                                            anosov_report=verify_report)
         rep = fb.__dict__
     except VerificationInconclusive as exc:
@@ -473,15 +542,14 @@ def run_cocycle(manifest, outdir):
 
 
 def run_regularity(manifest, outdir):
-    params = manifest["params"]
-    f = _build_map(params)
-    res = _solve(f, params)
+    p = _params(manifest)
+    f = _build_map(p)
+    res = _solve(f, p)
     reg = conjugacy.regularity_metrics(res)
-    record = _conjugacy_record(res, params.get("samples", 2000),
-                               manifest.get("seed", 0), reg)
+    record = _conjugacy_record(res, p["samples"], _seed(manifest), reg)
     scan = []
-    for n in params.get("resolutions", [64, 128, 256]):
-        r = res if n == res.grid_n else _solve(f, {**params, "n_grid": n})
+    for n in p["resolutions"]:
+        r = res if n == res.grid_n else _solve(f, {**p, "n_grid": n})
         rep = conjugacy.jacobian_dh(r)
         scan.append({"n": n, "jacobian_residual": rep.residual_eq,
                      "min_det": rep.min_det})
@@ -525,7 +593,7 @@ def run_manifest(manifest, outdir):
         _write_columns(outdir, name, manifest, columns, header)
     elapsed = time.time() - t0
     with open(os.path.join(outdir, "run.log"), "a") as fh:
-        fh.write(f"{scenario} seed={manifest.get('seed', 0)} "
+        fh.write(f"{scenario} seed={_seed(manifest)} "
                  f"elapsed={elapsed:.3f}s\n")
     return path
 
@@ -549,7 +617,7 @@ def run_compare(manifest_paths, outdir):
         rows = []
         for m in manifests:
             res, _ = run_kam(m, outdir)
-            rows.append({"eps": m["params"].get("eps"),
+            rows.append({"eps": _params(m)["eps"],
                          "distances": res["distances_c0"],
                          "monotone": res["monotone"]})
         record = {"kind": "kam_family", "rows": rows}
@@ -562,9 +630,12 @@ def run_compare(manifest_paths, outdir):
         if m["scenario"] != "conjugate":
             raise IncomparableManifests(
                 "compare supports conjugate or kam manifests")
-        f = _build_map(m["params"])
-        res = _solve(f, m["params"])
-        eps_list.append(float(m["params"]["eps"]))
+        p = _params(m)
+        if p["eps"] is None or p["eps"] <= 0:
+            raise IncomparableManifests(
+                "compare needs eps > 0 in every conjugate manifest")
+        res = _solve(_build_map(p), p)
+        eps_list.append(float(p["eps"]))
         norms.append(res.h_c0)
     ratios = [h / e for h, e in zip(norms, eps_list)]
     slope = float(np.polyfit(np.log(eps_list), np.log(norms), 1)[0])
@@ -592,35 +663,36 @@ def _add_common(sub):
     sub.add_argument("--n-grid", type=int, dest="n_grid")
     sub.add_argument("--radius", type=int, help="Fourier truncation radius F")
     sub.add_argument("--tol", type=float)
-    sub.add_argument("--n", type=int, help="iteration count / period bound")
+    sub.add_argument("--n", type=int, help="iteration count (lyapunov)")
     sub.add_argument("--steps", type=int)
+
+
+# each flag's params key; a scenario takes the flags of the keys it reads
+_FLAGS = {"matrix": "--matrix", "eps": "--eps", "n_grid": "--n-grid",
+          "radius": "--radius", "tol": "--tol", "n": "--n",
+          "steps": "--steps"}
 
 
 def _manifest_from_args(args, scenario):
     if args.manifest:
         with open(args.manifest) as fh:
             return json.load(fh)
-    params = {}
-    if args.matrix:
-        params["matrix"] = json.loads(args.matrix)
-    elif scenario not in ("counterexample",):
-        params["matrix"] = [[2, 1], [1, 1]]
-    if args.eps is not None:
-        params["eps"] = args.eps
-        if scenario != "counterexample" and "matrix" in params:
-            d = len(params["matrix"])
-            params.setdefault("modes", [{"freq": [0] * (d - 1) + [1],
-                                         "amplitude": [1.0], "kind": "sin"}])
-    if args.n_grid:
-        params["n_grid"] = args.n_grid
-    if args.radius:
-        params["radius"] = args.radius
-    if args.tol:
-        params["tol"] = args.tol
-    if args.n:
-        params["n"] = args.n
-    if args.steps:
-        params["steps"] = args.steps
+    table, params = _PARAMS[scenario], {}
+    for key, flag in _FLAGS.items():
+        value = getattr(args, key)
+        # an absent flag; a zero or empty one, but for --eps, is ignored
+        if value is None or (key != "eps" and not value):
+            continue
+        if key not in table:
+            raise SchemaError(f"{scenario} reads no {flag}")
+        params[key] = json.loads(value) if key == "matrix" else value
+    if "matrix" in table:
+        params.setdefault("matrix", [[2, 1], [1, 1]])
+    if "eps" in params and "modes" in table and \
+            isinstance(params["matrix"], list):
+        d = len(params["matrix"])
+        params["modes"] = [{"freq": [0] * (d - 1) + [1],
+                            "amplitude": [1.0], "kind": "sin"}]
     return {"scenario": scenario, "seed": args.seed, "params": params}
 
 
@@ -633,7 +705,7 @@ def _parser():
         description="numerical laboratory for hyperbolic toral "
                     "automorphisms and their perturbations")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS:
+    for name in _PARAMS:
         sub = subs.add_parser(name)
         _add_common(sub)
     comp = subs.add_parser("compare")

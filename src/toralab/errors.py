@@ -64,6 +64,10 @@ class UnreliableFit(ToralabError):
     """Regression diagnostics of an estimator exceed the threshold."""
 
 
+class InvalidInput(ToralabError, ValueError):
+    """A library function was given arguments it can see are invalid."""
+
+
 class SchemaError(ToralabError):
     """An experiment manifest failed validation."""
 

@@ -887,8 +887,7 @@ def _sup_increments(fn, dim, scales, pairs, seed):
     return f0, np.array(sups, dtype=float)
 
 
-def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
-                    strict=False):
+def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0):
     """Estimate a Holder exponent from sup-increments at dyadic scales.
 
     The increment at scale 2^-j is the max of |f(x + delta u) - f(x)| over
@@ -912,9 +911,6 @@ def estimate_holder(fn, dim=None, j_min=4, j_max=16, pairs=10000, seed=0,
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     reliable = resid <= HOLDER_RESIDUAL
-    if strict and not reliable:
-        raise UnreliableFit(f"log-log fit residual {resid:.3f} exceeds "
-                            f"{HOLDER_RESIDUAL}")
     return HolderEstimate(exponent=float(min(max(slope, 0.0), 1.5)),
                           constant=float(np.exp(intercept)),
                           residual=resid, scales=scales, increments=sups,

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import exactalg
 from .conjugacy import solve_conjugacy
-from .errors import ToleranceNotReached, TruncationInsufficient
+from .errors import InvalidInput, ToleranceNotReached, TruncationInsufficient
 from .maps import PerturbedMap, max_norm2
 from .spectral import lyapunov_splitting
 from .torusfn import GridFunction, TrigPoly, _mod1, _row_keys, uniform_grid
 
 DROP_TOL = 1e-17    # a dual-orbit walk stops below this coefficient size
+MAX_WALK = 2000     # dual_orbit_decomposition's cap on one walk's steps
 
 
 def _sup(n):
@@ -57,8 +58,7 @@ class DualOrbitDecomposition:
                 "segments": [[list(n) for n in seg] for seg in self.segments]}
 
 
-def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
-                             max_walk=2000):
+def dual_orbit_decomposition(automorphism, radius, extended_radius=None):
     """Walk the dual action over the frequency ball; verifies no cycles.
 
     A picture of the orbit structure; solve_linearized does not use it.
@@ -93,7 +93,7 @@ def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
             back.append(cur)
             cur = tuple(exactalg.mat_vec(lti, cur))
             steps += 1
-            if steps > max_walk:
+            if steps > MAX_WALK:
                 raise ArithmeticError("dual orbit walk exceeded the cap")
         fwd = [seed]
         cur = tuple(exactalg.mat_vec(lt, seed))
@@ -106,7 +106,7 @@ def dual_orbit_decomposition(automorphism, radius, extended_radius=None,
             fwd.append(cur)
             cur = tuple(exactalg.mat_vec(lt, cur))
             steps += 1
-            if steps > max_walk:
+            if steps > MAX_WALK:
                 raise ArithmeticError("dual orbit walk exceeded the cap")
         seg = back[::-1] + fwd
         segments.append(seg)
@@ -378,7 +378,13 @@ def kam_step(f: PerturbedMap, radius=16, grid_n=128, tol=None):
     Q is reduced mod Z^d.  It differs from R + h o f - h o L with both h
     walked by the terms one past the last summed ones, L_u^-N R^u(f^N x)
     and L_s^N R^s(f^-N x), of the size of the solve's stopping threshold.
+
+    The grid holds the projected modes only when grid_n > 2 radius; a
+    coarser grid raises InvalidInput before any solve.
     """
+    if 2 * radius >= grid_n:
+        raise InvalidInput(f"grid_n ({grid_n}) must exceed twice the "
+                           f"radius ({radius})")
     d = f.dim
     el = f.base
     lmat = el.as_array()

@@ -32,13 +32,11 @@ OPTIONS = {
     ("build_counterexample", "k_trunc"),
     ("c0_norm", "grid_n"),
     ("dual_orbit_decomposition", "extended_radius"),
-    ("dual_orbit_decomposition", "max_walk"),
     ("estimate_holder", "dim"),
     ("estimate_holder", "j_max"),
     ("estimate_holder", "j_min"),
     ("estimate_holder", "pairs"),
     ("estimate_holder", "seed"),
-    ("estimate_holder", "strict"),
     ("exponents_at_periodic", "reference"),
     ("fiber_bunching_check", "anosov_report"),
     ("fiber_bunching_check", "beta"),

@@ -379,9 +379,10 @@ def test_bad_grid_size_is_schema_error(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / f"{scenario}_result.json").exists()
 
 
-def _main_on(tmp_path, monkeypatch, scenario, params):
-    """cli.main's exit code on a manifest with params, with every runner
-    replaced by one that fails the test if it is reached."""
+def _main_on(tmp_path, monkeypatch, scenario, params, command=None):
+    """cli.main's exit code on a manifest with params, run by the
+    subcommand command (default: scenario), with every runner replaced by
+    one that fails the test if it is reached."""
     def no_run(*args, **kwargs):
         raise AssertionError("ran before the manifest was checked")
 
@@ -389,7 +390,7 @@ def _main_on(tmp_path, monkeypatch, scenario, params):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"scenario": scenario, "seed": 0,
                                 "params": params}))
-    return cli.main([scenario, "--manifest", str(path),
+    return cli.main([command or scenario, "--manifest", str(path),
                      "--out", str(tmp_path)])
 
 
@@ -472,6 +473,114 @@ def test_kam_grid_must_exceed_twice_the_radius(tmp_path, capsys, monkeypatch,
         return
     assert _main_on(tmp_path, monkeypatch, "kam", params) == 2
     assert "must exceed twice the radius" in capsys.readouterr().err
+
+
+_CAT = [[2, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("scenario,params,want", [
+    # ill-typed, missing and out-of-range keys
+    ("cocycle", {"generator": "restriction", "cluster_index": "x"},
+     "cluster_index must be a non-negative integer"),
+    ("cocycle", {"generator": "restriction", "cluster_index": 7},
+     "cluster_index must be below 2"),
+    ("cocycle", {"generator": "constant", "generator_matrix": "x"},
+     "generator_matrix must be a square matrix"),
+    ("cocycle", {"generator": "constant"},
+     "generator 'constant' needs the key 'generator_matrix'"),
+    ("lyapunov", {"generator": "restriction"},
+     "generator 'restriction' needs the key 'cluster_index'"),
+    ("counterexample", {"a": "x"}, "params: a must be a 2 x 2 integer"),
+    ("compare", {}, "unknown scenario 'compare'"),
+    # values that int() or truthiness would take for other ones
+    ("classify", {"matrix": [[2, 1], [1, 1.9]]}, "matrix must be a square"),
+    ("classify", {"matrix": [[2, 1], [1, True]]}, "matrix must be a square"),
+    ("classify", {"matrix": [[2, 1], ["1", 1]]}, "matrix must be a square"),
+    ("counterexample", {"a": [[2, 1], [1, 1.5]]},
+     "params: a must be a 2 x 2 integer"),
+    ("conjugate", {"regularity": "no"}, "regularity must be true or false"),
+    ("classify", {"definitional_check": "no"},
+     "definitional_check must be true or false")])
+def test_measured_failures_are_schema_errors(tmp_path, capsys, monkeypatch,
+                                             scenario, params, want):
+    base = {} if scenario == "counterexample" else {"matrix": _CAT}
+    rc = _main_on(tmp_path, monkeypatch, scenario, {**base, **params},
+                  command="classify" if scenario == "compare" else None)
+    assert rc == 2
+    assert want in capsys.readouterr().err
+
+
+# tiny valid params per scenario: a bad value that validation lets through
+# runs in well under a second
+_TINY = {
+    "classify": {"matrix": _CAT},
+    "conjugate": {"matrix": _CAT, "n_grid": 8, "samples": 10, "cov_n": 1},
+    "regularity": {"matrix": _CAT, "n_grid": 8, "samples": 10,
+                   "resolutions": [8]},
+    "linearized": {"matrix": _CAT, "radius": 2},
+    "kam": {"matrix": _CAT, "steps": 1, "radius": 2, "n_grid": 8},
+    "lyapunov": {"matrix": _CAT, "n": 10, "grid_per_axis": 1},
+    "cocycle": {"matrix": _CAT, "periods": 1},
+    "counterexample": {"k_trunc": 5, "n_points": 10, "holder_pairs": 10,
+                       "psi_grid": 8}}
+_BAD_VALUES = ["x", -1.0, float("nan"), [1], {"k": 1}, None, True]
+
+
+@pytest.mark.filterwarnings("ignore:perturbation too large")
+def test_no_bad_value_escapes_main(tmp_path, capsys):
+    # every scenario x every key of its schema (and the seed) x every bad
+    # value, in a fixed order: main answers with an exit code, never with
+    # a traceback
+    assert set(_TINY) == set(cli._PARAMS)
+    codes = {}
+    for scenario, tiny in _TINY.items():
+        for key in [*cli._PARAMS[scenario], "seed"]:
+            for i, bad in enumerate(_BAD_VALUES):
+                manifest = {"scenario": scenario, "seed": 0,
+                            "params": dict(tiny)}
+                (manifest if key == "seed" else manifest["params"])[key] = bad
+                out = tmp_path / f"{scenario}-{key}-{i}"
+                out.mkdir()
+                (out / "m.json").write_text(json.dumps(manifest))
+                rc = cli.main([scenario, "--manifest", str(out / "m.json"),
+                               "--out", str(out)])
+                codes[scenario, key, repr(bad)] = rc
+    capsys.readouterr()
+    assert set(codes.values()) <= {0, 2, 3, 4}
+    # the only values that pass the schema: a negative eps, true for a
+    # flag, and [1] for a list of grid sizes
+    passed = {case for case, rc in codes.items() if rc != 2}
+    assert passed == {(s, "eps", "-1.0") for s in cli._PARAMS
+                      if "eps" in cli._PARAMS[s]} | {
+        ("conjugate", "regularity", "True"),
+        ("classify", "definitional_check", "True"),
+        ("regularity", "resolutions", "[1]")}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["cocycle", "--eps", "1e-3", "--n", "3"], "--n"),
+    (["counterexample", "--matrix", "[[2,1],[1,1]]"], "--matrix"),
+    (["classify", "--eps", "1e-3"], "--eps"),
+    (["lyapunov", "--n-grid", "16"], "--n-grid"),
+    (["conjugate", "--radius", "4"], "--radius"),
+    (["regularity", "--steps", "2"], "--steps"),
+    (["counterexample", "--tol", "1e-9"], "--tol")])
+def test_flag_the_scenario_does_not_read_is_schema_error(tmp_path, capsys,
+                                                         argv, flag):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{argv[0]} reads no {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_flags_write_the_keys_the_scenario_reads():
+    args = cli._parser().parse_args(["lyapunov", "--eps", "0", "--n", "50",
+                                     "--n-grid", "0"])
+    # --eps 0 is a value, and a zero count is left out, as before
+    assert cli._manifest_from_args(args, "lyapunov") == {
+        "scenario": "lyapunov", "seed": 0,
+        "params": {"matrix": _CAT, "eps": 0.0, "n": 50,
+                   "modes": [{"freq": [0, 1], "amplitude": [1.0],
+                              "kind": "sin"}]}}
 
 
 def test_determinism_bitwise(tmp_path):

@@ -17,7 +17,6 @@ from oracle_helpers import (c0_upper_per_key, combine_per_key,
                             trig_jacobian_direct, weierstrass_type)
 from toralab import exactalg, spectral
 from toralab import torusfn as tf
-from toralab.errors import UnreliableFit
 
 
 def test_eval_zero():
@@ -927,7 +926,7 @@ def test_holder_scale_stability():
         assert abs(full.exponent - half.exponent) < 0.05
 
 
-def test_holder_strict_raises_on_bad_fit():
+def test_holder_fit_of_kinked_increments_is_unreliable():
     # two regimes (smooth at coarse scales, alpha = 0.2 roughness below
     # the crossover): the log-log increments are kinked, no single power
     # law fits
@@ -937,10 +936,9 @@ def test_holder_strict_raises_on_bad_fit():
         x = np.asarray(p)[..., 0]
         return np.sin(2 * np.pi * x)[..., None] + 0.01 * rough(p)
 
-    with pytest.raises(UnreliableFit):
-        tf.estimate_holder(kinked, dim=1, pairs=2000, strict=True, seed=3)
     est = tf.estimate_holder(kinked, dim=1, pairs=2000, seed=3)
     assert not est.reliable
+    assert est.residual > est.threshold
 
 
 def test_serialization_roundtrip(tmp_path):

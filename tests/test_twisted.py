@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from oracle_helpers import (conformal_bundles, kam_q_walked,
                             small_perturbation, solve_linearized_dict_keyed)
 from toralab import conjugacy, exactalg, maps, spectral, twisted
-from toralab.errors import (NotHyperbolic, ToleranceNotReached,
-                            TruncationInsufficient)
+from toralab.errors import (InvalidInput, NotHyperbolic,
+                            ToleranceNotReached, TruncationInsufficient)
 from toralab.torusfn import TrigPoly
 
 CAT = spectral.automorphism([[2, 1], [1, 1]])
@@ -369,3 +369,19 @@ def test_kam_step_ignores_an_offset_of_h_by_an_integer_image(
         if isinstance(value, float):
             assert rep_off.as_dict()[key] == pytest.approx(
                 value, rel=1e-9, abs=1e-15), key
+
+
+@pytest.mark.parametrize("grid_n, radius", [(8, 4), (16, 8), (9, 5)])
+def test_kam_step_rejects_a_grid_of_at_most_twice_the_radius(
+        grid_n, radius, monkeypatch):
+    # at N <= 2F the grid aliases the projected modes, and f' would get a
+    # complex displacement; the step says so before it solves anything
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the truncation was checked")
+
+    monkeypatch.setattr(twisted, "solve_conjugacy", no_solve)
+    f = maps.build(CAT, TrigPoly.sin_mode((0, 1), [1e-3, 0.0]), warn=False)
+    with pytest.raises(InvalidInput, match=rf"grid_n \({grid_n}\) must "
+                       rf"exceed twice the radius \({radius}\)") as err:
+        twisted.kam_iterate(f, steps=1, radius=radius, grid_n=grid_n)
+    assert isinstance(err.value, ValueError)
